@@ -40,7 +40,6 @@ from .model import (
     ClassProfile,
     Instance,
     ParseError,
-    bundle_utility,
     classify,
     is_positive_admitting,
     parse_allocation,

@@ -6,10 +6,15 @@ exhaust a bounded parameter box (integers up to k_max/a_max/..., or a finite
 rational grid for the real-quantified conditions) and report either a
 certified violating tuple or "no violation within bounds".
 
-Scans run on a float prescreen with a conservative error margin; every
-candidate violation or near-tie is then settled by the exact comparator, so a
-Violated verdict always carries an exactly re-verifiable witness and a
-NoViolationFound verdict never rests on floating point alone.
+Each condition has a suspect generator.  It walks the box in the condition's
+lexicographic tuple order and yields every tuple its prescreen cannot clear.
+``check_condition`` settles each suspect with the exact comparator
+(``violates``) and returns at the first confirmed violation, so a Violated
+verdict always carries an exactly re-verified witness: the first violating
+suspect in tuple order.  C1 and C1a prescreen with exact comparisons.  The
+other conditions prescreen in floats against a margin (1e-8 for C2, a bound
+from the function's table error for the rest); a tuple cleared by more than
+the margin is not re-checked exactly.
 """
 
 from __future__ import annotations
@@ -96,15 +101,6 @@ class Bounds:
     @property
     def x_limit(self) -> int:
         return self.x_max if self.x_max is not None else self.k_max * self.a_max
-
-    def grown(self, factor: int = 2) -> "Bounds":
-        return replace(
-            self,
-            k_max=self.k_max * factor,
-            a_max=self.a_max * factor,
-            b_max=None if self.b_max is None else self.b_max * factor,
-            x_max=None if self.x_max is None else self.x_max * factor,
-        )
 
     def as_dict(self) -> dict:
         out = {"k_max": self.k_max, "a_max": self.a_max}
@@ -240,6 +236,8 @@ def violates(
 
 def _failing_pair(fn, cond, witness, policy):
     """(lhs, rhs, note) of the first failing inequality at a confirmed witness."""
+    if cond is ConditionId.C1A:
+        return delta(fn, witness["k"], witness["x"]), delta(fn, witness["k"], witness["y"]), None
     for lhs, rhs in condition_inequalities(fn, cond, witness):
         holds, note = _strictly_greater(lhs, rhs, policy)
         if holds is False:
@@ -247,7 +245,7 @@ def _failing_pair(fn, cond, witness, policy):
     raise AssertionError("witness did not re-verify")
 
 
-# -- float prescreen helpers -----------------------------------------------------
+# -- suspect generators, one per condition; tuple order noted above each -----------
 
 
 def _table(fn: WelfareFunction, upto: int) -> tuple[np.ndarray, float]:
@@ -260,77 +258,90 @@ def _table(fn: WelfareFunction, upto: int) -> tuple[np.ndarray, float]:
 def _diff(table: np.ndarray, hi, lo) -> np.ndarray:
     """table[hi]-table[lo] with -inf at lo mapped to +inf (left side passes)."""
     with np.errstate(invalid="ignore"):
-        out = table[hi] - table[lo]
-    if np.isscalar(out):
-        return out
-    return out
+        return table[hi] - table[lo]
 
 
-class _Scan:
-    """Shared state for one bounded scan: confirmed verdicts and notes."""
-
-    def __init__(self, fn, cond, bounds):
-        self.fn = fn
-        self.cond = cond
-        self.bounds = bounds
-        self.policy = bounds.policy
-        self.notes: list[str] = []
-        self.inconclusive = False
-
-    def confirm(self, witness: dict) -> ConditionReport | None:
-        outcome = violates(self.fn, self.cond, witness, self.policy)
-        if outcome is None:
-            self.inconclusive = True
-            return None
-        if not outcome:
-            return None
-        lhs, rhs, note = _failing_pair(self.fn, self.cond, witness, self.policy)
-        notes = tuple(self.notes + ([note] if note else []))
-        return ConditionReport(self.cond, VIOLATED, self.bounds, witness, lhs, rhs, notes)
-
-    def finish(self) -> ConditionReport:
-        verdict = INCONCLUSIVE if self.inconclusive else NO_VIOLATION
-        return ConditionReport(self.cond, verdict, self.bounds, notes=tuple(self.notes))
+def _suspect(lhs, rhs, margin: float) -> np.ndarray:
+    """Where lhs > rhs is not cleared by more than the margin (NaN included)."""
+    with np.errstate(invalid="ignore"):
+        return ~(lhs - rhs > margin)
 
 
-def check_condition(
-    fn: WelfareFunction, cond: ConditionId, bounds: Bounds | None = None
-) -> ConditionReport:
-    """Exhaustively test one condition inside the bounded parameter box.
+def _cells(mask: np.ndarray):
+    """The True indices of a 1-D or 2-D mask as int tuples, in row-major
+    (lexicographic) order.
 
-    Returns the lexicographically smallest violating tuple when one exists
-    within bounds (tuple orders are documented per condition below).
+    Each is found by its own argmax, so a scan that stops at its first
+    suspect does not index the rest of the mask.
     """
-    bounds = bounds or Bounds()
-    if cond in REAL_CONDITIONS and not bounds.real_grid:
-        raise ValueError("real-quantified conditions need a non-empty grid")
-    checker = _CHECKERS[cond]
-    return checker(fn, bounds)
+    flat = mask.ravel()
+    start = 0
+    while start < flat.size:
+        i = start + int(flat[start:].argmax())
+        if not flat[i]:
+            return
+        yield divmod(i, mask.shape[1]) if mask.ndim == 2 else (i,)
+        start = i + 1
+
+
+def _ranks(values) -> np.ndarray:
+    """Dense ranks of exact values: equal values share a rank."""
+    rank = {v: r for r, v in enumerate(sorted(set(values)))}
+    return np.array([rank[v] for v in values])
+
+
+# tuple order (k, a, b) over the grid; the prescreen is the exact comparison
+def _suspects_c1(fn, bounds):
+    grid = sorted(bounds.real_grid)
+    cache: dict[tuple[int, Fraction], ExtendedValue] = {}
+
+    def d(k, x):
+        if (k, x) not in cache:
+            cache[(k, x)] = delta(fn, k, x)
+        return cache[(k, x)]
+
+    for k in range(bounds.k_max + 1):
+        for a in grid:
+            rhs = d(k + 1, a)
+            for b in grid:
+                if _strictly_greater(d(k, b), rhs, bounds.policy)[0] is not True:
+                    yield {"k": k, "a": a, "b": b}
+
+
+# tuple order (k, x, y) with x < y: constancy of Delta_k on the grid, k >= 1.
+# Exact equality is transitive, so comparing each Delta_k(y) with the value at
+# the smallest grid point finds the first unequal pair.
+def _suspects_c1a(fn, bounds):
+    grid = sorted(bounds.real_grid)
+    for k in range(1, bounds.k_max + 1):
+        first = delta(fn, k, grid[0])
+        for y in grid[1:]:
+            if compare(first, delta(fn, k, y), bounds.policy).relation is not Relation.EQUAL:
+                yield {"k": k, "x": grid[0], "y": y}
+
+
+# tuple order (a, b, c, d) over the grid, guard min(a,b) <= min(c,d) and ab < cd
+def _suspects_c2(fn, bounds):
+    grid = sorted(bounds.real_grid)
+    n = len(grid)
+    # the guard compares integer ranks of the exact values and products,
+    # taken on the grid scaled to integers by its common denominator
+    scale = math.lcm(*(x.denominator for x in grid))
+    ints = [x.numerator * (scale // x.denominator) for x in grid]
+    rank = _ranks(ints)
+    min_rank = np.minimum.outer(rank, rank)
+    prod_rank = _ranks([p * q for p in ints for q in ints]).reshape(n, n)
+    f_float = np.array([fn.approx_scalar(float(x)) for x in grid])
+    sums = f_float[:, None] + f_float[None, :]
+    for i in range(n):
+        for j in range(n):
+            guard = (min_rank >= min_rank[i, j]) & (prod_rank > prod_rank[i, j])
+            for c, d in _cells(guard & _suspect(sums, sums[i, j], 1e-8)):
+                yield {"a": grid[i], "b": grid[j], "c": grid[c], "d": grid[d]}
 
 
 # tuple order (k, a, b)
-def _check_c3_like(fn, bounds, real: bool, cond) -> ConditionReport:
-    scan = _Scan(fn, cond, bounds)
-    if real:
-        grid = sorted(bounds.real_grid)
-        cache: dict[tuple[int, Fraction], ExtendedValue] = {}
-
-        def d(k, x):
-            if (k, x) not in cache:
-                cache[(k, x)] = delta(fn, k, x)
-            return cache[(k, x)]
-
-        for k in range(bounds.k_max + 1):
-            for a in grid:
-                for b in grid:
-                    holds, note = _strictly_greater(d(k, b), d(k + 1, a), scan.policy)
-                    if holds is None:
-                        scan.inconclusive = True
-                    elif not holds:
-                        report = scan.confirm({"k": k, "a": a, "b": b})
-                        if report:
-                            return report
-        return scan.finish()
+def _suspects_c3(fn, bounds):
     upto = (bounds.k_max + 2) * max(bounds.a_max, bounds.b_limit)
     table, margin = _table(fn, upto)
     a_idx = np.arange(1, bounds.a_max + 1)
@@ -338,86 +349,12 @@ def _check_c3_like(fn, bounds, real: bool, cond) -> ConditionReport:
     for k in range(bounds.k_max + 1):
         lhs = _diff(table, (k + 1) * b_idx, k * b_idx)
         rhs = _diff(table, (k + 2) * a_idx, (k + 1) * a_idx)
-        gap = lhs[None, :] - rhs[:, None]  # rows: a, cols: b
-        with np.errstate(invalid="ignore"):
-            suspect = ~(gap > margin)
-        if not suspect.any():
-            continue
-        for ai in range(len(a_idx)):
-            row = np.nonzero(suspect[ai])[0]
-            for bi in row:
-                report = scan.confirm({"k": k, "a": int(a_idx[ai]), "b": int(b_idx[bi])})
-                if report:
-                    return report
-    return scan.finish()
-
-
-def _check_c1(fn, bounds):
-    return _check_c3_like(fn, bounds, real=True, cond=ConditionId.C1)
-
-
-def _check_c3(fn, bounds):
-    return _check_c3_like(fn, bounds, real=False, cond=ConditionId.C3)
-
-
-# tuple order (k, x, y): constancy of Delta_k on the grid, k >= 1
-def _check_c1a(fn, bounds):
-    scan = _Scan(fn, ConditionId.C1A, bounds)
-    grid = sorted(bounds.real_grid)
-    for k in range(1, bounds.k_max + 1):
-        values = [delta(fn, k, x) for x in grid]
-        for i in range(len(grid)):
-            for j in range(i + 1, len(grid)):
-                ordering = compare(values[i], values[j], scan.policy)
-                if ordering.relation is Relation.INCONCLUSIVE:
-                    scan.inconclusive = True
-                elif ordering.relation is not Relation.EQUAL:
-                    witness = {"k": k, "x": grid[i], "y": grid[j]}
-                    return ConditionReport(
-                        ConditionId.C1A,
-                        VIOLATED,
-                        bounds,
-                        witness,
-                        values[i],
-                        values[j],
-                        tuple(scan.notes),
-                    )
-    return scan.finish()
-
-
-# tuple order (a, b, c, d) over the grid, guard min(a,b) <= min(c,d) and ab < cd
-def _check_c2(fn, bounds):
-    scan = _Scan(fn, ConditionId.C2, bounds)
-    grid = sorted(bounds.real_grid)
-    n = len(grid)
-    margin = 1e-8
-    f_float = np.array([fn.approx_scalar(float(x)) for x in grid])
-    sum_float = f_float[:, None] + f_float[None, :]
-    mins = [[min(grid[i], grid[j]) for j in range(n)] for i in range(n)]
-    prods = [[grid[i] * grid[j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            ab_min, ab_prod = mins[i][j], prods[i][j]
-            lhs_float = sum_float[i, j]
-            for ci in range(n):
-                row_min, row_prod = mins[ci], prods[ci]
-                row_sum = sum_float[ci]
-                for di in range(n):
-                    if row_min[di] < ab_min or row_prod[di] <= ab_prod:
-                        continue
-                    if row_sum[di] - lhs_float > margin:
-                        continue
-                    report = scan.confirm(
-                        {"a": grid[i], "b": grid[j], "c": grid[ci], "d": grid[di]}
-                    )
-                    if report:
-                        return report
-    return scan.finish()
+        for ai, bi in _cells(_suspect(lhs[None, :], rhs[:, None], margin)):
+            yield {"k": k, "a": ai + 1, "b": bi + 1}
 
 
 # tuple order (l, k, a, b) with l < k
-def _check_c3a(fn, bounds):
-    scan = _Scan(fn, ConditionId.C3A, bounds)
+def _suspects_c3a(fn, bounds):
     upto = (bounds.k_max + 1) * max(bounds.a_max, bounds.b_limit)
     table, margin = _table(fn, upto)
     a_idx = np.arange(1, bounds.a_max + 1)
@@ -430,19 +367,8 @@ def _check_c3a(fn, bounds):
     }
     for l in range(bounds.k_max):
         for k in range(l + 1, bounds.k_max + 1):
-            gap = lhs_rows[l][None, :] - rhs_rows[k][:, None]
-            with np.errstate(invalid="ignore"):
-                suspect = ~(gap > margin)
-            if not suspect.any():
-                continue
-            for ai in range(len(a_idx)):
-                for bi in np.nonzero(suspect[ai])[0]:
-                    report = scan.confirm(
-                        {"l": l, "k": k, "a": int(a_idx[ai]), "b": int(b_idx[bi])}
-                    )
-                    if report:
-                        return report
-    return scan.finish()
+            for ai, bi in _cells(_suspect(lhs_rows[l][None, :], rhs_rows[k][:, None], margin)):
+                yield {"l": l, "k": k, "a": ai + 1, "b": bi + 1}
 
 
 _C3B_TABLE_LIMIT = 6_000_000
@@ -463,9 +389,10 @@ def _digamma_rescreen(fn, k: int, a: int) -> bool:
     return not (left - mid > tight) or not (mid - right > tight)
 
 
-# tuple order (k, a); the report notes which inequality of the chain failed
-def _check_c3b(fn, bounds):
-    scan = _Scan(fn, ConditionId.C3B, bounds)
+# tuple order (k, a); the report notes which inequality of the chain failed.
+# Small boxes scan a value table; the large boxes of the threshold bisections
+# use closed-form increments, in chunks.
+def _suspects_c3b(fn, bounds):
     if (bounds.k_max + 3) * bounds.a_max <= _C3B_TABLE_LIMIT and bounds.a_max <= 10_000:
         upto = (bounds.k_max + 3) * bounds.a_max
         table, margin = _table(fn, upto)
@@ -476,14 +403,11 @@ def _check_c3b(fn, bounds):
             mid = _diff(table, (k + 2) * a_idx, (k + 1) * a_idx)
             with np.errstate(invalid="ignore"):
                 suspect = ~(left - mid > margin) | ~(mid - right > margin)
-            for ai in np.nonzero(suspect)[0]:
-                a = int(a_idx[ai])
-                if isinstance(fn, ModHarmonic) and not _digamma_rescreen(fn, k, a):
+            for (ai,) in _cells(suspect):
+                if isinstance(fn, ModHarmonic) and not _digamma_rescreen(fn, k, ai + 1):
                     continue
-                report = scan.confirm({"k": k, "a": a})
-                if report:
-                    return report
-        return scan.finish()
+                yield {"k": k, "a": ai + 1}
+        return
     if isinstance(fn, (Log, ModLog)):
         c = float(fn.c) if isinstance(fn, ModLog) else 0.0
         margin = 1e-11
@@ -514,81 +438,56 @@ def _check_c3b(fn, bounds):
         raise ValueError("bounds too large for a tabulated scan of this family")
     for k in range(bounds.k_max + 1):
         left, right = left_right(k)
-        start = 1
-        while start <= bounds.a_max:
+        for start in range(1, bounds.a_max + 1, _C3B_CHUNK):
             stop = min(bounds.a_max, start + _C3B_CHUNK - 1)
-            a_arr = np.arange(start, stop + 1, dtype=float)
-            mid = mids(k, a_arr)
-            suspect = ~(left - mid > margin) | ~(mid - right > margin)
-            for ai in np.nonzero(suspect)[0]:
-                report = scan.confirm({"k": k, "a": int(start + ai)})
-                if report:
-                    return report
-            start = stop + 1
-    return scan.finish()
+            mid = mids(k, np.arange(start, stop + 1, dtype=float))
+            for (ai,) in _cells(~(left - mid > margin) | ~(mid - right > margin)):
+                yield {"k": k, "a": start + ai}
 
 
 # tuple order (k,)
-def _check_c4(fn, bounds):
-    scan = _Scan(fn, ConditionId.C4, bounds)
+def _suspects_c4(fn, bounds):
     table, margin = _table(fn, bounds.k_max + 2)
-    for k in range(bounds.k_max + 1):
-        gap = _diff(table, k + 1, k) - _diff(table, k + 2, k + 1)
-        if not gap > margin:
-            report = scan.confirm({"k": k})
-            if report:
-                return report
-    return scan.finish()
+    ks = np.arange(bounds.k_max + 1)
+    for (k,) in _cells(_suspect(_diff(table, ks + 1, ks), _diff(table, ks + 2, ks + 1), margin)):
+        yield {"k": k}
 
 
-# tuple order (k, a, b, l, r) with b <= a and the guard (k+1)b > lb + ra
-def _check_c5(fn, bounds):
-    scan = _Scan(fn, ConditionId.C5, bounds)
+# tuple order (k, a, b, l, r) with b <= a and the guard (k+1)b > lb + ra.
+# The loop reads the table through a memoryview, as Python floats: the same
+# IEEE doubles, without numpy's per-scalar cost or an up-front copy.
+def _suspects_c5(fn, bounds):
     upto = (bounds.k_max + 3) * max(bounds.a_max, bounds.b_limit) + 2
     table, margin = _table(fn, upto)
+    t = memoryview(table)
     for k in range(bounds.k_max + 1):
-        right = _diff(table, k + 3, k + 2)
+        right = t[k + 3] - t[k + 2]
         for a in range(1, bounds.a_max + 1):
-            mid = _diff(table, (k + 2) * a, (k + 1) * a)
+            mid = t[(k + 2) * a] - t[(k + 1) * a]
             mid_bad = not (mid - right > margin)
             for b in range(1, min(a, bounds.b_limit) + 1):
                 for l in range(0, k + 1):
                     r_cap = ((k + 1 - l) * b - 1) // a
                     for r in range(0, r_cap + 1):
                         base = l * b + r * a
-                        left = _diff(table, base + b, base)
-                        if (left - mid > margin) and not mid_bad:
-                            continue
-                        report = scan.confirm(
-                            {"k": k, "a": a, "b": b, "l": l, "r": r}
-                        )
-                        if report:
-                            return report
-    return scan.finish()
+                        if mid_bad or not (t[base + b] - t[base] - mid > margin):
+                            yield {"k": k, "a": a, "b": b, "l": l, "r": r}
 
 
 # tuple order (k, a, b), all three >= 1
-def _check_c6a(fn, bounds):
-    scan = _Scan(fn, ConditionId.C6A, bounds)
+def _suspects_c6a(fn, bounds):
     upto = (bounds.k_max + 1) * max(bounds.a_max, bounds.b_limit) + 1
     table, margin = _table(fn, upto)
     b_idx = np.arange(1, bounds.b_limit + 1)
     for k in range(1, bounds.k_max + 1):
         lhs = _diff(table, (k + 1) * b_idx - 1, k * b_idx - 1)
         for a in range(1, bounds.a_max + 1):
-            rhs = _diff(table, (k + 1) * a, k * a)
-            with np.errstate(invalid="ignore"):
-                suspect = ~(lhs - rhs > margin)
-            for bi in np.nonzero(suspect)[0]:
-                report = scan.confirm({"k": k, "a": a, "b": int(b_idx[bi])})
-                if report:
-                    return report
-    return scan.finish()
+            for (bi,) in _cells(_suspect(lhs, _diff(table, (k + 1) * a, k * a), margin)):
+                yield {"k": k, "a": a, "b": bi + 1}
 
 
 # tuple order (a, b, x, y) with the guard x*b >= (y+1)*a
-def _check_c6b(fn, bounds):
-    scan = _Scan(fn, ConditionId.C6B, bounds)
+def _suspects_c6b(fn, bounds):
     x_lim = bounds.x_limit
     table, margin = _table(fn, x_lim + bounds.a_max + bounds.b_limit + 1)
     x_idx = np.arange(1, x_lim + 1)
@@ -598,32 +497,45 @@ def _check_c6b(fn, bounds):
         for b in range(1, bounds.b_limit + 1):
             lhs = _diff(table, y_idx + b, y_idx)
             guard = x_idx[:, None] * b >= (y_idx[None, :] + 1) * a
-            with np.errstate(invalid="ignore"):
-                suspect = guard & ~(lhs[None, :] - rhs[:, None] > margin)
-            if not suspect.any():
-                continue
-            for xi in range(x_lim):
-                for yi in np.nonzero(suspect[xi])[0]:
-                    report = scan.confirm(
-                        {"a": a, "b": b, "x": int(x_idx[xi]), "y": int(y_idx[yi])}
-                    )
-                    if report:
-                        return report
-    return scan.finish()
+            for xi, y in _cells(guard & _suspect(lhs[None, :], rhs[:, None], margin)):
+                yield {"a": a, "b": b, "x": xi + 1, "y": y}
 
 
-_CHECKERS: dict[ConditionId, Callable] = {
-    ConditionId.C1: _check_c1,
-    ConditionId.C1A: _check_c1a,
-    ConditionId.C2: _check_c2,
-    ConditionId.C3: _check_c3,
-    ConditionId.C3A: _check_c3a,
-    ConditionId.C3B: _check_c3b,
-    ConditionId.C4: _check_c4,
-    ConditionId.C5: _check_c5,
-    ConditionId.C6A: _check_c6a,
-    ConditionId.C6B: _check_c6b,
+_SUSPECTS: dict[ConditionId, Callable] = {
+    ConditionId.C1: _suspects_c1,
+    ConditionId.C1A: _suspects_c1a,
+    ConditionId.C2: _suspects_c2,
+    ConditionId.C3: _suspects_c3,
+    ConditionId.C3A: _suspects_c3a,
+    ConditionId.C3B: _suspects_c3b,
+    ConditionId.C4: _suspects_c4,
+    ConditionId.C5: _suspects_c5,
+    ConditionId.C6A: _suspects_c6a,
+    ConditionId.C6B: _suspects_c6b,
 }
+
+
+def check_condition(
+    fn: WelfareFunction, cond: ConditionId, bounds: Bounds | None = None
+) -> ConditionReport:
+    """Exhaustively test one condition inside the bounded parameter box.
+
+    Returns the lexicographically smallest violating tuple when one exists
+    within bounds (tuple orders are documented per condition above).
+    """
+    bounds = bounds or Bounds()
+    if cond in REAL_CONDITIONS and not bounds.real_grid:
+        raise ValueError("real-quantified conditions need a non-empty grid")
+    inconclusive = False
+    for witness in _SUSPECTS[cond](fn, bounds):
+        outcome = violates(fn, cond, witness, bounds.policy)
+        if outcome is None:
+            inconclusive = True
+        elif outcome:
+            lhs, rhs, note = _failing_pair(fn, cond, witness, bounds.policy)
+            notes = (note,) if note else ()
+            return ConditionReport(cond, VIOLATED, bounds, witness, lhs, rhs, notes)
+    return ConditionReport(cond, INCONCLUSIVE if inconclusive else NO_VIOLATION, bounds)
 
 
 # -- closed-form verdicts ----------------------------------------------------------

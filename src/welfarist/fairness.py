@@ -74,7 +74,6 @@ def is_pareto_optimal(inst: Instance, alloc: Allocation, budget: int = 1_000_000
     """
     alloc.validate_for(inst)
     base = [inst.bundle_utility(i, alloc.bundle_of(i)) for i in range(inst.n)]
-    space = inst.n**inst.m
     scanned = 0
     for assignment in itertools.product(range(inst.n), repeat=inst.m):
         if scanned >= budget:

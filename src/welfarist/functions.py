@@ -26,6 +26,7 @@ from .values import (
     Infinite,
     IntervalValue,
     sqrt_of_fraction,
+    value_sum,
 )
 
 _RAT = r"-?\d+(?:\.\d+)?(?:/\d+)?"
@@ -319,7 +320,7 @@ class LinearCombo(WelfareFunction):
             if isinstance(v, Infinite):
                 return v  # weights are positive
             parts.append(v.scale(w) if isinstance(v, ExactValue) else _scale_interval(v, w))
-        return _sum_parts(parts)
+        return value_sum(parts)
 
     def label(self):
         return "combo:" + "+".join(f"{w}*{fn.label()}" for w, fn in self.terms)
@@ -400,12 +401,6 @@ def _scale_interval(v: IntervalValue, w: Fraction) -> IntervalValue:
     return IntervalValue(lo - pad, hi + pad, v.bits)
 
 
-def _sum_parts(parts) -> ExtendedValue:
-    from .values import value_sum
-
-    return value_sum(parts)
-
-
 def evaluate(fn: WelfareFunction, x, bits: int = DEFAULT_PRECISION_BITS) -> ExtendedValue:
     """f(x) for rational x >= 0."""
     return fn.value_at(Fraction(x), bits)
@@ -434,8 +429,6 @@ def increment(fn: WelfareFunction, lo, hi, bits: int = DEFAULT_PRECISION_BITS) -
         return POS_INF
     if isinstance(upper, ExactValue) and isinstance(lower, ExactValue):
         return upper.sub(lower)
-    from .values import value_sum
-
     neg = lower.neg() if isinstance(lower, ExactValue) else IntervalValue(-lower.hi, -lower.lo, lower.bits)
     return value_sum([upper, neg])
 

@@ -260,10 +260,6 @@ def is_positive_admitting(inst: Instance) -> tuple[bool, Allocation | None]:
     return True, witness
 
 
-def bundle_utility(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
-    return inst.bundle_utility(agent, bundle)
-
-
 # -- seeded random instances -----------------------------------------------------
 
 _KNOWN_FLAGS = {"unrestricted", "integer", "binary", "two_value", "identical_good", "normalized"}

@@ -70,22 +70,6 @@ class ValueOrdering:
     relation: Relation
     bits: int | None = None
 
-    @property
-    def is_less(self) -> bool:
-        return self.relation is Relation.LESS
-
-    @property
-    def is_equal(self) -> bool:
-        return self.relation is Relation.EQUAL
-
-    @property
-    def is_greater(self) -> bool:
-        return self.relation is Relation.GREATER
-
-    @property
-    def is_inconclusive(self) -> bool:
-        return self.relation is Relation.INCONCLUSIVE
-
     def __str__(self) -> str:
         return self.relation.value
 

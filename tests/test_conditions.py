@@ -1,5 +1,6 @@
 """Bounded condition checks, analytic verdicts, implication harness, bisection."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from welfarist.conditions import (
     ConditionId,
     ConditionReport,
     NO_VIOLATION,
+    REAL_CONDITIONS,
     VIOLATED,
     analytic_verdict,
     check_condition,
@@ -24,6 +26,10 @@ from welfarist.functions import parse_welfare
 from welfarist.values import Relation, compare
 
 SMALL_GRID = tuple(Fraction(j, 4) for j in range(1, 13))
+SIX_POINTS = tuple(Fraction(j, 2) for j in range(1, 7))
+# A repeated value, and a product tie that floats misorder (3/10 * 2 = 2/5 * 3/2,
+# yet 0.4 * 1.5 > 0.3 * 2.0), pin the exact C2 guard.
+REPEATED_GRID = tuple(Fraction(x) for x in ("3/10", "2/5", "1", "3/2", "2", "2"))
 
 BATTERY = (
     ["log"]
@@ -105,7 +111,22 @@ class TestCheckCondition:
 
 def _direct_tuples(cond, bounds):
     """Tuple enumeration in the documented lexicographic order, no prescreen."""
-    if cond is ConditionId.C3:
+    grid = sorted(bounds.real_grid)
+    if cond is ConditionId.C1:
+        for k in range(bounds.k_max + 1):
+            for a in grid:
+                for b in grid:
+                    yield {"k": k, "a": a, "b": b}
+    elif cond is ConditionId.C1A:
+        for k in range(1, bounds.k_max + 1):
+            for i, x in enumerate(grid):
+                for y in grid[i + 1:]:
+                    yield {"k": k, "x": x, "y": y}
+    elif cond is ConditionId.C2:
+        for a, b, c, d in itertools.product(grid, repeat=4):
+            if min(a, b) <= min(c, d) and a * b < c * d:
+                yield {"a": a, "b": b, "c": c, "d": d}
+    elif cond is ConditionId.C3:
         for k in range(bounds.k_max + 1):
             for a in range(1, bounds.a_max + 1):
                 for b in range(1, bounds.b_limit + 1):
@@ -148,25 +169,29 @@ def _direct_tuples(cond, bounds):
 
 
 @pytest.mark.parametrize(
-    "spec", ["harmonic:1", "harmonic:0", "pmean:1/2", "pmean:-1", "modlog:2"]
+    "spec", ["harmonic:1", "harmonic:0", "pmean:1/2", "pmean:-1", "modlog:2", "log"]
 )
 @pytest.mark.parametrize(
     "cond",
-    [ConditionId.C3, ConditionId.C3A, ConditionId.C3B, ConditionId.C4,
-     ConditionId.C5, ConditionId.C6A, ConditionId.C6B],
+    [ConditionId.C1, ConditionId.C1A, ConditionId.C2, ConditionId.C3, ConditionId.C3A,
+     ConditionId.C3B, ConditionId.C4, ConditionId.C5, ConditionId.C6A, ConditionId.C6B],
 )
 def test_scan_agrees_with_direct_enumeration(spec, cond):
     """The prescreened scan and a plain exact loop give the same verdict/witness."""
     fn = parse_welfare(spec)
-    bounds = Bounds(k_max=4, a_max=4, x_max=8)
-    direct = next(
-        ((w, True) for w in _direct_tuples(cond, bounds) if violates(fn, cond, w)),
-        (None, False),
-    )
-    report = check_condition(fn, cond, bounds)
-    assert (report.verdict == VIOLATED) == direct[1]
-    if direct[1]:
-        assert report.witness == direct[0]
+    if cond in REAL_CONDITIONS:
+        boxes = [Bounds(k_max=3, real_grid=grid) for grid in (SIX_POINTS, REPEATED_GRID)]
+    else:
+        boxes = [Bounds(k_max=4, a_max=4, x_max=8)]
+    for bounds in boxes:
+        direct = next(
+            ((w, True) for w in _direct_tuples(cond, bounds) if violates(fn, cond, w)),
+            (None, False),
+        )
+        report = check_condition(fn, cond, bounds)
+        assert (report.verdict == VIOLATED) == direct[1], bounds.real_grid
+        if direct[1]:
+            assert report.witness == direct[0], bounds.real_grid
 
 
 class TestWitnessSoundness:
