@@ -22,8 +22,8 @@ from .constructions import (
 )
 from .fairness import is_ef1
 from .functions import ModLog, WelfareFunction, parse_welfare
-from .model import Instance, random_instance, serialize_instance
-from .solver import enumerate_maximizers
+from .model import Allocation, Instance, random_instance, serialize_instance
+from .solver import chosen_all_ef1, enumerate_maximizers
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,14 @@ class CampaignResult:
         if self.notes:
             out["notes"] = list(self.notes)
         return out
+
+
+def _counterexample(trial: int | None, inst: Instance, alloc: Allocation) -> dict:
+    return {
+        "trial": trial,
+        "instance": serialize_instance(inst),
+        "allocation": alloc.bundles(inst.n),
+    }
 
 
 def _modlog_gadget(fn: WelfareFunction) -> Instance:
@@ -157,16 +165,11 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
         if maxima.exactness.kind == "Inconclusive":
             inconclusive = True
             continue
-        for alloc in maxima.allocations:
-            if not is_ef1(inst, alloc).holds:
-                violations += 1
-                if counterexample is None:
-                    counterexample = {
-                        "trial": trial,
-                        "instance": serialize_instance(inst),
-                        "allocation": alloc.bundles(inst.n),
-                    }
-                break
+        bad = next((a for a in maxima.allocations if not is_ef1(inst, a).holds), None)
+        if bad is not None:
+            violations += 1
+            if counterexample is None:
+                counterexample = _counterexample(trial, inst, bad)
     if theorem.expect_all_ef1:
         passed = violations == 0 and not inconclusive
     elif violations > 0:
@@ -178,21 +181,11 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
         except ValueError as exc:
             notes.append(f"construction unavailable: {exc}")
             inst = None
-        if inst is None:
-            passed = False
-        else:
-            maxima = enumerate_maximizers(inst, fn)
-            bad = next(
-                (a for a in maxima.allocations if not is_ef1(inst, a).holds), None
-            )
-            passed = bad is not None
-            if bad is not None:
-                violations += 1
-                counterexample = {
-                    "trial": None,
-                    "instance": serialize_instance(inst),
-                    "allocation": bad.bundles(inst.n),
-                }
+        bad = None if inst is None else chosen_all_ef1(inst, fn)[1]
+        passed = bad is not None
+        if passed:
+            violations += 1
+            counterexample = _counterexample(None, inst, bad)
     return CampaignResult(
         theorem=spec.theorem,
         welfare=fn.label(),

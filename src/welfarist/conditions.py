@@ -37,6 +37,7 @@ from .functions import (
     delta,
     increment,
 )
+from .model import rational_str
 from .values import (
     ExactValue,
     ExtendedValue,
@@ -137,7 +138,10 @@ class ConditionReport:
             "bounds": bounds,
         }
         if self.witness is not None:
-            out["witness"] = dict(self.witness)
+            out["witness"] = {
+                key: rational_str(v) if isinstance(v, Fraction) else v
+                for key, v in self.witness.items()
+            }
         if self.lhs is not None:
             out["lhs"] = render_value(self.lhs)
         if self.rhs is not None:

@@ -8,9 +8,9 @@ per ordered pair after a single max scan.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge
 
 from .model import Allocation, Instance
 
@@ -27,7 +27,7 @@ def is_ef1(inst: Instance, alloc: Allocation) -> Ef1Report:
     """Check envy-freeness up to one good, exactly, for every ordered pair."""
     alloc.validate_for(inst)
     bundles = alloc.bundles(inst.n)
-    own = [inst.bundle_utility(i, bundles[i]) for i in range(inst.n)]
+    own = inst.utility_vector(alloc.assignment)
     violations = []
     for i in range(inst.n):
         row = inst.utilities[i]
@@ -46,7 +46,7 @@ def is_ef(inst: Instance, alloc: Allocation) -> bool:
     """Plain envy-freeness: nobody prefers another agent's bundle."""
     alloc.validate_for(inst)
     bundles = alloc.bundles(inst.n)
-    own = [inst.bundle_utility(i, bundles[i]) for i in range(inst.n)]
+    own = inst.utility_vector(alloc.assignment)
     for i in range(inst.n):
         for j in range(inst.n):
             if i != j and inst.bundle_utility(i, bundles[j]) > own[i]:
@@ -65,31 +65,19 @@ class ParetoResult:
 
 
 def is_pareto_optimal(inst: Instance, alloc: Allocation, budget: int = 1_000_000) -> ParetoResult:
-    """Brute-force Pareto check over assignment vectors in lexicographic order.
+    """Brute-force Pareto check over :meth:`Instance.utility_vectors`.
 
-    Scans at most ``budget`` allocations; if the space is larger and no
-    dominating allocation was found within the budget, reports
-    ``BudgetExceeded``.  The dominator returned is the lexicographically
-    smallest one, which makes parallel or resumed scans deterministic.
+    Scans at most ``budget`` assignments, in lexicographic order; if the space
+    is larger and no dominating allocation was found within the budget,
+    reports ``BudgetExceeded``.  The dominator returned is the
+    lexicographically smallest one, which makes parallel or resumed scans
+    deterministic.
     """
     alloc.validate_for(inst)
-    base = [inst.bundle_utility(i, alloc.bundle_of(i)) for i in range(inst.n)]
-    scanned = 0
-    for assignment in itertools.product(range(inst.n), repeat=inst.m):
+    base = inst.utility_vector(alloc.assignment)
+    for scanned, (assignment, utilities) in enumerate(inst.utility_vectors()):
         if scanned >= budget:
             return ParetoResult("BudgetExceeded")
-        scanned += 1
-        utilities = [Fraction(0)] * inst.n
-        for g, agent in enumerate(assignment):
-            utilities[agent] += inst.utilities[agent][g]
-        some_better = False
-        none_worse = True
-        for u_new, u_old in zip(utilities, base):
-            if u_new > u_old:
-                some_better = True
-            elif u_new < u_old:
-                none_worse = False
-                break
-        if some_better and none_worse:
+        if all(map(ge, utilities, base)) and utilities != base:
             return ParetoResult("Dominated", Allocation(assignment))
     return ParetoResult("PO")

@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ParseError(ValueError):
@@ -82,6 +82,36 @@ class Instance:
                 raise IndexError("good index out of range")
             total += row[g]
         return total
+
+    def utility_vector(self, assignment: Sequence[int]) -> list[Fraction]:
+        """Exact per-agent utilities of one good -> agent assignment vector."""
+        utilities = [Fraction(0)] * self.n
+        for g, agent in enumerate(assignment):
+            utilities[agent] += self.utilities[agent][g]
+        return utilities
+
+    def utility_vectors(self) -> Iterator[tuple[tuple[int, ...], list[Fraction]]]:
+        """Every assignment vector with its utility vector, in lexicographic order.
+
+        The one walk of the n**m assignment space, in the order of
+        ``itertools.product(range(n), repeat=m)``.  Each step moves only the
+        suffix of goods whose agent changed, updating one list in place: a
+        caller that keeps the utilities must copy them.
+        """
+        n, m, rows = self.n, self.m, self.utilities
+        assignment = [0] * m
+        utilities = [sum(rows[0], Fraction(0))] + [Fraction(0)] * (n - 1)
+        while True:
+            yield tuple(assignment), utilities
+            for g in range(m - 1, -1, -1):
+                agent = assignment[g]
+                utilities[agent] -= rows[agent][g]
+                agent = assignment[g] = (agent + 1) % n
+                utilities[agent] += rows[agent][g]
+                if agent:
+                    break
+            else:
+                return
 
 
 @dataclass(frozen=True)
@@ -248,15 +278,9 @@ def is_positive_admitting(inst: Instance) -> tuple[bool, Allocation | None]:
     for agent in range(inst.n):
         if not augment(agent, set()):
             return False, None
-    good_of_agent = {agent: g for g, agent in match_of_good.items()}
-    assignment = []
-    for g in range(inst.m):
-        assignment.append(match_of_good.get(g, 0))
-    # the matching decides matched goods; everything unmatched already went to 0
-    witness = Allocation(tuple(assignment))
-    assert all(
-        inst.bundle_utility(i, witness.bundle_of(i)) > 0 for i in range(inst.n)
-    )
+    # the matching decides matched goods; everything unmatched goes to agent 0
+    witness = Allocation(tuple(match_of_good.get(g, 0) for g in range(inst.m)))
+    assert all(u > 0 for u in inst.utility_vector(witness.assignment))
     return True, witness
 
 

@@ -1,18 +1,20 @@
 """Maximizers of the additive welfarist objective sum_i f(u_i(A_i)).
 
-Two routes are provided: exhaustive enumeration of all n**m assignment
-vectors (the ground truth, returning the complete canonically-ordered argmax
-set), and a pruned depth-first search that returns a single maximizer.  The
-argmax set matters because the rule breaks ties arbitrarily, so a guarantee
-about "the chosen allocation" must hold for every member.
+Three routes: exhaustive enumeration over :meth:`Instance.utility_vectors`
+(the ground truth, returning the complete argmax set in the kernel's canonical
+lexicographic order), a pruned depth-first search that returns a single
+maximizer, and the structured two-agent split family, which shares the argmax
+loop of enumeration.  The argmax set matters because the rule breaks ties
+arbitrarily, so a guarantee about "the chosen allocation" must hold for every member.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from operator import add
+from typing import Iterable
 
 from .fairness import is_ef1
 from .functions import WelfareFunction
@@ -63,14 +65,47 @@ class _ValueCache:
             self._cache[x] = v
         return v
 
+    def welfare(self, utilities: Iterable[Fraction]) -> ExtendedValue:
+        """sum_i f(u_i) of one utility vector; -inf as soon as any f(u_i) is -inf."""
+        return value_sum([self(u) for u in utilities])
+
 
 def welfare_of(inst: Instance, fn: WelfareFunction, alloc: Allocation, bits: int = 256) -> ExtendedValue:
     """Welfare of one allocation; -inf as soon as any bundle hits f = -inf."""
     alloc.validate_for(inst)
-    utilities = [Fraction(0)] * inst.n
-    for g, agent in enumerate(alloc.assignment):
-        utilities[agent] += inst.utilities[agent][g]
-    return value_sum([fn.value_at(u, bits) for u in utilities])
+    return value_sum([fn.value_at(u, bits) for u in inst.utility_vector(alloc.assignment)])
+
+
+def _argmax(
+    candidates: Iterable[tuple[object, ExtendedValue]], policy: PrecisionPolicy
+) -> tuple[list, ExtendedValue, Exactness]:
+    """Keys of the (key, welfare) candidates that tie the maximum, in candidate order.
+
+    Comparisons run through the exact/interval comparator; an inconclusive
+    comparison keeps the candidate (the set may then be a superset of the true
+    argmax) and is reported through the exactness label.
+    """
+    candidates = iter(candidates)
+    first, best_value = next(candidates)
+    best = [first]
+    max_bits = 0
+    inconclusive = False
+    for key, welfare in candidates:
+        ordering = compare(welfare, best_value, policy)
+        if ordering.bits:
+            max_bits = max(max_bits, ordering.bits)
+        if ordering.relation is Relation.GREATER:
+            best_value, best = welfare, [key]
+        elif ordering.relation is Relation.EQUAL:
+            best.append(key)
+        elif ordering.relation is Relation.INCONCLUSIVE:
+            inconclusive = True
+            best.append(key)
+    if inconclusive:
+        return best, best_value, Exactness("Inconclusive", max_bits or None)
+    if max_bits:
+        return best, best_value, Exactness("IntervalCertified", max_bits)
+    return best, best_value, Exactness("Exact")
 
 
 def enumerate_maximizers(
@@ -80,46 +115,20 @@ def enumerate_maximizers(
     cap: int = DEFAULT_ENUMERATION_CAP,
     policy: PrecisionPolicy | None = None,
 ) -> MaximizerSet:
-    """Scan every assignment vector and return the full argmax set.
+    """Scan :meth:`Instance.utility_vectors` and return the full argmax set.
 
-    Comparisons run through the exact/interval comparator; an inconclusive
-    comparison keeps the candidate (the set may then be a superset of the true
-    argmax) and is reported through the exactness flag.
+    The maximizers come out in lexicographic assignment order.  After an
+    inconclusive comparison the set may be a superset of the true argmax,
+    which the exactness flag reports.
     """
     policy = policy or PrecisionPolicy()
     if inst.n**inst.m > cap:
         raise EnumerationCapExceeded(f"{inst.n}**{inst.m} exceeds cap {cap}")
     value = _ValueCache(fn, policy.start_bits)
-    best_value: ExtendedValue | None = None
-    best: list[tuple[int, ...]] = []
-    max_bits = 0
-    inconclusive = False
-    for assignment in itertools.product(range(inst.n), repeat=inst.m):
-        utilities = [Fraction(0)] * inst.n
-        for g, agent in enumerate(assignment):
-            utilities[agent] += inst.utilities[agent][g]
-        welfare = value_sum([value(u) for u in utilities])
-        if best_value is None:
-            best_value, best = welfare, [assignment]
-            continue
-        ordering = compare(welfare, best_value, policy)
-        if ordering.bits:
-            max_bits = max(max_bits, ordering.bits)
-        if ordering.relation is Relation.GREATER:
-            best_value, best = welfare, [assignment]
-        elif ordering.relation is Relation.EQUAL:
-            best.append(assignment)
-        elif ordering.relation is Relation.INCONCLUSIVE:
-            inconclusive = True
-            best.append(assignment)
-    if inconclusive:
-        exactness = Exactness("Inconclusive", max_bits or None)
-    elif max_bits:
-        exactness = Exactness("IntervalCertified", max_bits)
-    else:
-        exactness = Exactness("Exact")
-    allocations = tuple(Allocation(a) for a in sorted(best))
-    return MaximizerSet(allocations, best_value, exactness)
+    best, best_value, exactness = _argmax(
+        ((a, value.welfare(u)) for a, u in inst.utility_vectors()), policy
+    )
+    return MaximizerSet(tuple(Allocation(a) for a in best), best_value, exactness)
 
 
 def solve_branch_bound(
@@ -154,32 +163,24 @@ def solve_branch_bound(
     incumbent_assignment = tuple([0] * inst.m)
     incumbent_value = welfare_of(inst, fn, Allocation(incumbent_assignment))
     utilities = [Fraction(0)] * inst.n
-    partial: list[int] = []
-
-    def bound_value(pos: int) -> ExtendedValue:
-        return value_sum([value(utilities[i] + suffix[pos][i]) for i in range(inst.n)])
+    assignment = [0] * inst.m
 
     def descend(pos: int):
         nonlocal incumbent_assignment, incumbent_value
-        if pos == inst.m:
-            welfare = value_sum([value(u) for u in utilities])
-            ordering = compare(welfare, incumbent_value, policy)
-            if ordering.relation is Relation.GREATER:
-                assignment = [0] * inst.m
-                for position, agent in enumerate(partial):
-                    assignment[order[position]] = agent
-                incumbent_assignment = tuple(assignment)
-                incumbent_value = welfare
+        # the suffix of a leaf is empty, so its bound is its welfare
+        bound = value.welfare(map(add, utilities, suffix[pos]))
+        relation = compare(bound, incumbent_value, policy).relation
+        if relation in (Relation.LESS, Relation.EQUAL):
             return
-        ordering = compare(bound_value(pos), incumbent_value, policy)
-        if ordering.relation in (Relation.LESS, Relation.EQUAL):
+        if pos == inst.m:
+            if relation is Relation.GREATER:
+                incumbent_assignment, incumbent_value = tuple(assignment), bound
             return
         g = order[pos]
         for agent in range(inst.n):
             utilities[agent] += inst.utilities[agent][g]
-            partial.append(agent)
+            assignment[g] = agent
             descend(pos + 1)
-            partial.pop()
             utilities[agent] -= inst.utilities[agent][g]
 
     descend(0)
@@ -195,10 +196,8 @@ def chosen_all_ef1(
 ) -> tuple[bool, Allocation | None]:
     """Is every welfare-maximizing allocation EF1?  Returns a violating maximizer if not."""
     maxima = enumerate_maximizers(inst, fn, cap=cap, policy=policy)
-    for alloc in maxima.allocations:
-        if not is_ef1(inst, alloc).holds:
-            return False, alloc
-    return True, None
+    bad = next((a for a in maxima.allocations if not is_ef1(inst, a).holds), None)
+    return bad is None, bad
 
 
 def split_family_argmax(k: int, fn: WelfareFunction, *, policy: PrecisionPolicy | None = None) -> int:
@@ -214,20 +213,11 @@ def split_family_argmax(k: int, fn: WelfareFunction, *, policy: PrecisionPolicy 
         raise ValueError("k must be >= 1")
     if not fn.strictly_increasing:
         raise ValueError("requires a strictly increasing function")
-    policy = policy or PrecisionPolicy()
-    best_x: int | None = None
-    best_value: ExtendedValue | None = None
-    for x in range(ceil(Fraction(k, 2)), k + 1):
-        welfare = value_sum(
-            [fn.value_at(Fraction(4 * x)), fn.value_at(Fraction(4 * k + 1 - 2 * x))]
-        )
-        if best_value is None:
-            best_x, best_value = x, welfare
-            continue
-        ordering = compare(welfare, best_value, policy)
-        if ordering.relation is Relation.INCONCLUSIVE:
-            raise RuntimeError("inconclusive comparison in structured argmax")
-        if ordering.relation is Relation.GREATER:
-            best_x, best_value = x, welfare
-    assert best_x is not None
-    return best_x
+    candidates = (
+        (x, value_sum([fn.value_at(Fraction(4 * x)), fn.value_at(Fraction(4 * k + 1 - 2 * x))]))
+        for x in range(ceil(Fraction(k, 2)), k + 1)
+    )
+    best, _, exactness = _argmax(candidates, policy or PrecisionPolicy())
+    if exactness.kind == "Inconclusive":
+        raise RuntimeError("inconclusive comparison in structured argmax")
+    return best[0]

@@ -112,6 +112,12 @@ def test_condition_exit_codes(capsys):
     assert code == 1 and json.loads(out)["witness"] == {"k": 1, "a": 1, "b": 7}
 
 
+def test_condition_real_grid_witness_is_json(capsys):
+    code, out, _ = run(capsys, "condition", "C1", "--welfare", "harmonic:0")
+    assert code == 1
+    assert json.loads(out)["witness"] == {"k": 0, "a": "1/2", "b": "1/4"}
+
+
 def test_condition_usage_error(capsys):
     code, _out, err = run(capsys, "condition", "C9", "--welfare", "log")
     assert code == 2 and "error" in err

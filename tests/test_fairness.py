@@ -104,3 +104,15 @@ class TestPareto:
         result = is_pareto_optimal(inst, Allocation((1, 1)))
         assert result.verdict == "Dominated"
         assert result.dominator.assignment == (0, 0)
+
+    def test_budget_boundary(self):
+        inst = Instance.from_rows([[1, 2], [2, 1]])  # 2**2 = 4 assignments
+        po = Allocation((1, 0))
+        assert is_pareto_optimal(inst, po, budget=4).verdict == "PO"
+        assert is_pareto_optimal(inst, po, budget=3).verdict == "BudgetExceeded"
+        # (0, 1) gives (1, 1); its first dominator (1, 0) sits at scan index 2
+        dominated = Allocation((0, 1))
+        result = is_pareto_optimal(inst, dominated, budget=3)
+        assert result.verdict == "Dominated"
+        assert result.dominator.assignment == (1, 0)
+        assert is_pareto_optimal(inst, dominated, budget=2).verdict == "BudgetExceeded"

@@ -116,6 +116,23 @@ class TestBundleUtility:
             inst.bundle_utility(0, [9])
 
 
+class TestUtilityVectors:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    @pytest.mark.parametrize("kind", ["integer", "unrestricted"])
+    def test_walk_matches_product_rebuild(self, n, m, kind):
+        inst = random_instance(n, m, kind, 5, seed=10 * n + m)
+        walk = [(a, list(u)) for a, u in inst.utility_vectors()]
+        rebuilt = []
+        for assignment in itertools.product(range(n), repeat=m):
+            utilities = [Fraction(0)] * n
+            for g, agent in enumerate(assignment):
+                utilities[agent] += inst.utilities[agent][g]
+            rebuilt.append((assignment, utilities))
+        assert walk == rebuilt
+        assert all(inst.utility_vector(a) == u for a, u in rebuilt)
+
+
 class TestClassify:
     def test_chain_instance_flags(self):
         profile = classify(chain_instance(4))

@@ -1,5 +1,6 @@
 """Argmax enumeration, pruned search, and the structured split family."""
 
+import itertools
 import random
 
 import pytest
@@ -77,6 +78,52 @@ class TestEnumerate:
             for fn in (LOG, MHW):
                 for alloc in enumerate_maximizers(inst, fn).allocations[:3]:
                     assert is_pareto_optimal(inst, alloc).verdict == "PO"
+
+
+class TestBruteForceOracle:
+    """Full argmax sets and first dominators, rebuilt without the assignment walk."""
+
+    @staticmethod
+    def oracle_argmax(inst, fn):
+        welfare = [
+            (a, welfare_of(inst, fn, Allocation(a)))
+            for a in itertools.product(range(inst.n), repeat=inst.m)
+        ]
+        best = welfare[0][1]
+        for _, w in welfare:
+            relation = compare(w, best).relation
+            assert relation is not Relation.INCONCLUSIVE
+            if relation is Relation.GREATER:
+                best = w
+        return [a for a, w in welfare if compare(w, best).relation is Relation.EQUAL]
+
+    @staticmethod
+    def oracle_dominator(inst, alloc):
+        def vector(a):
+            return [inst.bundle_utility(i, Allocation(a).bundle_of(i)) for i in range(inst.n)]
+
+        base = vector(alloc.assignment)
+        for a in itertools.product(range(inst.n), repeat=inst.m):
+            u = vector(a)
+            if all(x >= y for x, y in zip(u, base)) and u != base:
+                return a
+        return None
+
+    @pytest.mark.parametrize("spec", ["log", "harmonic:0", "pmean:2", "pmean:1/2"])
+    def test_full_argmax_and_first_dominator(self, spec):
+        fn = parse_welfare(spec)
+        for seed in range(40):
+            rng = random.Random(seed)
+            inst = random_instance(rng.randint(2, 3), rng.randint(1, 5), "integer", 4, seed=seed)
+            maxima = enumerate_maximizers(inst, fn)
+            assert [a.assignment for a in maxima.allocations] == self.oracle_argmax(inst, fn)
+            probes = [maxima.allocations[0], Allocation((0,) * inst.m)]
+            probes.append(Allocation(tuple(rng.randrange(inst.n) for _ in range(inst.m))))
+            for alloc in probes:
+                expected = self.oracle_dominator(inst, alloc)
+                result = is_pareto_optimal(inst, alloc)
+                assert result.verdict == ("PO" if expected is None else "Dominated")
+                assert (result.dominator and result.dominator.assignment) == expected
 
 
 class TestBranchBound:
