@@ -6,21 +6,34 @@ lexicographic order), a pruned depth-first search that returns a single
 maximizer, and the structured two-agent split family, which shares the argmax
 loop of enumeration.  The argmax set matters because the rule breaks ties
 arbitrarily, so a guarantee about "the chosen allocation" must hold for every member.
+
+Before it scans, enumeration evaluates f once at every reachable bundle
+utility (the subset sums of each agent's row) and reads off an exact integer
+order key when the finite values allow one: all rational (the key of a vector
+is the sum of the values scaled by their common denominator), or all
+``w*log(q)`` with one weight w > 0 (the key is the product of the q scaled by
+their common denominator).  The common rules -- log, shifted log, harmonic at
+integer utilities, integer power means, piecewise tables -- then scan with
+integer comparisons only.  Every other shape (surds, intervals, mixed log and
+rational values, +inf) scans through the exact/interval comparator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from itertools import product
+from math import ceil, lcm, prod
 from operator import add
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .fairness import is_ef1
 from .functions import WelfareFunction
 from .model import Allocation, Instance
 from .values import (
+    ExactValue,
     ExtendedValue,
+    Infinite,
     PrecisionPolicy,
     Relation,
     compare,
@@ -108,6 +121,59 @@ def _argmax(
     return best, best_value, Exactness("Exact")
 
 
+def _order_keys(
+    values: dict[Fraction, ExtendedValue], n: int
+) -> tuple[dict[Fraction, int], Callable] | None:
+    """Integer terms and their reduction (sum or product) ordering f-sums exactly.
+
+    ``values`` maps every reachable utility to f there.  Returns ``None``
+    unless the finite values are all rational (sum of terms) or all
+    ``w*log(q)`` with one common w > 0, log 1 = 0 included (product of
+    terms).  A -inf value gets a term that puts every vector containing it
+    below every finite vector; ties among such vectors are the caller's.
+    """
+    rationals: dict[Fraction, Fraction] = {}
+    logs: dict[Fraction, tuple[Fraction, Fraction]] = {}
+    for x, v in values.items():
+        if isinstance(v, Infinite):
+            if v.sign > 0:
+                return None
+        elif not isinstance(v, ExactValue) or v.surds:
+            return None
+        elif not v.logs:
+            rationals[x] = v.rational
+        elif v.rational == 0 and len(v.logs) == 1:
+            logs[x] = next(iter(v.logs.items()))
+        else:
+            return None
+    if not logs:
+        den = lcm(*(r.denominator for r in rationals.values()))
+        terms = {x: r.numerator * (den // r.denominator) for x, r in rationals.items()}
+        lo, hi = min(terms.values(), default=0), max(terms.values(), default=0)
+        below = n * lo - (n - 1) * hi - 1  # any vector holding it sums below n*lo
+        return {x: terms.get(x, below) for x in values}, sum
+    weights = {w for _, w in logs.values()}
+    if any(rationals.values()) or len(weights) > 1 or weights.pop() < 0:
+        return None
+    den = lcm(*(q.denominator for q, _ in logs.values()))
+    terms = {x: q.numerator * (den // q.denominator) for x, (q, _) in logs.items()}
+    return {x: terms.get(x, den if x in rationals else 0) for x in values}, prod
+
+
+def _keyed_argmax(walk, terms: dict[Fraction, int], reduce) -> list[tuple[int, ...]]:
+    """Assignments of the walk whose reduced integer key is maximal, in walk order."""
+    get = terms.__getitem__
+    first, u = next(walk)
+    best_key, best = reduce(map(get, u)), [first]
+    for a, u in walk:
+        key = reduce(map(get, u))
+        if key > best_key:
+            best_key, best = key, [a]
+        elif key == best_key:
+            best.append(a)
+    return best
+
+
 def enumerate_maximizers(
     inst: Instance,
     fn: WelfareFunction,
@@ -117,17 +183,37 @@ def enumerate_maximizers(
 ) -> MaximizerSet:
     """Scan :meth:`Instance.utility_vectors` and return the full argmax set.
 
-    The maximizers come out in lexicographic assignment order.  After an
-    inconclusive comparison the set may be a superset of the true argmax,
-    which the exactness flag reports.
+    The maximizers come out in lexicographic assignment order.  f is first
+    evaluated at every reachable bundle utility; when those values admit an
+    exact integer order key (see the module docstring), the scan compares
+    keys and the label is ``Exact``.  A vector containing f = -inf loses to
+    every finite vector and ties with every other such vector, so when no
+    assignment is finite the set is all n**m of them.  Otherwise the scan runs
+    through the comparator; after an inconclusive comparison the set may be a
+    superset of the true argmax, which the exactness flag reports.
     """
     policy = policy or PrecisionPolicy()
     if inst.n**inst.m > cap:
         raise EnumerationCapExceeded(f"{inst.n}**{inst.m} exceeds cap {cap}")
     value = _ValueCache(fn, policy.start_bits)
-    best, best_value, exactness = _argmax(
-        ((a, value.welfare(u)) for a, u in inst.utility_vectors()), policy
-    )
+    # every subset of a row is that agent's bundle in some assignment, so these
+    # are exactly the utilities the walk looks up
+    reachable = set()
+    for row in inst.utilities:
+        sums = {Fraction(0)}
+        for u in row:
+            sums |= {s + u for s in sums}
+        reachable |= sums
+    keys = _order_keys({x: value(x) for x in reachable}, inst.n)
+    if keys is None:
+        best, best_value, exactness = _argmax(
+            ((a, value.welfare(u)) for a, u in inst.utility_vectors()), policy
+        )
+    else:
+        best = _keyed_argmax(inst.utility_vectors(), *keys)
+        best_value, exactness = value.welfare(inst.utility_vector(best[0])), Exactness("Exact")
+        if isinstance(best_value, Infinite):
+            best = list(product(range(inst.n), repeat=inst.m))
     return MaximizerSet(tuple(Allocation(a) for a in best), best_value, exactness)
 
 

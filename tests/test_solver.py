@@ -83,6 +83,10 @@ class TestEnumerate:
 class TestBruteForceOracle:
     """Full argmax sets and first dominators, rebuilt without the assignment walk."""
 
+    # rules whose values on integer utilities admit an exact integer order key
+    KEYED = ["log", "modlog:1", "modlog:2", "pmean:0", "pmean:1", "pmean:2", "pmean:-1",
+             "harmonic:0", "harmonic:-1", "harmonic:-3/4"]
+
     @staticmethod
     def oracle_argmax(inst, fn):
         welfare = [
@@ -95,7 +99,16 @@ class TestBruteForceOracle:
             assert relation is not Relation.INCONCLUSIVE
             if relation is Relation.GREATER:
                 best = w
-        return [a for a, w in welfare if compare(w, best).relation is Relation.EQUAL]
+        return [a for a, w in welfare if compare(w, best).relation is Relation.EQUAL], best
+
+    def assert_oracle_argmax(self, inst, fn, keyed):
+        maxima = enumerate_maximizers(inst, fn)
+        expected, best = self.oracle_argmax(inst, fn)
+        assert [a.assignment for a in maxima.allocations] == expected
+        assert compare(maxima.welfare, best).relation is Relation.EQUAL
+        if keyed:
+            assert maxima.exactness.kind == "Exact"
+        return maxima
 
     @staticmethod
     def oracle_dominator(inst, alloc):
@@ -109,14 +122,13 @@ class TestBruteForceOracle:
                 return a
         return None
 
-    @pytest.mark.parametrize("spec", ["log", "harmonic:0", "pmean:2", "pmean:1/2"])
+    @pytest.mark.parametrize("spec", [*KEYED, "pmean:1/2"])
     def test_full_argmax_and_first_dominator(self, spec):
         fn = parse_welfare(spec)
         for seed in range(40):
             rng = random.Random(seed)
             inst = random_instance(rng.randint(2, 3), rng.randint(1, 5), "integer", 4, seed=seed)
-            maxima = enumerate_maximizers(inst, fn)
-            assert [a.assignment for a in maxima.allocations] == self.oracle_argmax(inst, fn)
+            maxima = self.assert_oracle_argmax(inst, fn, spec in self.KEYED)
             probes = [maxima.allocations[0], Allocation((0,) * inst.m)]
             probes.append(Allocation(tuple(rng.randrange(inst.n) for _ in range(inst.m))))
             for alloc in probes:
@@ -124,6 +136,69 @@ class TestBruteForceOracle:
                 result = is_pareto_optimal(inst, alloc)
                 assert result.verdict == ("PO" if expected is None else "Dominated")
                 assert (result.dominator and result.dominator.assignment) == expected
+
+    @pytest.mark.parametrize("spec", ["log", "modlog:1/2"])
+    def test_rational_utilities(self, spec):
+        fn = parse_welfare(spec)
+        for seed in range(40):
+            rng = random.Random(seed)
+            inst = random_instance(rng.randint(2, 3), rng.randint(1, 5), "unrestricted", 4, seed=seed)
+            self.assert_oracle_argmax(inst, fn, keyed=True)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[3], [1], [2]], [[1, 2], [2, 1], [1, 1]], [[0, 0, 0], [1, 2, 3]], [[1, 2], [0, 0], [4, 1]]],
+    )
+    @pytest.mark.parametrize("spec", ["log", "harmonic:-1", "pmean:-1"])
+    def test_every_assignment_negative_infinite(self, spec, rows):
+        # more agents than goods, or an agent who values nothing: f(0) = -inf everywhere
+        inst = Instance.from_rows(rows)
+        maxima = self.assert_oracle_argmax(inst, parse_welfare(spec), keyed=True)
+        assert len(maxima.allocations) == inst.n**inst.m
+
+
+class TestComparatorFallback:
+    """Shapes without an integer key scan through the comparator, member for member."""
+
+    @staticmethod
+    def generic_argmax(inst, fn):
+        candidates = iter(itertools.product(range(inst.n), repeat=inst.m))
+        first = next(candidates)
+        best, best_value = [first], welfare_of(inst, fn, Allocation(first))
+        max_bits, inconclusive = 0, False
+        for a in candidates:
+            welfare = welfare_of(inst, fn, Allocation(a))
+            ordering = compare(welfare, best_value)
+            max_bits = max(max_bits, ordering.bits or 0)
+            if ordering.relation is Relation.GREATER:
+                best, best_value = [a], welfare
+            elif ordering.relation in (Relation.EQUAL, Relation.INCONCLUSIVE):
+                best.append(a)
+                inconclusive |= ordering.relation is Relation.INCONCLUSIVE
+        if inconclusive:
+            return best, "Inconclusive", max_bits or None
+        if max_bits:
+            return best, "IntervalCertified", max_bits
+        return best, "Exact", None
+
+    @pytest.mark.parametrize(
+        "spec, rows",
+        [
+            # the first vectors are integer, later subset sums (1/2, 3/2) are not
+            ("harmonic:0", [["1/2", "1/2", 1], [1, 2, 1]]),
+            ("harmonic:0", [[2, "1/2", "1/2"], [1, 1, 3]]),
+            ("pmean:1/2", [[1, 1], [1, 1]]),
+            ("pmean:1/3", [[1, 1], [1, 1]]),
+            ("combo:1*pmean:0+40*pmean:-1", [[2, 3, 5], [3, 4, 2]]),
+            ("combo:1*pmean:0+40*pmean:-1", [[1, 1], [1, 1]]),
+        ],
+    )
+    def test_matches_generic_loop(self, spec, rows):
+        inst, fn = Instance.from_rows(rows), parse_welfare(spec)
+        maxima = enumerate_maximizers(inst, fn)
+        best, kind, bits = self.generic_argmax(inst, fn)
+        assert [a.assignment for a in maxima.allocations] == best
+        assert (maxima.exactness.kind, maxima.exactness.bits) == (kind, bits)
 
 
 class TestBranchBound:
