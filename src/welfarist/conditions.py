@@ -11,10 +11,12 @@ lexicographic tuple order and yields every tuple its prescreen cannot clear.
 ``check_condition`` settles each suspect with the exact comparator
 (``violates``) and returns at the first confirmed violation, so a Violated
 verdict always carries an exactly re-verified witness: the first violating
-suspect in tuple order.  C1 and C1a prescreen with exact comparisons.  The
-other conditions prescreen in floats against a margin (1e-8 for C2, a bound
-from the function's table error for the rest); a tuple cleared by more than
-the margin is not re-checked exactly.
+suspect in tuple order.  C1 and C1a prescreen with exact comparisons.  Every
+float prescreen reads f through the family's one float model,
+``approx_array``, and clears a tuple only when the float difference passes a
+margin: 1e-8 for C2, and ``max(1e-9, 16 * table_error_bound(upto))`` for the
+rest, where upto bounds the arguments the scan reads.  A cleared tuple is not
+re-checked exactly.
 """
 
 from __future__ import annotations
@@ -252,11 +254,20 @@ def _failing_pair(fn, cond, witness, policy):
 # -- suspect generators, one per condition; tuple order noted above each -----------
 
 
-def _table(fn: WelfareFunction, upto: int) -> tuple[np.ndarray, float]:
+def _approx(fn: WelfareFunction, xs) -> np.ndarray:
+    """f at float arguments through the family's float model, -inf where it diverges."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        table = fn.integer_table(upto)
-    margin = max(1e-9, 16.0 * fn.table_error_bound(upto))
-    return table, margin
+        return fn.approx_array(np.asarray(xs, dtype=float))
+
+
+def _margin(fn: WelfareFunction, upto: int) -> float:
+    """How far a float difference of f values at arguments <= upto must clear."""
+    return max(1e-9, 16.0 * fn.table_error_bound(upto))
+
+
+def _table(fn: WelfareFunction, upto: int) -> tuple[np.ndarray, float]:
+    """Float f(0..upto) and its margin."""
+    return _approx(fn, np.arange(upto + 1)), _margin(fn, upto)
 
 
 def _diff(table: np.ndarray, hi, lo) -> np.ndarray:
@@ -335,7 +346,7 @@ def _suspects_c2(fn, bounds):
     rank = _ranks(ints)
     min_rank = np.minimum.outer(rank, rank)
     prod_rank = _ranks([p * q for p in ints for q in ints]).reshape(n, n)
-    f_float = np.array([fn.approx_scalar(float(x)) for x in grid])
+    f_float = _approx(fn, grid)
     sums = f_float[:, None] + f_float[None, :]
     for i in range(n):
         for j in range(n):
@@ -375,78 +386,36 @@ def _suspects_c3a(fn, bounds):
                 yield {"l": l, "k": k, "a": ai + 1, "b": bi + 1}
 
 
-_C3B_TABLE_LIMIT = 6_000_000
-_C3B_CHUNK = 1 << 19
-
-
-def _digamma_rescreen(fn, k: int, a: int) -> bool:
-    """Tighter float recheck of a C3b suspect for harmonic families.
-
-    Cumulative-sum tables get loose at deep bounds; the digamma route has a
-    ~1e-10 error and weeds out almost all spurious suspects before the exact
-    (and expensive) confirmation.
-    """
-    tight = 1e-9
-    left = fn.approx_scalar(float(k + 1)) - fn.approx_scalar(float(k))
-    mid = fn.approx_scalar(float((k + 2) * a)) - fn.approx_scalar(float((k + 1) * a))
-    right = fn.approx_scalar(float(k + 3)) - fn.approx_scalar(float(k + 2))
-    return not (left - mid > tight) or not (mid - right > tight)
+_C3B_CHUNK = 1 << 16
 
 
 # tuple order (k, a); the report notes which inequality of the chain failed.
-# Small boxes scan a value table; the large boxes of the threshold bisections
-# use closed-form increments, in chunks.
+# The scan runs over chunks of a, which bound its memory.  In a chunk f(j*a) is
+# evaluated once per j, since f((k+2)a) at k is f((k+1)a) at k + 1.  The
+# suspects at k = 0 come out at once; those at k >= 1 are held until every
+# chunk has been scanned at k = 0, which keeps the tuple order.
 def _suspects_c3b(fn, bounds):
-    if (bounds.k_max + 3) * bounds.a_max <= _C3B_TABLE_LIMIT and bounds.a_max <= 10_000:
-        upto = (bounds.k_max + 3) * bounds.a_max
-        table, margin = _table(fn, upto)
-        a_idx = np.arange(1, bounds.a_max + 1)
+    margin = _margin(fn, (bounds.k_max + 3) * bounds.a_max)
+    unit = np.diff(_approx(fn, np.arange(bounds.k_max + 4)))  # f(t+1) - f(t)
+    held = [[] for _ in range(bounds.k_max + 1)]
+    for start in range(1, bounds.a_max + 1, _C3B_CHUNK):
+        a = np.arange(start, min(start + _C3B_CHUNK, bounds.a_max + 1), dtype=float)
+        low = _approx(fn, a)
         for k in range(bounds.k_max + 1):
-            left = _diff(table, k + 1, k)
-            right = _diff(table, k + 3, k + 2)
-            mid = _diff(table, (k + 2) * a_idx, (k + 1) * a_idx)
-            with np.errstate(invalid="ignore"):
-                suspect = ~(left - mid > margin) | ~(mid - right > margin)
-            for (ai,) in _cells(suspect):
-                if isinstance(fn, ModHarmonic) and not _digamma_rescreen(fn, k, ai + 1):
-                    continue
-                yield {"k": k, "a": ai + 1}
-        return
-    if isinstance(fn, (Log, ModLog)):
-        c = float(fn.c) if isinstance(fn, ModLog) else 0.0
-        margin = 1e-11
-
-        def left_right(k):
-            left = math.inf if (k == 0 and c == 0.0) else math.log(k + 1 + c) - math.log(k + c)
-            return left, math.log(k + 3 + c) - math.log(k + 2 + c)
-
-        def mids(k, a_arr):
-            return np.log((k + 2) * a_arr + c) - np.log((k + 1) * a_arr + c)
-
-    elif isinstance(fn, ModHarmonic):
-        from .functions import _float_digamma_array
-
-        c = float(fn.c)
-        margin = 1e-9
-
-        def left_right(k):
-            left = math.inf if (k == 0 and c == -1.0) else 1.0 / (k + 1 + c)
-            return left, 1.0 / (k + 3 + c)
-
-        def mids(k, a_arr):
-            return _float_digamma_array((k + 2) * a_arr + c + 1) - _float_digamma_array(
-                (k + 1) * a_arr + c + 1
-            )
-
-    else:
-        raise ValueError("bounds too large for a tabulated scan of this family")
-    for k in range(bounds.k_max + 1):
-        left, right = left_right(k)
-        for start in range(1, bounds.a_max + 1, _C3B_CHUNK):
-            stop = min(bounds.a_max, start + _C3B_CHUNK - 1)
-            mid = mids(k, np.arange(start, stop + 1, dtype=float))
-            for (ai,) in _cells(~(left - mid > margin) | ~(mid - right > margin)):
-                yield {"k": k, "a": start + ai}
+            high = _approx(fn, (k + 2) * a)
+            # the middle increment high - low is formed twice, not kept: one
+            # chunk-sized array less alive while the next k is evaluated
+            bad = _suspect(unit[k], high - low, margin) | _suspect(high - low, unit[k + 2], margin)
+            if k == 0:
+                for (i,) in _cells(bad):
+                    yield {"k": 0, "a": start + i}
+            elif bad.any():
+                held[k].append((start, bad))
+            low = high
+    for k, chunks in enumerate(held):
+        for start, bad in chunks:
+            for (i,) in _cells(bad):
+                yield {"k": k, "a": start + i}
 
 
 # tuple order (k,)
@@ -490,7 +459,10 @@ def _suspects_c6a(fn, bounds):
                 yield {"k": k, "a": a, "b": bi + 1}
 
 
-# tuple order (a, b, x, y) with the guard x*b >= (y+1)*a
+# tuple order (a, b, x, y) with the guard x*b >= (y+1)*a, which admits the
+# y < x*b // a.  Row x holds a suspect exactly when the least lhs over its
+# admitted y does (NaN counted as -inf), so one running minimum per (a, b)
+# finds the rows, and only those rows are scanned cell by cell.
 def _suspects_c6b(fn, bounds):
     x_lim = bounds.x_limit
     table, margin = _table(fn, x_lim + bounds.a_max + bounds.b_limit + 1)
@@ -500,9 +472,12 @@ def _suspects_c6b(fn, bounds):
         rhs = _diff(table, x_idx + a, x_idx)
         for b in range(1, bounds.b_limit + 1):
             lhs = _diff(table, y_idx + b, y_idx)
-            guard = x_idx[:, None] * b >= (y_idx[None, :] + 1) * a
-            for xi, y in _cells(guard & _suspect(lhs[None, :], rhs[:, None], margin)):
-                yield {"a": a, "b": b, "x": xi + 1, "y": y}
+            least = np.minimum.accumulate(np.where(np.isnan(lhs), -np.inf, lhs))
+            admitted = np.minimum(x_idx * b // a, x_lim + 1)
+            rows = (admitted > 0) & _suspect(least[np.maximum(admitted - 1, 0)], rhs, margin)
+            for (xi,) in _cells(rows):
+                for (y,) in _cells(_suspect(lhs[: admitted[xi]], rhs[xi], margin)):
+                    yield {"a": a, "b": b, "x": xi + 1, "y": y}
 
 
 _SUSPECTS: dict[ConditionId, Callable] = {
@@ -761,11 +736,10 @@ def find_witness_adaptive(
     fn: WelfareFunction,
     cond: ConditionId,
     initial: Bounds | None = None,
-    growth: int = 2,
     a_cap: int = 1 << 17,
     grow_k: bool = True,
 ) -> ConditionReport:
-    """Grow the bounded box geometrically until a witness appears or the cap is hit.
+    """Double the bounded box until a witness appears or the cap is hit.
 
     Several necessity results only guarantee witnesses for large enough
     parameters, so a fixed box can be silently too small; the returned report
@@ -780,10 +754,10 @@ def find_witness_adaptive(
             return report
         bounds = replace(
             bounds,
-            k_max=min(bounds.k_max * growth, 64) if grow_k else bounds.k_max,
-            a_max=bounds.a_max * growth,
-            b_max=None if bounds.b_max is None else bounds.b_max * growth,
-            x_max=None if bounds.x_max is None else bounds.x_max * growth,
+            k_max=min(bounds.k_max * 2, 64) if grow_k else bounds.k_max,
+            a_max=bounds.a_max * 2,
+            b_max=None if bounds.b_max is None else bounds.b_max * 2,
+            x_max=None if bounds.x_max is None else bounds.x_max * 2,
         )
 
 
@@ -852,9 +826,7 @@ def marginal_growth_envelope(fn: WelfareFunction, x_max: int) -> tuple[Fraction,
             lo = g if lo is None or g < lo else lo
             hi = g if hi is None or g > hi else hi
         return lo, hi
-    xs = np.arange(1, x_max + 2, dtype=float)
-    with np.errstate(divide="ignore"):
-        vals = fn.approx_array(xs)
+    vals = _approx(fn, np.arange(1, x_max + 2))
     growth = np.arange(1, x_max + 1, dtype=float) * np.diff(vals)
     pad = max(1e-9, 8.0 * fn.table_error_bound(x_max + 1) * x_max)
     return (

