@@ -11,12 +11,13 @@ lexicographic tuple order and yields every tuple its prescreen cannot clear.
 ``check_condition`` settles each suspect with the exact comparator
 (``violates``) and returns at the first confirmed violation, so a Violated
 verdict always carries an exactly re-verified witness: the first violating
-suspect in tuple order.  C1 and C1a prescreen with exact comparisons.  Every
-float prescreen reads f through the family's one float model,
-``approx_array``, and clears a tuple only when the float difference passes a
-margin: 1e-8 for C2, and ``max(1e-9, 16 * table_error_bound(upto))`` for the
-rest, where upto bounds the arguments the scan reads.  A cleared tuple is not
-re-checked exactly.
+suspect in tuple order.  Every prescreen but C1a's reads f through the
+family's one float model, ``approx_array``, and clears a tuple only when the
+float difference passes a margin: 1e-8 for C2, and
+``max(1e-9, 16 * table_error_bound(upto))`` for the rest, where upto bounds
+the arguments the scan reads.  A cleared tuple is not re-checked exactly.
+C1a demands equality, and a float difference can prove two values unequal but
+never prove them equal, so C1a is the one exact prescreen.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .model import rational_str
 from .values import (
     ExactValue,
     ExtendedValue,
-    Infinite,
     PrecisionPolicy,
     Relation,
     compare,
@@ -128,7 +128,6 @@ class ConditionReport:
     witness: dict | None = None
     lhs: ExtendedValue | None = None
     rhs: ExtendedValue | None = None
-    notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
         bounds = self.bounds.as_dict()
@@ -148,34 +147,22 @@ class ConditionReport:
             out["lhs"] = render_value(self.lhs)
         if self.rhs is not None:
             out["rhs"] = render_value(self.rhs)
-        if self.notes:
-            out["notes"] = list(self.notes)
         return out
 
 
 # -- single-tuple exact evaluation ---------------------------------------------
 
 
-def _strictly_greater(lhs, rhs, policy) -> tuple[bool | None, str | None]:
-    """Does lhs > rhs hold?  +inf on the left passes; +inf vs +inf fails by convention."""
-    if isinstance(lhs, Infinite) and isinstance(rhs, Infinite) and lhs.sign == rhs.sign:
-        return False, "infinite compared against infinite"
-    ordering = compare(lhs, rhs, policy)
-    if ordering.relation is Relation.INCONCLUSIVE:
-        return None, None
-    return ordering.relation is Relation.GREATER, None
-
-
 def condition_inequalities(
     fn: WelfareFunction, cond: ConditionId, witness: dict
 ) -> list[tuple[ExtendedValue, ExtendedValue]]:
-    """The strict inequalities (lhs > rhs) the condition asserts at one tuple."""
+    """The (lhs, rhs) pairs the condition relates at one tuple: lhs > rhs for
+    every condition but C1a, whose one pair must be equal."""
     w = witness
     if cond is ConditionId.C1 or cond is ConditionId.C3:
         return [(delta(fn, w["k"], w["b"]), delta(fn, w["k"] + 1, w["a"]))]
     if cond is ConditionId.C1A:
-        # equality demanded, handled separately
-        raise ValueError("C1a is an equality condition")
+        return [(delta(fn, w["k"], w["x"]), delta(fn, w["k"], w["y"]))]
     if cond is ConditionId.C2:
         lhs = value_sum([fn.value_at(Fraction(w["a"])), fn.value_at(Fraction(w["b"]))])
         rhs = value_sum([fn.value_at(Fraction(w["c"])), fn.value_at(Fraction(w["d"]))])
@@ -211,6 +198,16 @@ def condition_inequalities(
     raise ValueError(cond)
 
 
+def _relations(fn, cond, witness, policy):
+    """(lhs, rhs, holds) for each pair of ``condition_inequalities`` in turn;
+    holds is None where the comparison hit the precision ceiling.  Equal
+    infinities compare EQUAL, so +inf > +inf does not hold."""
+    required = Relation.EQUAL if cond is ConditionId.C1A else Relation.GREATER
+    for lhs, rhs in condition_inequalities(fn, cond, witness):
+        relation = compare(lhs, rhs, policy).relation
+        yield lhs, rhs, None if relation is Relation.INCONCLUSIVE else relation is required
+
+
 def violates(
     fn: WelfareFunction,
     cond: ConditionId,
@@ -222,32 +219,19 @@ def violates(
     True: the tuple violates the condition.  False: it satisfies it.
     None: the comparison hit the precision ceiling.
     """
-    policy = policy or PrecisionPolicy()
-    if cond is ConditionId.C1A:
-        ordering = compare(
-            delta(fn, witness["k"], witness["x"]), delta(fn, witness["k"], witness["y"]), policy
-        )
-        if ordering.relation is Relation.INCONCLUSIVE:
-            return None
-        return ordering.relation is not Relation.EQUAL
-    saw_inconclusive = False
-    for lhs, rhs in condition_inequalities(fn, cond, witness):
-        holds, _ = _strictly_greater(lhs, rhs, policy)
-        if holds is None:
-            saw_inconclusive = True
-        elif not holds:
+    undecided = False
+    for _, _, holds in _relations(fn, cond, witness, policy or PrecisionPolicy()):
+        if holds is False:
             return True
-    return None if saw_inconclusive else False
+        undecided = undecided or holds is None
+    return None if undecided else False
 
 
 def _failing_pair(fn, cond, witness, policy):
-    """(lhs, rhs, note) of the first failing inequality at a confirmed witness."""
-    if cond is ConditionId.C1A:
-        return delta(fn, witness["k"], witness["x"]), delta(fn, witness["k"], witness["y"]), None
-    for lhs, rhs in condition_inequalities(fn, cond, witness):
-        holds, note = _strictly_greater(lhs, rhs, policy)
+    """(lhs, rhs) of the first failing relation at a confirmed witness."""
+    for lhs, rhs, holds in _relations(fn, cond, witness, policy):
         if holds is False:
-            return lhs, rhs, note
+            return lhs, rhs
     raise AssertionError("witness did not re-verify")
 
 
@@ -305,22 +289,19 @@ def _ranks(values) -> np.ndarray:
     return np.array([rank[v] for v in values])
 
 
-# tuple order (k, a, b) over the grid; the prescreen is the exact comparison
+# tuple order (k, a, b) over the grid.  f is read once, at the floats nearest
+# the exact arguments k*x; that rounding (relative 2^-53) sits far inside the
+# margin.
 def _suspects_c1(fn, bounds):
     grid = sorted(bounds.real_grid)
-    cache: dict[tuple[int, Fraction], ExtendedValue] = {}
-
-    def d(k, x):
-        if (k, x) not in cache:
-            cache[(k, x)] = delta(fn, k, x)
-        return cache[(k, x)]
-
+    args = [float(k * x) for k in range(bounds.k_max + 3) for x in grid]
+    table = _approx(fn, args).reshape(bounds.k_max + 3, len(grid))
+    margin = _margin(fn, math.ceil((bounds.k_max + 2) * grid[-1]))
+    with np.errstate(invalid="ignore"):
+        blocks = np.diff(table, axis=0)  # blocks[k, i] = Delta_k(grid[i])
     for k in range(bounds.k_max + 1):
-        for a in grid:
-            rhs = d(k + 1, a)
-            for b in grid:
-                if _strictly_greater(d(k, b), rhs, bounds.policy)[0] is not True:
-                    yield {"k": k, "a": a, "b": b}
+        for ai, bi in _cells(_suspect(blocks[k][None, :], blocks[k + 1][:, None], margin)):
+            yield {"k": k, "a": grid[ai], "b": grid[bi]}
 
 
 # tuple order (k, x, y) with x < y: constancy of Delta_k on the grid, k >= 1.
@@ -389,7 +370,8 @@ def _suspects_c3a(fn, bounds):
 _C3B_CHUNK = 1 << 16
 
 
-# tuple order (k, a); the report notes which inequality of the chain failed.
+# tuple order (k, a); the report's lhs and rhs are the sides of the failing
+# inequality of the chain.
 # The scan runs over chunks of a, which bound its memory.  In a chunk f(j*a) is
 # evaluated once per j, since f((k+2)a) at k is f((k+1)a) at k + 1.  The
 # suspects at k = 0 come out at once; those at k >= 1 are held until every
@@ -511,9 +493,8 @@ def check_condition(
         if outcome is None:
             inconclusive = True
         elif outcome:
-            lhs, rhs, note = _failing_pair(fn, cond, witness, bounds.policy)
-            notes = (note,) if note else ()
-            return ConditionReport(cond, VIOLATED, bounds, witness, lhs, rhs, notes)
+            lhs, rhs = _failing_pair(fn, cond, witness, bounds.policy)
+            return ConditionReport(cond, VIOLATED, bounds, witness, lhs, rhs)
     return ConditionReport(cond, INCONCLUSIVE if inconclusive else NO_VIOLATION, bounds)
 
 
@@ -653,7 +634,7 @@ IMPLICATIONS: tuple[tuple[ConditionId, ConditionId, Callable], ...] = (
 )
 
 
-def _within_bounds(cond: ConditionId, witness: dict, bounds: Bounds) -> bool:
+def _within_bounds(witness: dict, bounds: Bounds) -> bool:
     k_ok = witness.get("k", 0) <= bounds.k_max and witness.get("l", 0) <= bounds.k_max
     a_ok = witness.get("a", 1) <= bounds.a_max
     b_ok = witness.get("b", 1) <= bounds.b_limit
@@ -697,7 +678,7 @@ def find_arrow_inconsistencies(
         for candidate in transfer(weak_report.witness):
             confirmed = violates(fn, stronger, candidate, policy)
             if confirmed:
-                if _within_bounds(stronger, candidate, bounds):
+                if _within_bounds(candidate, bounds):
                     inconsistencies.append(
                         {
                             "stronger": stronger.value,
@@ -732,33 +713,39 @@ def implication_scan(fn: WelfareFunction, bounds: Bounds | None = None) -> Impli
 # -- adaptive bounds and threshold bisection ----------------------------------------
 
 
+def _scaled(bounds: Bounds, factor: int, k_max: int) -> Bounds:
+    """bounds with block indices up to k_max and the argument scales (a_max,
+    and b_max and x_max where set) times factor."""
+    return replace(
+        bounds,
+        k_max=k_max,
+        a_max=bounds.a_max * factor,
+        b_max=None if bounds.b_max is None else bounds.b_max * factor,
+        x_max=None if bounds.x_max is None else bounds.x_max * factor,
+    )
+
+
 def find_witness_adaptive(
     fn: WelfareFunction,
     cond: ConditionId,
     initial: Bounds | None = None,
     a_cap: int = 1 << 17,
-    grow_k: bool = True,
 ) -> ConditionReport:
-    """Double the bounded box until a witness appears or the cap is hit.
+    """Double the bounded box until a witness appears or a_max reaches the cap.
 
     Several necessity results only guarantee witnesses for large enough
     parameters, so a fixed box can be silently too small; the returned report
-    carries the last bounds used either way.  Block indices saturate at 64
-    (or stay fixed with ``grow_k=False``) since the binding tuples of every
-    studied family sit at small k while the argument scales run away.
+    carries the last bounds used either way.  Block indices double, capped at
+    64, since the binding tuples of every studied family sit at small k while
+    the argument scales run away.  An initial box with a_max >= a_cap is
+    checked once, as it is.
     """
     bounds = initial or Bounds(k_max=4, a_max=8)
     while True:
         report = check_condition(fn, cond, bounds)
         if report.verdict != NO_VIOLATION or bounds.a_max >= a_cap:
             return report
-        bounds = replace(
-            bounds,
-            k_max=min(bounds.k_max * 2, 64) if grow_k else bounds.k_max,
-            a_max=bounds.a_max * 2,
-            b_max=None if bounds.b_max is None else bounds.b_max * 2,
-            x_max=None if bounds.x_max is None else bounds.x_max * 2,
-        )
+        bounds = _scaled(bounds, 2, min(bounds.k_max * 2, 64))
 
 
 _FAMILIES = {"modlog": ModLog, "harmonic": ModHarmonic}
@@ -775,18 +762,26 @@ def threshold_bisect(
 ) -> tuple[Fraction, Fraction]:
     """Bisect the family parameter on the bounded-verdict boundary.
 
-    Requires differing adaptive verdicts at the endpoints; each probe checks
-    the condition with adaptively grown bounds (violations certified exactly,
-    clean probes bounded by the cap), and the bracket midpoints stay dyadic so
-    probes never land exactly on an irrational threshold.
+    Requires differing verdicts at the endpoints.  Each probe is one check of
+    the box that doubling the argument scales of ``bounds`` (k_max fixed)
+    ends in once a_max reaches the cap.  That box holds every smaller one, so
+    it has a violation exactly when doubling would have found one; violations
+    are certified exactly.  The bracket midpoints stay dyadic so probes never
+    land exactly on an irrational threshold.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; use one of {sorted(_FAMILIES)}")
     make = _FAMILIES[family]
     base = bounds or Bounds(k_max=3, a_max=25)
+    factor = 1
+    while base.a_max * factor < a_cap:
+        factor *= 2
+    last = _scaled(base, factor, base.k_max)
 
+    # a box already at the cap is checked once; going through the adaptive
+    # search keeps each probe one conditions.adaptive span in benchmark/tracer.py
     def verdict(c: Fraction) -> str:
-        report = find_witness_adaptive(make(c), cond, base, a_cap=a_cap, grow_k=False)
+        report = find_witness_adaptive(make(c), cond, last, a_cap=a_cap)
         if report.verdict == INCONCLUSIVE:
             raise RuntimeError(f"inconclusive verdict at c={c}")
         return report.verdict

@@ -386,12 +386,10 @@ def increment(fn: WelfareFunction, lo, hi, bits: int = DEFAULT_PRECISION_BITS) -
             shifted = ModHarmonic(0)
             return ExactValue.from_rational(shifted.range_sum(lo_i, hi_i - 1))
         return ExactValue.from_rational(fn.range_sum(lo_i + 1, hi_i))
-    upper = fn.value_at(hi, bits)
     lower = fn.value_at(lo, bits)
     if isinstance(lower, Infinite):
-        if isinstance(upper, Infinite):
-            return ExactValue.from_rational(0) if hi == lo else POS_INF
         return POS_INF
+    upper = fn.value_at(hi, bits)
     if isinstance(upper, ExactValue) and isinstance(lower, ExactValue):
         return upper.sub(lower)
     neg = lower.neg() if isinstance(lower, ExactValue) else IntervalValue(-lower.hi, -lower.lo, lower.bits)

@@ -31,6 +31,8 @@ SIX_POINTS = tuple(Fraction(j, 2) for j in range(1, 7))
 # A repeated value, and a product tie that floats misorder (3/10 * 2 = 2/5 * 3/2,
 # yet 0.4 * 1.5 > 0.3 * 2.0), pin the exact C2 guard.
 REPEATED_GRID = tuple(Fraction(x) for x in ("3/10", "2/5", "1", "3/2", "2", "2"))
+# Thirds and tenths have no exact float, so C1 reads f at rounded arguments.
+NON_DYADIC_GRID = tuple(Fraction(x) for x in ("1/3", "1/2", "7/10", "1", "7/3", "5/2"))
 
 BATTERY = (
     ["log"]
@@ -208,7 +210,10 @@ def test_scan_agrees_with_direct_enumeration(spec, cond):
     """The prescreened scan and a plain exact loop give the same verdict/witness."""
     fn = parse_welfare(spec)
     if cond in REAL_CONDITIONS:
-        boxes = [Bounds(k_max=3, real_grid=grid) for grid in (SIX_POINTS, REPEATED_GRID)]
+        boxes = [
+            Bounds(k_max=3, real_grid=grid)
+            for grid in (SIX_POINTS, REPEATED_GRID, NON_DYADIC_GRID)
+        ]
     else:
         boxes = [Bounds(k_max=4, a_max=4, x_max=8)]
     if cond is ConditionId.C6B:
@@ -324,8 +329,20 @@ class TestThresholdBisect:
             iters=12,
             a_cap=1 << 15,
         )
-        assert lo <= 1 <= hi
-        assert hi - lo <= Fraction(1, 2**10)
+        assert (lo, hi) == (Fraction(8191, 8192), Fraction(4097, 4096))
+
+    def test_harmonic_bracket(self):
+        # the threshold 1/log 2 - 1 = 0.4427 lies inside
+        lo, hi = threshold_bisect(
+            "harmonic",
+            ConditionId.C3B,
+            Fraction(0),
+            Fraction(1),
+            Bounds(k_max=3, a_max=25),
+            iters=10,
+            a_cap=1 << 14,
+        )
+        assert (lo, hi) == (Fraction(453, 1024), Fraction(227, 512))
 
     def test_requires_differing_verdicts(self):
         with pytest.raises(ValueError):
