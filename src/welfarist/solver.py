@@ -7,15 +7,27 @@ maximizer, and the structured two-agent split family, which shares the argmax
 loop of enumeration.  The argmax set matters because the rule breaks ties
 arbitrarily, so a guarantee about "the chosen allocation" must hold for every member.
 
-Before it scans, enumeration evaluates f once at every reachable bundle
-utility (the subset sums of each agent's row) and reads off an exact integer
-order key when the finite values allow one: all rational (the key of a vector
-is the sum of the values scaled by their common denominator), or all
-``w*log(q)`` with one weight w > 0 (the key is the product of the q scaled by
-their common denominator).  The common rules -- log, shifted log, harmonic at
-integer utilities, integer power means, piecewise tables -- then scan with
-integer comparisons only.  Every other shape (surds, intervals, mixed log and
-rational values, +inf) scans through the exact/interval comparator.
+Enumeration and the depth-first search share one scoring setup
+(:func:`_scoring`): f is evaluated once at every reachable bundle utility
+(the subset sums of each agent's row), and each utility vector is then scored
+one of two ways.
+
+- An exact integer order key, when the finite values allow one: all rational
+  (the key of a vector is the sum of the values scaled by their common
+  denominator), or all ``w*log(q)`` with one weight w > 0 (the key is the
+  product of the q scaled by their common denominator).  The common rules --
+  log, shifted log, harmonic at integer utilities, integer power means,
+  piecewise tables -- then compare integers only.
+- Otherwise (surds, intervals, mixed log and rational values), certified
+  float bounds ``lo <= welfare <= hi``: the sums of the outward-rounded
+  bounds of :func:`~welfarist.values.float_bounds`, rounded outward once
+  more.  A vector whose ``hi`` is below another vector's ``lo`` is decided
+  below it without the exact comparator.  Only vectors whose bounds overlap
+  the best reach the exact/interval comparator, which confirms every
+  maximizer and every tie.
+
+A vector holding f = -inf scores ``(-inf, -inf)`` either way: below every
+finite vector and equal to every other such vector.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, lcm, prod
+from math import ceil, fsum, inf, lcm, nextafter, prod
 from operator import add
 from typing import Callable, Iterable
 
@@ -37,10 +49,14 @@ from .values import (
     PrecisionPolicy,
     Relation,
     compare,
+    float_bounds,
     value_sum,
 )
 
 DEFAULT_ENUMERATION_CAP = 50_000_000
+# float bounds are used only while every finite one lies inside +-2**1000, so
+# that no sum of n of them can overflow
+_FLOAT_RANGE = 2.0**1000
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -123,14 +139,15 @@ def _argmax(
 
 def _order_keys(
     values: dict[Fraction, ExtendedValue], n: int
-) -> tuple[dict[Fraction, int], Callable] | None:
-    """Integer terms and their reduction (sum or product) ordering f-sums exactly.
+) -> tuple[dict[Fraction, int], Callable, int] | None:
+    """Integer terms, their reduction (sum or product) and a floor, ordering f-sums exactly.
 
     ``values`` maps every reachable utility to f there.  Returns ``None``
     unless the finite values are all rational (sum of terms) or all
     ``w*log(q)`` with one common w > 0, log 1 = 0 included (product of
     terms).  A -inf value gets a term that puts every vector containing it
-    below every finite vector; ties among such vectors are the caller's.
+    below the floor, which every finite vector reaches; ties among such
+    vectors are the caller's.
     """
     rationals: dict[Fraction, Fraction] = {}
     logs: dict[Fraction, tuple[Fraction, Fraction]] = {}
@@ -151,13 +168,56 @@ def _order_keys(
         terms = {x: r.numerator * (den // r.denominator) for x, r in rationals.items()}
         lo, hi = min(terms.values(), default=0), max(terms.values(), default=0)
         below = n * lo - (n - 1) * hi - 1  # any vector holding it sums below n*lo
-        return {x: terms.get(x, below) for x in values}, sum
+        return {x: terms.get(x, below) for x in values}, sum, n * lo
     weights = {w for _, w in logs.values()}
     if any(rationals.values()) or len(weights) > 1 or weights.pop() < 0:
         return None
     den = lcm(*(q.denominator for q, _ in logs.values()))
     terms = {x: q.numerator * (den // q.denominator) for x, (q, _) in logs.items()}
-    return {x: terms.get(x, den if x in rationals else 0) for x in values}, prod
+    return {x: terms.get(x, den if x in rationals else 0) for x in values}, prod, 1
+
+
+def _scoring(inst: Instance, value: _ValueCache) -> tuple[tuple | None, Callable]:
+    """Score f at every reachable bundle utility; returns ``(keys, score)``.
+
+    Every subset of a row is that agent's bundle in some assignment, and every
+    branch-and-bound vector ``u + suffix`` is such a subset for each agent, so
+    these are exactly the utilities either scan looks up.  ``keys`` is the
+    ``_order_keys`` triple where one exists, else ``None``.  ``score(u)`` gives
+    ``(lo, hi)`` with ``lo <= sum_i f(u_i) <= hi``: the key twice when keyed,
+    else outward-rounded doubles; ``(-inf, -inf)`` exactly when u holds -inf.
+    A finite value outside +-2**1000 makes every float bound ``(-inf, inf)``,
+    so every decision falls to the exact comparator.
+    """
+    reachable = set()
+    for row in inst.utilities:
+        sums = {Fraction(0)}
+        for u in row:
+            sums |= {s + u for s in sums}
+        reachable |= sums
+    values = {x: value(x) for x in reachable}
+    keys = _order_keys(values, inst.n)
+    if keys is not None:
+        terms, reduce, floor = keys
+
+        def score(u):
+            key = reduce(map(terms.__getitem__, u))
+            return (key, key) if key >= floor else (-inf, -inf)
+
+        return keys, score
+    bounds = {x: float_bounds(v) for x, v in values.items()}
+    if any(hi > -inf and max(-lo, hi) >= _FLOAT_RANGE for lo, hi in bounds.values()):
+        bounds = dict.fromkeys(values, (-inf, inf))
+    bound = bounds.__getitem__
+
+    def score(u):
+        lows, highs = zip(*map(bound, u))
+        hi = fsum(highs)
+        if hi == -inf:
+            return hi, hi
+        return nextafter(fsum(lows), -inf), nextafter(hi, inf)
+
+    return None, score
 
 
 def _keyed_argmax(walk, terms: dict[Fraction, int], reduce) -> list[tuple[int, ...]]:
@@ -174,6 +234,35 @@ def _keyed_argmax(walk, terms: dict[Fraction, int], reduce) -> list[tuple[int, .
     return best
 
 
+def _bounded_survivors(walk, score) -> tuple[list[tuple[tuple[int, ...], tuple]], bool]:
+    """(assignment, utility vector) pairs of the walk whose ``hi`` reaches the maximum ``lo``.
+
+    A vector is dropped once its ``hi`` falls below the running maximum
+    ``lo``, and the rest are filtered by the final one.  No maximizer is ever
+    dropped: its ``hi`` is at least the maximum welfare, which is at least
+    every ``lo``.  Also returns whether a finite vector was dropped, a
+    decision made on float bounds.
+    """
+    best_lo = -inf
+    kept = []
+    dropped_finite = False
+    for a, u in walk:
+        lo, hi = score(u)
+        if hi >= best_lo:
+            kept.append((a, hi, tuple(u)))
+            if lo > best_lo:
+                best_lo = lo
+        elif hi > -inf:
+            dropped_finite = True
+    survivors = []
+    for a, hi, u in kept:
+        if hi >= best_lo:
+            survivors.append((a, u))
+        elif hi > -inf:
+            dropped_finite = True
+    return survivors, dropped_finite
+
+
 def enumerate_maximizers(
     inst: Instance,
     fn: WelfareFunction,
@@ -183,34 +272,34 @@ def enumerate_maximizers(
 ) -> MaximizerSet:
     """Scan :meth:`Instance.utility_vectors` and return the full argmax set.
 
-    The maximizers come out in lexicographic assignment order.  f is first
-    evaluated at every reachable bundle utility; when those values admit an
-    exact integer order key (see the module docstring), the scan compares
-    keys and the label is ``Exact``.  A vector containing f = -inf loses to
-    every finite vector and ties with every other such vector, so when no
-    assignment is finite the set is all n**m of them.  Otherwise the scan runs
-    through the comparator; after an inconclusive comparison the set may be a
+    The maximizers come out in lexicographic assignment order.  When f's
+    values admit an exact integer order key (see the module docstring), the
+    scan compares keys and the label is ``Exact``.  Otherwise each vector is
+    bounded in floats; vectors whose upper bound falls below the best lower
+    bound are dropped, and the exact/interval comparator runs over the rest,
+    so every member and the welfare are confirmed exactly.  A dropped finite
+    vector counts as an interval decision at ``policy.start_bits`` (the label
+    is then at least ``IntervalCertified``); a dropped -inf vector counts as
+    exact.  A vector containing f = -inf loses to every finite vector and ties
+    with every other such vector, so when no assignment is finite the set is
+    all n**m of them.  After an inconclusive comparison the set may be a
     superset of the true argmax, which the exactness flag reports.
     """
     policy = policy or PrecisionPolicy()
     if inst.n**inst.m > cap:
         raise EnumerationCapExceeded(f"{inst.n}**{inst.m} exceeds cap {cap}")
     value = _ValueCache(fn, policy.start_bits)
-    # every subset of a row is that agent's bundle in some assignment, so these
-    # are exactly the utilities the walk looks up
-    reachable = set()
-    for row in inst.utilities:
-        sums = {Fraction(0)}
-        for u in row:
-            sums |= {s + u for s in sums}
-        reachable |= sums
-    keys = _order_keys({x: value(x) for x in reachable}, inst.n)
+    keys, score = _scoring(inst, value)
     if keys is None:
+        survivors, dropped_finite = _bounded_survivors(inst.utility_vectors(), score)
         best, best_value, exactness = _argmax(
-            ((a, value.welfare(u)) for a, u in inst.utility_vectors()), policy
+            ((a, value.welfare(u)) for a, u in survivors), policy
         )
+        if dropped_finite and exactness.kind == "Exact":
+            exactness = Exactness("IntervalCertified", policy.start_bits)
     else:
-        best = _keyed_argmax(inst.utility_vectors(), *keys)
+        terms, reduce, _ = keys
+        best = _keyed_argmax(inst.utility_vectors(), terms, reduce)
         best_value, exactness = value.welfare(inst.utility_vector(best[0])), Exactness("Exact")
         if isinstance(best_value, Infinite):
             best = list(product(range(inst.n), repeat=inst.m))
@@ -227,14 +316,20 @@ def solve_branch_bound(
 
     The bound adds every unassigned good to every agent simultaneously; since
     f is increasing this can only overestimate, so pruning on bound <= incumbent
-    is safe.  Requires strictly increasing f (falls back to enumeration
-    otherwise, where ties against the flat regions matter).
+    is safe.  Bounds and incumbent are scored like enumeration's vectors:
+    integer keys decide outright; float bounds decide when they do not
+    overlap, and the exact/interval comparator decides when they do.  A bound
+    holding -inf is pruned, as it equals or falls below any incumbent.  The
+    incumbent starts at "all goods to agent 0".  Requires strictly increasing
+    f (falls back to enumeration otherwise, where ties against the flat
+    regions matter).
     """
     policy = policy or PrecisionPolicy()
     if not fn.strictly_increasing:
         maxima = enumerate_maximizers(inst, fn, policy=policy)
         return maxima.allocations[0], maxima.welfare
     value = _ValueCache(fn, policy.start_bits)
+    keys, score = _scoring(inst, value)
     order = sorted(
         range(inst.m),
         key=lambda g: max(inst.utilities[i][g] for i in range(inst.n)),
@@ -248,19 +343,29 @@ def solve_branch_bound(
 
     incumbent_assignment = tuple([0] * inst.m)
     incumbent_value = welfare_of(inst, fn, Allocation(incumbent_assignment))
+    incumbent_lo, incumbent_hi = score(inst.utility_vector(incumbent_assignment))
     utilities = [Fraction(0)] * inst.n
     assignment = [0] * inst.m
 
     def descend(pos: int):
-        nonlocal incumbent_assignment, incumbent_value
+        nonlocal incumbent_assignment, incumbent_value, incumbent_lo, incumbent_hi
         # the suffix of a leaf is empty, so its bound is its welfare
-        bound = value.welfare(map(add, utilities, suffix[pos]))
-        relation = compare(bound, incumbent_value, policy).relation
-        if relation in (Relation.LESS, Relation.EQUAL):
+        bound = list(map(add, utilities, suffix[pos]))
+        lo, hi = score(bound)
+        if hi == -inf or hi < incumbent_lo:
             return
+        greater = lo > incumbent_hi
+        if not greater:
+            if keys is not None:  # equal keys
+                return
+            relation = compare(value.welfare(bound), incumbent_value, policy).relation
+            if relation in (Relation.LESS, Relation.EQUAL):
+                return
+            greater = relation is Relation.GREATER
         if pos == inst.m:
-            if relation is Relation.GREATER:
-                incumbent_assignment, incumbent_value = tuple(assignment), bound
+            if greater:
+                incumbent_assignment, incumbent_value = tuple(assignment), value.welfare(bound)
+                incumbent_lo, incumbent_hi = lo, hi
             return
         g = order[pos]
         for agent in range(inst.n):

@@ -11,7 +11,9 @@ integer arguments, integer and half-integer power means, and positive linear
 combinations of all of these.  Everything else is handled by high-precision
 intervals with precision doubling up to a hard ceiling; an undecided
 comparison at the ceiling is reported as inconclusive, never silently
-resolved.
+resolved.  :func:`float_bounds` encloses any of these values in two
+outward-rounded doubles, for scans that decide most comparisons in floats
+and leave the rest to :func:`compare`.
 """
 
 from __future__ import annotations
@@ -344,6 +346,29 @@ def evaluate_interval(value: ExactValue, bits: int) -> IntervalValue:
             terms += 2
         err = mpmath.ldexp(magnitude + 1, -(bits + _GUARD_BITS)) * (8 * terms)
         return IntervalValue(total - err, total + err, bits)
+
+
+def float_bounds(value: ExtendedValue) -> tuple[float, float]:
+    """Doubles ``lo <= value <= hi``, each rounded outward by one ulp.
+
+    Rationals round from the exact fraction, logs and surds from a 64-bit
+    :func:`evaluate_interval`, intervals from their own ends.  A rational
+    beyond the double range rounds to an infinity, which the widening turns
+    into the largest finite double on the inner side.  A true infinity maps
+    to itself on both sides: ``nextafter(-inf, inf)`` is a finite number.
+    """
+    if isinstance(value, Infinite):
+        end = math.inf if value.sign > 0 else -math.inf
+        return end, end
+    if isinstance(value, ExactValue) and value.is_rational:
+        try:
+            lo = hi = float(value.rational)
+        except OverflowError:
+            lo = hi = math.inf if value.rational > 0 else -math.inf
+    else:
+        enclosure = _enclose(value, 64)
+        lo, hi = float(enclosure.lo), float(enclosure.hi)
+    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
 
 
 def _mpf_of_fraction(x: Fraction):

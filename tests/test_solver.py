@@ -22,7 +22,7 @@ from welfarist.solver import (
     split_family_argmax,
     welfare_of,
 )
-from welfarist.values import Relation, compare
+from welfarist.values import NEG_INF, IntervalValue, PrecisionPolicy, Relation, compare
 
 LOG = parse_welfare("log")
 MHW = parse_welfare("harmonic:0")
@@ -201,7 +201,57 @@ class TestComparatorFallback:
         assert (maxima.exactness.kind, maxima.exactness.bits) == (kind, bits)
 
 
+class TestFloatBoundsScan:
+    """Float bounds drop vectors before the comparator; the exact confirm keeps the members."""
+
+    def test_drop_decides_a_set_the_running_maximum_left_open(self):
+        # without the float drop, the running maximum meets an undecidable
+        # tie between two vectors that are not maximal
+        inst = Instance.from_rows([[1, 0, 2], [4, 1, 3]])
+        maxima = enumerate_maximizers(inst, parse_welfare("pmean:1/3"))
+        assert [a.assignment for a in maxima.allocations] == [(1, 1, 0)]
+        assert (maxima.exactness.kind, maxima.exactness.bits) == ("IntervalCertified", 256)
+
+    @pytest.mark.parametrize(
+        "spec, rows",
+        [  # the TestComparatorFallback rows
+            ("harmonic:0", [["1/2", "1/2", 1], [1, 2, 1]]),
+            ("harmonic:0", [[2, "1/2", "1/2"], [1, 1, 3]]),
+            ("pmean:1/2", [[1, 1], [1, 1]]),
+            ("pmean:1/3", [[1, 1], [1, 1]]),
+            ("combo:1*pmean:0+40*pmean:-1", [[2, 3, 5], [3, 4, 2]]),
+            ("combo:1*pmean:0+40*pmean:-1", [[1, 1], [1, 1]]),
+        ],
+    )
+    def test_low_start_precision_keeps_the_members(self, spec, rows):
+        inst, fn = Instance.from_rows(rows), parse_welfare(spec)
+        coarse = enumerate_maximizers(inst, fn, policy=PrecisionPolicy(start_bits=16))
+        assert coarse.allocations == enumerate_maximizers(inst, fn).allocations
+
+    @pytest.mark.parametrize(
+        "spec, big",
+        [("combo:1*pmean:0+1*pmean:2", 10**200), ("pmean:1/3", 10**1000)],
+    )
+    def test_values_beyond_the_double_range(self, spec, big):
+        # f reaches past 10**308, where a sum of float bounds would overflow,
+        # so every decision goes to the comparator
+        inst, fn = Instance.from_rows([[big, 1, 2], [1, big, 3]]), parse_welfare(spec)
+        maxima = enumerate_maximizers(inst, fn)
+        best, kind, bits = TestComparatorFallback.generic_argmax(inst, fn)
+        assert [a.assignment for a in maxima.allocations] == best
+        assert (maxima.exactness.kind, maxima.exactness.bits) == (kind, bits)
+        alloc, _ = solve_branch_bound(inst, fn)
+        assert alloc.assignment == best[0]
+
+
 class TestBranchBound:
+    @staticmethod
+    def same_welfare(a, b):
+        """Exactly equal, or (for digamma intervals, which never compare equal) overlapping."""
+        if isinstance(a, IntervalValue) and isinstance(b, IntervalValue):
+            return a.lo <= b.hi and b.lo <= a.hi
+        return compare(a, b).relation is Relation.EQUAL
+
     def test_oracle_equivalence_on_random_instances(self):
         mismatches = 0
         for seed in range(150):
@@ -219,6 +269,38 @@ class TestBranchBound:
         maxima = enumerate_maximizers(inst, LOG)
         _, welfare = solve_branch_bound(inst, LOG)
         assert compare(welfare, maxima.welfare).relation is Relation.EQUAL
+
+    @pytest.mark.parametrize(
+        "spec, cls",
+        [
+            ("log", "integer"),
+            ("modlog:1", "integer"),
+            ("harmonic:-1", "integer"),
+            ("pmean:-1", "integer"),
+            ("pmean:1/2", "integer"),
+            ("pmean:-1/2", "integer"),
+            ("harmonic:0", "unrestricted"),
+            ("combo:1*pmean:0+40*pmean:-1", "integer"),
+        ],
+    )
+    def test_matches_enumeration_for_each_scoring_shape(self, spec, cls):
+        # integer keys (sum or product), float bounds over surds, intervals and
+        # mixed values; the fixed rows make every assignment -inf under the
+        # rules with f(0) = -inf
+        fn = parse_welfare(spec)
+        instances = [Instance.from_rows(rows) for rows in ([[3], [1], [2]], [[0, 0, 0], [1, 2, 3]])]
+        for seed in range(30):
+            rng = random.Random(seed)
+            instances.append(random_instance(rng.randint(2, 3), rng.randint(1, 5), cls, 4, seed=seed))
+        for inst in instances:
+            maxima = enumerate_maximizers(inst, fn)
+            alloc, welfare = solve_branch_bound(inst, fn)
+            assert self.same_welfare(welfare, maxima.welfare)
+            assert self.same_welfare(welfare, welfare_of(inst, fn, alloc))
+            if maxima.exactness.kind != "Inconclusive":
+                assert alloc in maxima
+            if maxima.welfare == NEG_INF:
+                assert alloc.assignment == (0,) * inst.m
 
     def test_single_good_goes_to_argmax_agent(self):
         # under log every one-good allocation starves someone, so use the

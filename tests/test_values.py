@@ -14,6 +14,7 @@ from welfarist.values import (
     Relation,
     compare,
     evaluate_interval,
+    float_bounds,
     render_value,
     sqrt_of_fraction,
     square_free_split,
@@ -115,6 +116,49 @@ class TestIntervals:
         rhs = ExactValue.from_rational(0)
         ordering = compare(lhs, rhs, policy=PrecisionPolicy(start_bits=64, ceiling_bits=128))
         assert ordering.relation is Relation.INCONCLUSIVE
+
+
+class TestFloatBounds:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            ExactValue.from_rational(Fraction(1, 3)),
+            ExactValue.from_rational(10**30 + 1),
+            ExactValue.from_rational(Fraction(-7, 10**40)),
+            ExactValue.from_log(Fraction(7, 3)),
+            ExactValue.from_log(Fraction(1, 10**12)),
+            ExactValue.from_sqrt(2),
+            ExactValue.from_sqrt(Fraction(10**20 + 1, 3)).neg(),
+            value_sum([ExactValue.from_log(5), ExactValue.from_sqrt(3), ExactValue.from_rational(Fraction(-22, 7))]),
+            # surds cancelling to a tiny difference
+            value_sum([ExactValue.from_sqrt(10**6 + 1), ExactValue.from_rational(-1000)]),
+        ],
+    )
+    def test_encloses_the_256_bit_interval(self, value):
+        lo, hi = float_bounds(value)
+        enclosure = evaluate_interval(value, 256)
+        assert lo <= enclosure.lo and enclosure.hi <= hi
+        assert lo < hi
+
+    def test_interval_widened_outward(self):
+        import mpmath
+
+        with mpmath.workprec(256):
+            interval = IntervalValue(mpmath.mpf(1) / 3, mpmath.mpf(2) / 3, 256)
+            lo, hi = float_bounds(interval)
+            assert lo <= interval.lo and interval.hi <= hi
+        assert lo < 1 / 3 < 2 / 3 < hi
+
+    def test_infinities_stay_infinite(self):
+        # nextafter(-inf, inf) is the most negative double, not -inf
+        assert float_bounds(NEG_INF) == (float("-inf"), float("-inf"))
+        assert float_bounds(POS_INF) == (float("inf"), float("inf"))
+
+    def test_rationals_beyond_the_double_range(self):
+        lo, hi = float_bounds(ExactValue.from_rational(10**400))
+        assert lo == 1.7976931348623157e308 and hi == float("inf")
+        lo, hi = float_bounds(ExactValue.from_rational(-(10**400)))
+        assert lo == float("-inf") and hi == -1.7976931348623157e308
 
 
 def test_precision_ceiling_env_override(monkeypatch):
