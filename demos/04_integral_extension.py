@@ -1,9 +1,10 @@
 """The harmonic family off the integers: quadrature vs. closed forms.
 
 On integers the modified harmonic number is a finite rational sum; on real
-arguments it is defined by an integral.  This script encloses the integral
-by adaptive quadrature and checks the enclosures against the exact sums,
-then shows the two routes agreeing at non-integer points.
+arguments it is defined by an integral.  This script estimates the integral
+by adaptive quadrature, as an interval from the quadrature's error estimate,
+checks that the intervals contain the exact sums, then shows the two routes
+agreeing at non-integer points.
 """
 
 from fractions import Fraction
@@ -13,14 +14,14 @@ import mpmath
 from welfarist.functions import ModHarmonic
 from welfarist.quadrature import harmonic_integral
 
-print("closed form vs quadrature enclosure (width <= 1e-9):")
+print("closed form vs quadrature interval (width <= 1e-9):")
 for c in [Fraction(-1), Fraction(0), Fraction(1, 2)]:
     fn = ModHarmonic(c)
     for x in [1, 4, 8]:
         iv = harmonic_integral(c, x, 1e-9)
         exact = fn.integer_value(x)
         inside = iv.lo <= mpmath.mpf(exact.numerator) / exact.denominator <= iv.hi
-        print(f"  c={str(c):>4} x={x}:  sum = {str(exact):>9}  enclosed = {inside}")
+        print(f"  c={str(c):>4} x={x}:  sum = {str(exact):>9}  inside = {inside}")
 
 print("\nnon-integer points, two independent routes:")
 for c, x in [(Fraction(0), Fraction(1, 2)), (Fraction(-1, 2), Fraction(7, 3))]:

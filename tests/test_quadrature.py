@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from welfarist import quadrature
 from welfarist.functions import ModHarmonic
 from welfarist.quadrature import DivergentIntegralError, harmonic_integral
 
@@ -42,9 +43,16 @@ def test_rejects_bad_parameters():
         harmonic_integral(0, -1)
     with pytest.raises(ValueError):
         harmonic_integral(0, 1, 0)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive finite"):
+            harmonic_integral(0, 3, tol)
 
 
-@pytest.mark.parametrize("c", [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)])
+@pytest.mark.parametrize(
+    "c",
+    [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
+    + [Fraction(-3, 4), Fraction(-2, 3), Fraction(1, 3), Fraction(7, 9)],
+)
 def test_closed_form_grid(c):
     fn = ModHarmonic(c)
     for x in range(0, 9):
@@ -74,3 +82,39 @@ def test_fractional_argument_below_one_with_negative_shift():
     iv = harmonic_integral(Fraction(-1, 2), Fraction(1, 3), 1e-9)
     ev = ModHarmonic(Fraction(-1, 2)).value_at(Fraction(1, 3), 128)
     assert iv.lo <= ev.midpoint() <= iv.hi
+
+
+@pytest.mark.parametrize(
+    "c, x",
+    [(0, Fraction(1, 997)), (Fraction(7, 9), Fraction(11, 13)), (Fraction(-3, 4), Fraction(5, 7)),
+     (0, Fraction(201, 2)),
+     # d = 10**4 to 10**6: t = s**d puts most of the integral in a strip of
+     # width about 1/d next to s = 1, which one start panel [0, 1] misses
+     (0, Fraction(1, 10**4)), (-1, Fraction(1, 10**6)), (Fraction(-99999, 100000), Fraction(3, 7))],
+)
+def test_large_denominators_agree_with_digamma_route(c, x):
+    iv = harmonic_integral(c, x, 1e-9)
+    ev = ModHarmonic(Fraction(c)).value_at(x, 128)
+    assert iv.lo <= ev.midpoint() <= iv.hi
+    assert float(iv.width) <= 1e-9
+
+
+def test_fractional_powers_need_no_refinement(monkeypatch):
+    # after t = s**d the integrand has integer powers only: one panel pair
+    # suffices where t**(1/2), unbounded in slope at 0, forces bisection there
+    calls = []
+    panel_sum = quadrature._panel_sum
+
+    def counted(*args):
+        calls.append(args)
+        return panel_sum(*args)
+
+    monkeypatch.setattr(quadrature, "_panel_sum", counted)
+    half = Fraction(1, 2)
+    points = [(half, x) for x in range(1, 9)] + [
+        (0, half), (-half, Fraction(1, 3)), (Fraction(1, 3), 2), (half, Fraction(7, 2))
+    ]
+    for c, x in points:
+        calls.clear()
+        harmonic_integral(c, x, 1e-9)
+        assert len(calls) <= 4, (c, x, len(calls))
