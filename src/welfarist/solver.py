@@ -9,32 +9,30 @@ arbitrarily, so a guarantee about "the chosen allocation" must hold for every me
 
 Enumeration and the depth-first search share one scoring setup
 (:func:`_scoring`): f is evaluated once at every reachable bundle utility
-(the subset sums of each agent's row), and each utility vector is then scored
-one of two ways.
+(the subset sums of each agent's row), and each utility vector u is scored by
+bounds ``lo <= sum_i f(u_i) <= hi``.
 
-- An exact integer order key, when the finite values allow one: all rational
-  (the key of a vector is the sum of the values scaled by their common
-  denominator), or all ``w*log(q)`` with one weight w > 0 (the key is the
-  product of the q scaled by their common denominator).  The common rules --
-  log, shifted log, harmonic at integer utilities, integer power means,
-  piecewise tables -- then compare integers only.
-- Otherwise (surds, intervals, mixed log and rational values), certified
-  float bounds ``lo <= welfare <= hi``: the sums of the outward-rounded
-  bounds of :func:`~welfarist.values.float_bounds`, rounded outward once
-  more.  A vector whose ``hi`` is below another vector's ``lo`` is decided
-  below it without the exact comparator.  Only vectors whose bounds overlap
-  the best reach the exact/interval comparator, which confirms every
-  maximizer and every tie.
+- Where the finite values allow an exact integer order key, the bounds are
+  the point ``(key, key)``.  The key is the sum of all-rational values, or
+  the product of the q of all-``w*log(q)`` values with one weight w > 0,
+  scaled by their common denominator.  The common rules -- log, shifted log,
+  harmonic at integer utilities, integer power means, piecewise tables --
+  then compare integers only.
+- Otherwise (surds, intervals, mixed log and rational values) they are
+  certified float bounds: the sums of the outward-rounded bounds of
+  :func:`~welfarist.values.float_bounds`, rounded outward once more.
 
-A vector holding f = -inf scores ``(-inf, -inf)`` either way: below every
-finite vector and equal to every other such vector.
+A vector holding f = -inf scores the point ``(-inf, -inf)``.  One scan drops
+each vector whose ``hi`` is below another's ``lo``; a drop on bounds that are
+not a point is an interval decision.  Equal points are equal welfare, so a
+survivor set of points is the argmax set as it stands; any other goes through
+the exact/interval comparator, which confirms every maximizer and every tie.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import ceil, fsum, inf, lcm, nextafter, prod
 from operator import add
 from typing import Callable, Iterable
@@ -177,17 +175,17 @@ def _order_keys(
     return {x: terms.get(x, den if x in rationals else 0) for x in values}, prod, 1
 
 
-def _scoring(inst: Instance, value: _ValueCache) -> tuple[tuple | None, Callable]:
-    """Score f at every reachable bundle utility; returns ``(keys, score)``.
+def _scoring(inst: Instance, value: _ValueCache) -> Callable:
+    """Score f at every reachable bundle utility; returns ``score``.
 
     Every subset of a row is that agent's bundle in some assignment, and every
     branch-and-bound vector ``u + suffix`` is such a subset for each agent, so
-    these are exactly the utilities either scan looks up.  ``keys`` is the
-    ``_order_keys`` triple where one exists, else ``None``.  ``score(u)`` gives
-    ``(lo, hi)`` with ``lo <= sum_i f(u_i) <= hi``: the key twice when keyed,
-    else outward-rounded doubles; ``(-inf, -inf)`` exactly when u holds -inf.
-    A finite value outside +-2**1000 makes every float bound ``(-inf, inf)``,
-    so every decision falls to the exact comparator.
+    these are exactly the utilities either scan looks up.  ``score(u)`` gives
+    ``(lo, hi)`` with ``lo <= sum_i f(u_i) <= hi``: the ``_order_keys`` key
+    twice where one exists, else outward-rounded doubles; ``(-inf, -inf)``
+    exactly when u holds -inf.  A finite value outside +-2**1000 makes every
+    float bound ``(-inf, inf)``, so every decision falls to the exact
+    comparator.
     """
     reachable = set()
     for row in inst.utilities:
@@ -204,7 +202,7 @@ def _scoring(inst: Instance, value: _ValueCache) -> tuple[tuple | None, Callable
             key = reduce(map(terms.__getitem__, u))
             return (key, key) if key >= floor else (-inf, -inf)
 
-        return keys, score
+        return score
     bounds = {x: float_bounds(v) for x, v in values.items()}
     if any(hi > -inf and max(-lo, hi) >= _FLOAT_RANGE for lo, hi in bounds.values()):
         bounds = dict.fromkeys(values, (-inf, inf))
@@ -217,50 +215,40 @@ def _scoring(inst: Instance, value: _ValueCache) -> tuple[tuple | None, Callable
             return hi, hi
         return nextafter(fsum(lows), -inf), nextafter(hi, inf)
 
-    return None, score
+    return score
 
 
-def _keyed_argmax(walk, terms: dict[Fraction, int], reduce) -> list[tuple[int, ...]]:
-    """Assignments of the walk whose reduced integer key is maximal, in walk order."""
-    get = terms.__getitem__
-    first, u = next(walk)
-    best_key, best = reduce(map(get, u)), [first]
-    for a, u in walk:
-        key = reduce(map(get, u))
-        if key > best_key:
-            best_key, best = key, [a]
-        elif key == best_key:
-            best.append(a)
-    return best
-
-
-def _bounded_survivors(walk, score) -> tuple[list[tuple[tuple[int, ...], tuple]], bool]:
+def _bounded_survivors(walk, score) -> tuple[list[tuple[tuple[int, ...], tuple]], bool, bool]:
     """(assignment, utility vector) pairs of the walk whose ``hi`` reaches the maximum ``lo``.
 
     A vector is dropped once its ``hi`` falls below the running maximum
     ``lo``, and the rest are filtered by the final one.  No maximizer is ever
     dropped: its ``hi`` is at least the maximum welfare, which is at least
-    every ``lo``.  Also returns whether a finite vector was dropped, a
-    decision made on float bounds.
+    every ``lo``.  Also returns whether every survivor's bounds are a point,
+    and whether a vector was dropped on bounds that are not a point (an
+    interval decision).  Survivors that are points all equal the maximum
+    ``lo``, and equal points are equal welfare, so they are the argmax set.
     """
     best_lo = -inf
     kept = []
-    dropped_finite = False
+    interval_drop = False
     for a, u in walk:
         lo, hi = score(u)
         if hi >= best_lo:
-            kept.append((a, hi, tuple(u)))
+            kept.append((a, lo, hi, tuple(u)))
             if lo > best_lo:
                 best_lo = lo
-        elif hi > -inf:
-            dropped_finite = True
+        elif lo < hi:
+            interval_drop = True
     survivors = []
-    for a, hi, u in kept:
+    points = True
+    for a, lo, hi, u in kept:
         if hi >= best_lo:
             survivors.append((a, u))
-        elif hi > -inf:
-            dropped_finite = True
-    return survivors, dropped_finite
+            points = points and lo == hi
+        elif lo < hi:
+            interval_drop = True
+    return survivors, points, interval_drop
 
 
 def enumerate_maximizers(
@@ -272,37 +260,30 @@ def enumerate_maximizers(
 ) -> MaximizerSet:
     """Scan :meth:`Instance.utility_vectors` and return the full argmax set.
 
-    The maximizers come out in lexicographic assignment order.  When f's
-    values admit an exact integer order key (see the module docstring), the
-    scan compares keys and the label is ``Exact``.  Otherwise each vector is
-    bounded in floats; vectors whose upper bound falls below the best lower
-    bound are dropped, and the exact/interval comparator runs over the rest,
-    so every member and the welfare are confirmed exactly.  A dropped finite
-    vector counts as an interval decision at ``policy.start_bits`` (the label
-    is then at least ``IntervalCertified``); a dropped -inf vector counts as
-    exact.  A vector containing f = -inf loses to every finite vector and ties
-    with every other such vector, so when no assignment is finite the set is
-    all n**m of them.  After an inconclusive comparison the set may be a
-    superset of the true argmax, which the exactness flag reports.
+    The maximizers come out in lexicographic assignment order.  One scan
+    drops every vector whose bounds (see the module docstring) fall below the
+    best lower bound.  A survivor set of points (integer keys, or -inf) is the
+    argmax set as it stands; any other goes through the exact/interval
+    comparator, which confirms every member and the welfare.  A drop on
+    bounds that are not a point counts as an interval decision at
+    ``policy.start_bits`` (the label is then at least ``IntervalCertified``);
+    a drop on a point counts as exact.  When no assignment is finite, every
+    one scores ``(-inf, -inf)`` and the set is all n**m of them.  After an
+    inconclusive comparison the set may be a superset of the true argmax,
+    which the exactness flag reports.
     """
     policy = policy or PrecisionPolicy()
     if inst.n**inst.m > cap:
         raise EnumerationCapExceeded(f"{inst.n}**{inst.m} exceeds cap {cap}")
     value = _ValueCache(fn, policy.start_bits)
-    keys, score = _scoring(inst, value)
-    if keys is None:
-        survivors, dropped_finite = _bounded_survivors(inst.utility_vectors(), score)
-        best, best_value, exactness = _argmax(
-            ((a, value.welfare(u)) for a, u in survivors), policy
-        )
-        if dropped_finite and exactness.kind == "Exact":
-            exactness = Exactness("IntervalCertified", policy.start_bits)
+    survivors, points, interval_drop = _bounded_survivors(inst.utility_vectors(), _scoring(inst, value))
+    if points:
+        best, best_value = [a for a, _ in survivors], value.welfare(survivors[0][1])
+        exactness = Exactness("Exact")
     else:
-        terms, reduce, _ = keys
-        best = _keyed_argmax(inst.utility_vectors(), terms, reduce)
-        best_value, exactness = value.welfare(inst.utility_vector(best[0])), Exactness("Exact")
-        if isinstance(best_value, Infinite):
-            best = list(product(range(inst.n), repeat=inst.m))
+        best, best_value, exactness = _argmax(((a, value.welfare(u)) for a, u in survivors), policy)
+    if interval_drop and exactness.kind == "Exact":
+        exactness = Exactness("IntervalCertified", policy.start_bits)
     return MaximizerSet(tuple(Allocation(a) for a in best), best_value, exactness)
 
 
@@ -317,8 +298,8 @@ def solve_branch_bound(
     The bound adds every unassigned good to every agent simultaneously; since
     f is increasing this can only overestimate, so pruning on bound <= incumbent
     is safe.  Bounds and incumbent are scored like enumeration's vectors:
-    integer keys decide outright; float bounds decide when they do not
-    overlap, and the exact/interval comparator decides when they do.  A bound
+    bounds that do not overlap decide outright, as do overlapping points
+    (equal keys); the exact/interval comparator decides the rest.  A bound
     holding -inf is pruned, as it equals or falls below any incumbent.  The
     incumbent starts at "all goods to agent 0".  Requires strictly increasing
     f (falls back to enumeration otherwise, where ties against the flat
@@ -329,7 +310,7 @@ def solve_branch_bound(
         maxima = enumerate_maximizers(inst, fn, policy=policy)
         return maxima.allocations[0], maxima.welfare
     value = _ValueCache(fn, policy.start_bits)
-    keys, score = _scoring(inst, value)
+    score = _scoring(inst, value)
     order = sorted(
         range(inst.m),
         key=lambda g: max(inst.utilities[i][g] for i in range(inst.n)),
@@ -342,8 +323,9 @@ def solve_branch_bound(
             suffix[pos][i] = suffix[pos + 1][i] + inst.utilities[i][g]
 
     incumbent_assignment = tuple([0] * inst.m)
-    incumbent_value = welfare_of(inst, fn, Allocation(incumbent_assignment))
-    incumbent_lo, incumbent_hi = score(inst.utility_vector(incumbent_assignment))
+    incumbent_vector = inst.utility_vector(incumbent_assignment)
+    incumbent_value = value.welfare(incumbent_vector)
+    incumbent_lo, incumbent_hi = score(incumbent_vector)
     utilities = [Fraction(0)] * inst.n
     assignment = [0] * inst.m
 
@@ -356,7 +338,7 @@ def solve_branch_bound(
             return
         greater = lo > incumbent_hi
         if not greater:
-            if keys is not None:  # equal keys
+            if lo == hi == incumbent_lo == incumbent_hi:  # equal keys
                 return
             relation = compare(value.welfare(bound), incumbent_value, policy).relation
             if relation in (Relation.LESS, Relation.EQUAL):

@@ -47,6 +47,11 @@ class PrecisionPolicy:
     start_bits: int = DEFAULT_PRECISION_BITS
     ceiling_bits: int = 0  # 0 means: read the environment ceiling
 
+    def __post_init__(self):
+        # doubling never leaves 0, and a negative start only goes further down
+        if self.start_bits < 1:
+            raise ValueError(f"start_bits must be >= 1, got {self.start_bits}")
+
     def ceiling(self) -> int:
         return self.ceiling_bits if self.ceiling_bits > 0 else precision_ceiling()
 

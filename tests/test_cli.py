@@ -190,6 +190,12 @@ def test_solve_precision_flag(chain_file, capsys):
     assert json.loads(out)["exactness"] in ("Exact", "IntervalCertified")
 
 
+@pytest.mark.parametrize("bits", ["0", "-5"])
+def test_solve_rejects_precision_below_one_bit(chain_file, capsys, bits):
+    code, out, err = run(capsys, "solve", chain_file, "--welfare", "log", "--precision-bits", bits)
+    assert code == 2 and "error" in err and out == ""
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -149,7 +150,10 @@ class TestBruteForceOracle:
         "rows",
         [[[3], [1], [2]], [[1, 2], [2, 1], [1, 1]], [[0, 0, 0], [1, 2, 3]], [[1, 2], [0, 0], [4, 1]]],
     )
-    @pytest.mark.parametrize("spec", ["log", "harmonic:-1", "pmean:-1"])
+    @pytest.mark.parametrize(
+        # keyed rules, then rules scored by float bounds
+        "spec", ["log", "harmonic:-1", "pmean:-1", "combo:1*pmean:0+40*pmean:-1", "pmean:-1/2"]
+    )
     def test_every_assignment_negative_infinite(self, spec, rows):
         # more agents than goods, or an agent who values nothing: f(0) = -inf everywhere
         inst = Instance.from_rows(rows)
@@ -301,6 +305,14 @@ class TestBranchBound:
                 assert alloc in maxima
             if maxima.welfare == NEG_INF:
                 assert alloc.assignment == (0,) * inst.m
+
+    def test_welfare_at_the_policy_precision(self):
+        # harmonic values at 7/3 and 1/3 are intervals; the incumbent's welfare
+        # is evaluated at the policy's bits like every other node
+        inst = Instance.from_rows([[Fraction(7, 3), Fraction(7, 3)], [Fraction(1, 3), Fraction(1, 3)]])
+        policy = PrecisionPolicy(start_bits=64)
+        _, welfare = solve_branch_bound(inst, MHW, policy=policy)
+        assert welfare.bits == enumerate_maximizers(inst, MHW, policy=policy).welfare.bits == 64
 
     def test_single_good_goes_to_argmax_agent(self):
         # under log every one-good allocation starves someone, so use the

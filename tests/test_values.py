@@ -117,6 +117,12 @@ class TestIntervals:
         ordering = compare(lhs, rhs, policy=PrecisionPolicy(start_bits=64, ceiling_bits=128))
         assert ordering.relation is Relation.INCONCLUSIVE
 
+    @pytest.mark.parametrize("bits", [0, -5])
+    def test_start_below_one_bit_is_rejected(self, bits):
+        # a 0-bit schedule doubles to 0 forever, so compare would never return
+        with pytest.raises(ValueError):
+            PrecisionPolicy(start_bits=bits)
+
 
 class TestFloatBounds:
     @pytest.mark.parametrize(
