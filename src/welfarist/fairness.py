@@ -67,14 +67,14 @@ class ParetoResult:
 def is_pareto_optimal(inst: Instance, alloc: Allocation, budget: int = 1_000_000) -> ParetoResult:
     """Brute-force Pareto check over :meth:`Instance.utility_vectors`.
 
-    Scans at most ``budget`` assignments, in lexicographic order; if the space
-    is larger and no dominating allocation was found within the budget,
-    reports ``BudgetExceeded``.  The dominator returned is the
-    lexicographically smallest one, which makes parallel or resumed scans
-    deterministic.
+    Scans at most ``budget`` integer vectors (units of 1/``inst.scale``), in
+    lexicographic order; if the space is larger and no dominating allocation
+    was found within the budget, reports ``BudgetExceeded``.  The dominator
+    returned is the lexicographically smallest one, which makes parallel or
+    resumed scans deterministic.
     """
     alloc.validate_for(inst)
-    base = inst.utility_vector(alloc.assignment)
+    base = [int(u * inst.scale) for u in inst.utility_vector(alloc.assignment)]
     for scanned, (assignment, utilities) in enumerate(inst.utility_vectors()):
         if scanned >= budget:
             return ParetoResult("BudgetExceeded")

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 
@@ -47,6 +48,9 @@ class Instance:
     m: int
     utilities: tuple[tuple[Fraction, ...], ...]
     labels: tuple[str, ...] | None = None
+    # d, the least common denominator of the utilities (1 when there are none), and d*u
+    scale: int = field(init=False, compare=False, repr=False)
+    scaled: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -61,6 +65,9 @@ class Instance:
                     raise ParseError("negative utility")
         if self.labels is not None and len(self.labels) != self.m:
             raise ParseError("one label per good required")
+        d = lcm(*(u.denominator for row in self.utilities for u in row))
+        object.__setattr__(self, "scale", d)
+        object.__setattr__(self, "scaled", tuple(tuple(int(u * d) for u in row) for row in self.utilities))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], labels: Sequence[str] | None = None) -> "Instance":
@@ -90,17 +97,19 @@ class Instance:
             utilities[agent] += self.utilities[agent][g]
         return utilities
 
-    def utility_vectors(self) -> Iterator[tuple[tuple[int, ...], list[Fraction]]]:
+    def utility_vectors(self) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         """Every assignment vector with its utility vector, in lexicographic order.
 
         The one walk of the n**m assignment space, in the order of
-        ``itertools.product(range(n), repeat=m)``.  Each step moves only the
-        suffix of goods whose agent changed, updating one list in place: a
-        caller that keeps the utilities must copy them.
+        ``itertools.product(range(n), repeat=m)``.  Utilities are integers in
+        units of 1/``scale`` (rows of ``scaled``), which preserves every order
+        and equality.  Each step moves only the suffix of goods whose agent
+        changed, updating one list in place: a caller that keeps the
+        utilities must copy them.
         """
-        n, m, rows = self.n, self.m, self.utilities
+        n, m, rows = self.n, self.m, self.scaled
         assignment = [0] * m
-        utilities = [sum(rows[0], Fraction(0))] + [Fraction(0)] * (n - 1)
+        utilities = [sum(rows[0])] + [0] * (n - 1)
         while True:
             yield tuple(assignment), utilities
             for g in range(m - 1, -1, -1):

@@ -7,10 +7,13 @@ maximizer, and the structured two-agent split family, which shares the argmax
 loop of enumeration.  The argmax set matters because the rule breaks ties
 arbitrarily, so a guarantee about "the chosen allocation" must hold for every member.
 
-Enumeration and the depth-first search share one scoring setup
+Enumeration and the depth-first search add integer utilities in units of
+1/d, d the instance's least common denominator (``Instance.scaled``): scaling
+by d > 0 keeps every order and equality, and f sees the rational k/d only
+when its value at k is first looked up.  They share one scoring setup
 (:func:`_scoring`): f is evaluated once at every reachable bundle utility
-(the subset sums of each agent's row), and each utility vector u is scored by
-bounds ``lo <= sum_i f(u_i) <= hi``.
+(the subset sums of each agent's scaled row), and each utility vector u is
+scored by bounds ``lo <= sum_i f(u_i/d) <= hi``.
 
 - Where the finite values allow an exact integer order key, the bounds are
   the point ``(key, key)``.  The key is the sum of all-rational values, or
@@ -80,20 +83,23 @@ class MaximizerSet:
 
 
 class _ValueCache:
-    def __init__(self, fn: WelfareFunction, bits: int):
+    """f at integer utilities x in units of 1/scale, evaluated once per x."""
+
+    def __init__(self, fn: WelfareFunction, bits: int, scale: int):
         self.fn = fn
         self.bits = bits
-        self._cache: dict[Fraction, ExtendedValue] = {}
+        self.scale = scale
+        self._cache: dict[int, ExtendedValue] = {}
 
-    def __call__(self, x: Fraction) -> ExtendedValue:
+    def __call__(self, x: int) -> ExtendedValue:
         v = self._cache.get(x)
         if v is None:
-            v = self.fn.value_at(x, self.bits)
+            v = self.fn.value_at(Fraction(x, self.scale), self.bits)
             self._cache[x] = v
         return v
 
-    def welfare(self, utilities: Iterable[Fraction]) -> ExtendedValue:
-        """sum_i f(u_i) of one utility vector; -inf as soon as any f(u_i) is -inf."""
+    def welfare(self, utilities: Iterable[int]) -> ExtendedValue:
+        """sum_i f(u_i/scale) of one scaled utility vector; -inf as soon as any term is -inf."""
         return value_sum([self(u) for u in utilities])
 
 
@@ -136,19 +142,19 @@ def _argmax(
 
 
 def _order_keys(
-    values: dict[Fraction, ExtendedValue], n: int
-) -> tuple[dict[Fraction, int], Callable, int] | None:
+    values: dict[int, ExtendedValue], n: int
+) -> tuple[dict[int, int], Callable, int] | None:
     """Integer terms, their reduction (sum or product) and a floor, ordering f-sums exactly.
 
-    ``values`` maps every reachable utility to f there.  Returns ``None``
-    unless the finite values are all rational (sum of terms) or all
-    ``w*log(q)`` with one common w > 0, log 1 = 0 included (product of
-    terms).  A -inf value gets a term that puts every vector containing it
-    below the floor, which every finite vector reaches; ties among such
-    vectors are the caller's.
+    ``values`` maps every reachable scaled utility to f there, and so do the
+    terms.  Returns ``None`` unless the finite values are all rational (sum
+    of terms) or all ``w*log(q)`` with one common w > 0, log 1 = 0 included
+    (product of terms).  A -inf value gets a term that puts every vector
+    containing it below the floor, which every finite vector reaches; ties
+    among such vectors are the caller's.
     """
-    rationals: dict[Fraction, Fraction] = {}
-    logs: dict[Fraction, tuple[Fraction, Fraction]] = {}
+    rationals: dict[int, Fraction] = {}
+    logs: dict[int, tuple[Fraction, Fraction]] = {}
     for x, v in values.items():
         if isinstance(v, Infinite):
             if v.sign > 0:
@@ -178,18 +184,18 @@ def _order_keys(
 def _scoring(inst: Instance, value: _ValueCache) -> Callable:
     """Score f at every reachable bundle utility; returns ``score``.
 
-    Every subset of a row is that agent's bundle in some assignment, and every
-    branch-and-bound vector ``u + suffix`` is such a subset for each agent, so
-    these are exactly the utilities either scan looks up.  ``score(u)`` gives
-    ``(lo, hi)`` with ``lo <= sum_i f(u_i) <= hi``: the ``_order_keys`` key
-    twice where one exists, else outward-rounded doubles; ``(-inf, -inf)``
-    exactly when u holds -inf.  A finite value outside +-2**1000 makes every
-    float bound ``(-inf, inf)``, so every decision falls to the exact
-    comparator.
+    Utilities are integers in units of 1/d.  Every subset of a scaled row is
+    that agent's bundle in some assignment, and every branch-and-bound vector
+    ``u + suffix`` is such a subset for each agent, so these are exactly the
+    utilities either scan looks up.  ``score(u)`` gives ``(lo, hi)`` with
+    ``lo <= sum_i f(u_i/d) <= hi``: the ``_order_keys`` key twice where one
+    exists, else outward-rounded doubles; ``(-inf, -inf)`` exactly when u
+    holds -inf.  A finite value outside +-2**1000 makes every float bound
+    ``(-inf, inf)``, so every decision falls to the exact comparator.
     """
     reachable = set()
-    for row in inst.utilities:
-        sums = {Fraction(0)}
+    for row in inst.scaled:
+        sums = {0}
         for u in row:
             sums |= {s + u for s in sums}
         reachable |= sums
@@ -266,7 +272,7 @@ def enumerate_maximizers(
     argmax set as it stands; any other goes through the exact/interval
     comparator, which confirms every member and the welfare.  A drop on
     bounds that are not a point counts as an interval decision at
-    ``policy.start_bits`` (the label is then at least ``IntervalCertified``);
+    ``policy.start()`` (the label is then at least ``IntervalCertified``);
     a drop on a point counts as exact.  When no assignment is finite, every
     one scores ``(-inf, -inf)`` and the set is all n**m of them.  After an
     inconclusive comparison the set may be a superset of the true argmax,
@@ -275,7 +281,7 @@ def enumerate_maximizers(
     policy = policy or PrecisionPolicy()
     if inst.n**inst.m > cap:
         raise EnumerationCapExceeded(f"{inst.n}**{inst.m} exceeds cap {cap}")
-    value = _ValueCache(fn, policy.start_bits)
+    value = _ValueCache(fn, policy.start(), inst.scale)
     survivors, points, interval_drop = _bounded_survivors(inst.utility_vectors(), _scoring(inst, value))
     if points:
         best, best_value = [a for a, _ in survivors], value.welfare(survivors[0][1])
@@ -283,7 +289,7 @@ def enumerate_maximizers(
     else:
         best, best_value, exactness = _argmax(((a, value.welfare(u)) for a, u in survivors), policy)
     if interval_drop and exactness.kind == "Exact":
-        exactness = Exactness("IntervalCertified", policy.start_bits)
+        exactness = Exactness("IntervalCertified", policy.start())
     return MaximizerSet(tuple(Allocation(a) for a in best), best_value, exactness)
 
 
@@ -309,24 +315,21 @@ def solve_branch_bound(
     if not fn.strictly_increasing:
         maxima = enumerate_maximizers(inst, fn, policy=policy)
         return maxima.allocations[0], maxima.welfare
-    value = _ValueCache(fn, policy.start_bits)
+    value = _ValueCache(fn, policy.start(), inst.scale)
     score = _scoring(inst, value)
-    order = sorted(
-        range(inst.m),
-        key=lambda g: max(inst.utilities[i][g] for i in range(inst.n)),
-        reverse=True,
-    )
-    suffix = [[Fraction(0)] * inst.n for _ in range(inst.m + 1)]
+    rows = inst.scaled
+    order = sorted(range(inst.m), key=lambda g: max(row[g] for row in rows), reverse=True)
+    suffix = [[0] * inst.n for _ in range(inst.m + 1)]
     for pos in range(inst.m - 1, -1, -1):
         g = order[pos]
         for i in range(inst.n):
-            suffix[pos][i] = suffix[pos + 1][i] + inst.utilities[i][g]
+            suffix[pos][i] = suffix[pos + 1][i] + rows[i][g]
 
     incumbent_assignment = tuple([0] * inst.m)
-    incumbent_vector = inst.utility_vector(incumbent_assignment)
+    incumbent_vector = [sum(rows[0])] + [0] * (inst.n - 1)
     incumbent_value = value.welfare(incumbent_vector)
     incumbent_lo, incumbent_hi = score(incumbent_vector)
-    utilities = [Fraction(0)] * inst.n
+    utilities = [0] * inst.n
     assignment = [0] * inst.m
 
     def descend(pos: int):
@@ -351,10 +354,10 @@ def solve_branch_bound(
             return
         g = order[pos]
         for agent in range(inst.n):
-            utilities[agent] += inst.utilities[agent][g]
+            utilities[agent] += rows[agent][g]
             assignment[g] = agent
             descend(pos + 1)
-            utilities[agent] -= inst.utilities[agent][g]
+            utilities[agent] -= rows[agent][g]
 
     descend(0)
     return Allocation(incumbent_assignment), incumbent_value

@@ -55,10 +55,14 @@ class PrecisionPolicy:
     def ceiling(self) -> int:
         return self.ceiling_bits if self.ceiling_bits > 0 else precision_ceiling()
 
+    def start(self) -> int:
+        """The first precision of the schedule: ``start_bits``, capped at the ceiling."""
+        return min(self.start_bits, self.ceiling())
+
     def schedule(self) -> Iterable[int]:
-        bits = self.start_bits
+        bits = self.start()
         ceiling = self.ceiling()
-        while bits <= ceiling:
+        while 0 < bits <= ceiling:
             yield bits
             bits *= 2
 
@@ -457,7 +461,7 @@ def _enclose(value: ExtendedValue, bits: int) -> IntervalValue:
 
 def _interval_compare(left, right, policy: PrecisionPolicy) -> ValueOrdering:
     refinable = isinstance(left, ExactValue) or isinstance(right, ExactValue)
-    bits_used = policy.start_bits
+    bits_used = policy.start()
     for bits in policy.schedule():
         bits_used = bits
         l = _enclose(left, bits)

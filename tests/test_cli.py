@@ -196,6 +196,18 @@ def test_solve_rejects_precision_below_one_bit(chain_file, capsys, bits):
     assert code == 2 and "error" in err and out == ""
 
 
+def test_solve_decides_with_precision_above_the_ceiling(tmp_path, capsys, monkeypatch):
+    # two welfare values about 3e-16 apart: their float bounds overlap, so the
+    # comparator decides, at the ceiling instead of not at all
+    monkeypatch.setenv("WELFARIST_PRECISION_CEILING", "512")
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps({"agents": 2, "utilities": [["1/2"], ["5000000000000003/10000000000000000"]]}))
+    code, out, _ = run(capsys, "solve", str(path), "--welfare", "harmonic:0", "--precision-bits", "8192")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["allocations"] == [[[], [0]]] and doc["exactness"] == "IntervalCertified"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,15 +122,19 @@ class TestUtilityVectors:
     @pytest.mark.parametrize("m", [0, 1, 5])
     @pytest.mark.parametrize("kind", ["integer", "unrestricted"])
     def test_walk_matches_product_rebuild(self, n, m, kind):
+        # the walk yields integer vectors in units of 1/d, d the least common denominator
         inst = random_instance(n, m, kind, 5, seed=10 * n + m)
+        d = inst.scale
+        assert d == lcm(*(u.denominator for row in inst.utilities for u in row))
         walk = [(a, list(u)) for a, u in inst.utility_vectors()]
+        assert all(type(x) is int for _, u in walk for x in u)
         rebuilt = []
         for assignment in itertools.product(range(n), repeat=m):
             utilities = [Fraction(0)] * n
             for g, agent in enumerate(assignment):
                 utilities[agent] += inst.utilities[agent][g]
             rebuilt.append((assignment, utilities))
-        assert walk == rebuilt
+        assert walk == [(a, [d * x for x in u]) for a, u in rebuilt]
         assert all(inst.utility_vector(a) == u for a, u in rebuilt)
 
 

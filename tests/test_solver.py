@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -109,7 +110,14 @@ class TestBruteForceOracle:
         assert compare(maxima.welfare, best).relation is Relation.EQUAL
         if keyed:
             assert maxima.exactness.kind == "Exact"
-        return maxima
+        return maxima, best
+
+    def assert_first_dominators(self, inst, probes):
+        for alloc in probes:
+            expected = self.oracle_dominator(inst, alloc)
+            result = is_pareto_optimal(inst, alloc)
+            assert result.verdict == ("PO" if expected is None else "Dominated")
+            assert (result.dominator and result.dominator.assignment) == expected
 
     @staticmethod
     def oracle_dominator(inst, alloc):
@@ -129,14 +137,33 @@ class TestBruteForceOracle:
         for seed in range(40):
             rng = random.Random(seed)
             inst = random_instance(rng.randint(2, 3), rng.randint(1, 5), "integer", 4, seed=seed)
-            maxima = self.assert_oracle_argmax(inst, fn, spec in self.KEYED)
+            maxima, _ = self.assert_oracle_argmax(inst, fn, spec in self.KEYED)
             probes = [maxima.allocations[0], Allocation((0,) * inst.m)]
             probes.append(Allocation(tuple(rng.randrange(inst.n) for _ in range(inst.m))))
-            for alloc in probes:
-                expected = self.oracle_dominator(inst, alloc)
-                result = is_pareto_optimal(inst, alloc)
-                assert result.verdict == ("PO" if expected is None else "Dominated")
-                assert (result.dominator and result.dominator.assignment) == expected
+            self.assert_first_dominators(inst, probes)
+
+    @pytest.mark.parametrize("spec", ["log", "modlog:1", "pmean:1", "pmean:2", "pmean:-1", "pmean:1/2"])
+    def test_scaled_utilities(self, spec):
+        # utilities with a common denominator d > 1: seeded rationals, and
+        # pairwise coprime denominators near 1,000, where d exceeds 2**64
+        fn = parse_welfare(spec)
+        primes = [967, 971, 977, 983, 991, 997, 1009, 1013, 1019, 1021, 1031, 1033]
+        coprime = Instance.from_rows(
+            [[Fraction(200 + 61 * (4 * i + g), primes[4 * i + g]) for g in range(4)] for i in range(3)]
+        )
+        assert lcm(*(u.denominator for row in coprime.utilities for u in row)) > 2**64
+        instances = [coprime]
+        for seed in range(30):
+            rng = random.Random(seed)
+            instances.append(random_instance(rng.randint(2, 3), rng.randint(1, 5), "unrestricted", 4, seed=seed))
+        rng = random.Random(spec)
+        for inst in instances:
+            maxima, best = self.assert_oracle_argmax(inst, fn, spec in self.KEYED)
+            _, welfare = solve_branch_bound(inst, fn)
+            assert compare(welfare, best).relation is Relation.EQUAL
+            probes = [maxima.allocations[0], Allocation((0,) * inst.m)]
+            probes.append(Allocation(tuple(rng.randrange(inst.n) for _ in range(inst.m))))
+            self.assert_first_dominators(inst, probes)
 
     @pytest.mark.parametrize("spec", ["log", "modlog:1/2"])
     def test_rational_utilities(self, spec):
@@ -157,7 +184,7 @@ class TestBruteForceOracle:
     def test_every_assignment_negative_infinite(self, spec, rows):
         # more agents than goods, or an agent who values nothing: f(0) = -inf everywhere
         inst = Instance.from_rows(rows)
-        maxima = self.assert_oracle_argmax(inst, parse_welfare(spec), keyed=True)
+        maxima, _ = self.assert_oracle_argmax(inst, parse_welfare(spec), keyed=True)
         assert len(maxima.allocations) == inst.n**inst.m
 
 

@@ -123,6 +123,12 @@ class TestIntervals:
         with pytest.raises(ValueError):
             PrecisionPolicy(start_bits=bits)
 
+    def test_start_above_the_ceiling_evaluates_at_the_ceiling(self):
+        policy = PrecisionPolicy(start_bits=8192)
+        assert list(policy.schedule()) == [policy.ceiling()]
+        ordering = compare(ExactValue.from_log(2), Fraction(6931471805599453, 10**16), policy)
+        assert (ordering.relation, ordering.bits) == (Relation.GREATER, policy.ceiling())
+
 
 class TestFloatBounds:
     @pytest.mark.parametrize(
