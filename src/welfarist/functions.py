@@ -32,6 +32,10 @@ from .values import (
 _RAT = r"-?\d+(?:\.\d+)?(?:/\d+)?"
 
 _EULER_GAMMA = 0.5772156649015329
+# steps of one exact digamma recurrence in ModHarmonic.values_at: each step
+# multiplies a growing numerator and denominator by one more term, so a chain
+# costs the square of its length, and a longer one starts again at a digamma
+_RECURRENCE_SPAN = 64
 
 
 def _fraction(text) -> Fraction:
@@ -83,6 +87,13 @@ class WelfareFunction(ABC):
         The one float model of the family: prescreens read f only through it
         and trust it only to ``table_error_bound``.
         """
+
+    def values_at(self, xs: Sequence[Fraction], bits: int = DEFAULT_PRECISION_BITS) -> list[ExtendedValue]:
+        """``[value_at(x, bits) for x in xs]`` for rational (int or Fraction) xs.
+
+        A family may override it to share work across the batch.
+        """
+        return [self.value_at(x, bits) for x in xs]
 
     def table_error_bound(self, upto: int) -> float:
         """Absolute error bound of ``approx_array`` at arguments up to ``upto``."""
@@ -189,14 +200,64 @@ class ModHarmonic(WelfareFunction):
             terms = paired
         return terms[0]
 
+    def values_at(self, xs, bits=DEFAULT_PRECISION_BITS):
+        """``value_at`` at every x, with one digamma per fractional part.
+
+        A non-integer x with y = x+c+1 >= 1 is grouped by the fractional part
+        r of y, and psi(q+r) = psi(p+r) + sum_{j=p..q-1} 1/(r+j) for p <= q:
+        one digamma at the group's smallest q, then an exact rational prefix
+        sum over the members sorted by q, started afresh ``_RECURRENCE_SPAN``
+        steps on.  Integer x and y < 1 go to ``value_at``.  The intervals are
+        built as ``_digamma_interval`` builds them.
+        """
+        out = [None] * len(xs)
+        groups: dict[Fraction, list] = {}
+        for i, x in enumerate(xs):
+            if x.denominator > 1 and x > 0:
+                q, r = divmod(x + self.c + 1, 1)
+                if q >= 1:
+                    groups.setdefault(r, []).append((q, i, x))
+                    continue
+            out[i] = self.value_at(x, bits)
+        if not groups:
+            return out
+        vals = []
+        with mpmath.workprec(bits + 16):
+            shift = self._digamma_shift()
+            for r, members in groups.items():
+                a, b = r.numerator, r.denominator
+                start = None
+                for q, i, x in sorted(members):
+                    if start is None or q - start > _RECURRENCE_SPAN:
+                        start = last = q
+                        num, den = 0, 1  # the sum of 1/(r+j) over start <= j < q
+                        psi = mpmath.digamma(self._digamma_arg(x)) + shift
+                    for j in range(last, q):
+                        t = a + j * b
+                        num, den = num * t + den * b, den * t
+                    last = q
+                    val = psi + mpmath.mpf(num) / den
+                    vals.append((i, val, mpmath.ldexp(abs(val) + 1, -(bits + 4))))
+        for i, val, err in vals:
+            out[i] = IntervalValue(val - err, val + err, bits)
+        return out
+
+    def _digamma_arg(self, x: Fraction):
+        """y = x+c+1 (x when c = -1) at the working precision."""
+        xf = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+        if self.c == -1:
+            return xf
+        return xf + mpmath.mpf(self.c.numerator) / mpmath.mpf(self.c.denominator) + 1
+
+    def _digamma_shift(self):
+        """h_c(x) - psi(y) at the working precision: gamma when c = -1, else -psi(c+1)."""
+        if self.c == -1:
+            return +mpmath.euler
+        return -mpmath.digamma(mpmath.mpf(self.c.numerator) / mpmath.mpf(self.c.denominator) + 1)
+
     def _digamma_interval(self, x: Fraction, bits: int) -> IntervalValue:
         with mpmath.workprec(bits + 16):
-            xf = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-            if self.c == -1:
-                val = mpmath.digamma(xf) + mpmath.euler
-            else:
-                c = mpmath.mpf(self.c.numerator) / mpmath.mpf(self.c.denominator)
-                val = mpmath.digamma(xf + c + 1) - mpmath.digamma(c + 1)
+            val = mpmath.digamma(self._digamma_arg(x)) + self._digamma_shift()
             err = mpmath.ldexp(abs(val) + 1, -(bits + 4))
         return IntervalValue(val - err, val + err, bits)
 
@@ -279,13 +340,12 @@ class LinearCombo(WelfareFunction):
         self.terms = tuple(parsed)
 
     def value_at(self, x, bits=DEFAULT_PRECISION_BITS):
-        parts = []
-        for w, fn in self.terms:
-            v = fn.value_at(x, bits)
-            if isinstance(v, Infinite):
-                return v  # weights are positive
-            parts.append(v.scale(w) if isinstance(v, ExactValue) else _scale_interval(v, w))
-        return value_sum(parts)
+        return _weighted_sum((w, fn.value_at(x, bits)) for w, fn in self.terms)
+
+    def values_at(self, xs, bits=DEFAULT_PRECISION_BITS):
+        weights = [w for w, _ in self.terms]
+        columns = [fn.values_at(xs, bits) for _, fn in self.terms]
+        return [_weighted_sum(zip(weights, row)) for row in zip(*columns)]
 
     def label(self):
         return "combo:" + "+".join(f"{w}*{fn.label()}" for w, fn in self.terms)
@@ -357,6 +417,16 @@ class PiecewiseTable(WelfareFunction):
 
     def approx_array(self, xs):
         return np.array([float(self.value_at(Fraction(x)).as_fraction()) for x in xs])
+
+
+def _weighted_sum(terms) -> ExtendedValue:
+    """sum w*v over (w, v) pairs with w > 0; the first infinite v is the sum."""
+    parts = []
+    for w, v in terms:
+        if isinstance(v, Infinite):
+            return v
+        parts.append(v.scale(w) if isinstance(v, ExactValue) else _scale_interval(v, w))
+    return value_sum(parts)
 
 
 def _scale_interval(v: IntervalValue, w: Fraction) -> IntervalValue:

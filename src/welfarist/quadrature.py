@@ -42,9 +42,14 @@ class QuadratureError(RuntimeError):
     """The requested tolerance was not reached within the refinement budget."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _legendre_nodes(order: int, prec: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] by Newton iteration."""
+    """Gauss-Legendre nodes and weights on [-1, 1] by Newton iteration.
+
+    The precision grows with the tolerance and with the exponents'
+    denominator, so the cache keeps only the 16 most recent (order, prec)
+    tables: eight precisions of the GL(12)/GL(24) pair.
+    """
     with mpmath.workprec(prec):
         nodes, weights = [], []
         for i in range(1, order + 1):

@@ -30,6 +30,13 @@ each vector whose ``hi`` is below another's ``lo``; a drop on bounds that are
 not a point is an interval decision.  Equal points are equal welfare, so a
 survivor set of points is the argmax set as it stands; any other goes through
 the exact/interval comparator, which confirms every maximizer and every tie.
+
+The scan reads f at double precision (``SCAN_BITS``, what the float bounds
+need), in one :meth:`~welfarist.functions.WelfareFunction.values_at` batch.
+Exact values hold at every precision; an interval value is evaluated again at
+``policy.start()`` only for the welfare the comparator reads -- the
+survivors', and the two sides of a branch-and-bound comparison -- so a high
+``start_bits`` costs only there.
 """
 
 from __future__ import annotations
@@ -47,8 +54,10 @@ from .values import (
     ExactValue,
     ExtendedValue,
     Infinite,
+    IntervalValue,
     PrecisionPolicy,
     Relation,
+    SCAN_BITS,
     compare,
     float_bounds,
     value_sum,
@@ -83,7 +92,14 @@ class MaximizerSet:
 
 
 class _ValueCache:
-    """f at integer utilities x in units of 1/scale, evaluated once per x."""
+    """f at integer utilities x in units of 1/scale, at ``bits`` once per x.
+
+    ``scan`` evaluates a batch at ``SCAN_BITS``, enough for the float
+    bounds.  Exact and infinite values hold at every precision and are kept
+    for ``bits`` too; an interval is evaluated again at ``bits`` only when a
+    welfare sum reads it (``fill``, one batch per read).  ``_cache`` holds
+    the values at ``bits``.
+    """
 
     def __init__(self, fn: WelfareFunction, bits: int, scale: int):
         self.fn = fn
@@ -91,15 +107,29 @@ class _ValueCache:
         self.scale = scale
         self._cache: dict[int, ExtendedValue] = {}
 
-    def __call__(self, x: int) -> ExtendedValue:
-        v = self._cache.get(x)
-        if v is None:
-            v = self.fn.value_at(Fraction(x, self.scale), self.bits)
-            self._cache[x] = v
-        return v
+    def _values_at(self, xs: list[int], bits: int) -> list[ExtendedValue]:
+        return self.fn.values_at([Fraction(x, self.scale) for x in xs], bits)
 
-    def welfare(self, utilities: Iterable[int]) -> ExtendedValue:
-        """sum_i f(u_i/scale) of one scaled utility vector; -inf as soon as any term is -inf."""
+    def scan(self, xs: Iterable[int]) -> dict[int, ExtendedValue]:
+        """f at every x at ``SCAN_BITS``."""
+        xs = list(xs)
+        values = dict(zip(xs, self._values_at(xs, SCAN_BITS)))
+        self._cache.update((x, v) for x, v in values.items() if not isinstance(v, IntervalValue))
+        return values
+
+    def fill(self, xs: Iterable[int]) -> None:
+        """Evaluate, in one batch at ``bits``, every x not held yet."""
+        missing = list({x for x in xs if x not in self._cache})
+        if missing:
+            self._cache.update(zip(missing, self._values_at(missing, self.bits)))
+
+    def __call__(self, x: int) -> ExtendedValue:
+        """f(x/scale) at ``bits``, once ``scan`` or ``fill`` has evaluated it."""
+        return self._cache[x]
+
+    def welfare(self, utilities: list[int]) -> ExtendedValue:
+        """sum_i f(u_i/scale) of one scaled utility vector at ``bits``; -inf as soon as any term is -inf."""
+        self.fill(utilities)
         return value_sum([self(u) for u in utilities])
 
 
@@ -187,11 +217,12 @@ def _scoring(inst: Instance, value: _ValueCache) -> Callable:
     Utilities are integers in units of 1/d.  Every subset of a scaled row is
     that agent's bundle in some assignment, and every branch-and-bound vector
     ``u + suffix`` is such a subset for each agent, so these are exactly the
-    utilities either scan looks up.  ``score(u)`` gives ``(lo, hi)`` with
-    ``lo <= sum_i f(u_i/d) <= hi``: the ``_order_keys`` key twice where one
-    exists, else outward-rounded doubles; ``(-inf, -inf)`` exactly when u
-    holds -inf.  A finite value outside +-2**1000 makes every float bound
-    ``(-inf, inf)``, so every decision falls to the exact comparator.
+    utilities either scan looks up, and f is read there at ``SCAN_BITS``.
+    ``score(u)`` gives ``(lo, hi)`` with ``lo <= sum_i f(u_i/d) <= hi``: the
+    ``_order_keys`` key twice where one exists, else outward-rounded doubles;
+    ``(-inf, -inf)`` exactly when u holds -inf.  A finite value outside
+    +-2**1000 makes every float bound ``(-inf, inf)``, so every decision
+    falls to the exact comparator.
     """
     reachable = set()
     for row in inst.scaled:
@@ -199,7 +230,7 @@ def _scoring(inst: Instance, value: _ValueCache) -> Callable:
         for u in row:
             sums |= {s + u for s in sums}
         reachable |= sums
-    values = {x: value(x) for x in reachable}
+    values = value.scan(reachable)
     keys = _order_keys(values, inst.n)
     if keys is not None:
         terms, reduce, floor = keys
@@ -287,6 +318,7 @@ def enumerate_maximizers(
         best, best_value = [a for a, _ in survivors], value.welfare(survivors[0][1])
         exactness = Exactness("Exact")
     else:
+        value.fill(x for _, u in survivors for x in u)
         best, best_value, exactness = _argmax(((a, value.welfare(u)) for a, u in survivors), policy)
     if interval_drop and exactness.kind == "Exact":
         exactness = Exactness("IntervalCertified", policy.start())
@@ -327,13 +359,12 @@ def solve_branch_bound(
 
     incumbent_assignment = tuple([0] * inst.m)
     incumbent_vector = [sum(rows[0])] + [0] * (inst.n - 1)
-    incumbent_value = value.welfare(incumbent_vector)
     incumbent_lo, incumbent_hi = score(incumbent_vector)
     utilities = [0] * inst.n
     assignment = [0] * inst.m
 
     def descend(pos: int):
-        nonlocal incumbent_assignment, incumbent_value, incumbent_lo, incumbent_hi
+        nonlocal incumbent_assignment, incumbent_vector, incumbent_lo, incumbent_hi
         # the suffix of a leaf is empty, so its bound is its welfare
         bound = list(map(add, utilities, suffix[pos]))
         lo, hi = score(bound)
@@ -343,13 +374,13 @@ def solve_branch_bound(
         if not greater:
             if lo == hi == incumbent_lo == incumbent_hi:  # equal keys
                 return
-            relation = compare(value.welfare(bound), incumbent_value, policy).relation
+            relation = compare(value.welfare(bound), value.welfare(incumbent_vector), policy).relation
             if relation in (Relation.LESS, Relation.EQUAL):
                 return
             greater = relation is Relation.GREATER
         if pos == inst.m:
             if greater:
-                incumbent_assignment, incumbent_value = tuple(assignment), value.welfare(bound)
+                incumbent_assignment, incumbent_vector = tuple(assignment), bound
                 incumbent_lo, incumbent_hi = lo, hi
             return
         g = order[pos]
@@ -360,7 +391,7 @@ def solve_branch_bound(
             utilities[agent] -= rows[agent][g]
 
     descend(0)
-    return Allocation(incumbent_assignment), incumbent_value
+    return Allocation(incumbent_assignment), value.welfare(incumbent_vector)
 
 
 def chosen_all_ef1(

@@ -29,6 +29,8 @@ from typing import Iterable, Sequence, Union
 import mpmath
 
 DEFAULT_PRECISION_BITS = 256
+# the precision of the enclosures behind float_bounds, and so of the solver's scan
+SCAN_BITS = 64
 PRECISION_CEILING_ENV = "WELFARIST_PRECISION_CEILING"
 
 _GUARD_BITS = 24
@@ -360,8 +362,8 @@ def evaluate_interval(value: ExactValue, bits: int) -> IntervalValue:
 def float_bounds(value: ExtendedValue) -> tuple[float, float]:
     """Doubles ``lo <= value <= hi``, each rounded outward by one ulp.
 
-    Rationals round from the exact fraction, logs and surds from a 64-bit
-    :func:`evaluate_interval`, intervals from their own ends.  A rational
+    Rationals round from the exact fraction, logs and surds from a
+    ``SCAN_BITS`` :func:`evaluate_interval`, intervals from their own ends.  A rational
     beyond the double range rounds to an infinity, which the widening turns
     into the largest finite double on the inner side.  A true infinity maps
     to itself on both sides: ``nextafter(-inf, inf)`` is a finite number.
@@ -375,7 +377,7 @@ def float_bounds(value: ExtendedValue) -> tuple[float, float]:
         except OverflowError:
             lo = hi = math.inf if value.rational > 0 else -math.inf
     else:
-        enclosure = _enclose(value, 64)
+        enclosure = _enclose(value, SCAN_BITS)
         lo, hi = float(enclosure.lo), float(enclosure.hi)
     return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from welfarist.functions import (
     LinearCombo,
@@ -22,6 +23,8 @@ from welfarist.values import (
     NEG_INF,
     POS_INF,
     ExactValue,
+    Infinite,
+    IntervalValue,
     Relation,
     compare,
     value_sum,
@@ -264,3 +267,66 @@ def test_float_model_within_its_error_bound(spec):
             assert approx == -np.inf, x
         else:
             assert abs(mpmath.mpf(float(approx)) - want) <= bound, x
+
+
+_SHIFTS = ["-1", "-3/4", "0", "1/2", "3"]
+_FAMILIES = (
+    [f"harmonic:{c}" for c in _SHIFTS]
+    + [f"modlog:{c}" for c in _SHIFTS if Fraction(c) >= 0]
+    + ["log", "pmean:-1", "pmean:2", "pmean:1/3", "pmean:-3/4"]
+    + ["combo:1*pmean:0+40*pmean:-1", "combo:2*harmonic:-3/4+1*pmean:1/3", "combo:1*harmonic:1/2+3*log"]
+)
+
+
+@st.composite
+def _batches(draw, max_denominator):
+    """Arguments sharing fractional parts (x + k for a few x), integers, and small x (y < 1 at c < 0)."""
+    fractions = st.fractions(min_value=0, max_value=6, max_denominator=max_denominator)
+    bases = draw(st.lists(fractions, min_size=1, max_size=4))
+    steps = draw(st.lists(st.integers(0, 40), max_size=6))
+    xs = bases + [x + k for x in bases for k in steps] + draw(st.lists(st.integers(0, 40), max_size=3))
+    return draw(st.permutations(xs))
+
+
+def _same_value(batched, single):
+    if isinstance(single, IntervalValue):
+        return isinstance(batched, IntervalValue) and (batched.lo, batched.hi, batched.bits) == (
+            single.lo, single.hi, single.bits
+        )
+    if isinstance(single, Infinite):
+        return batched == single
+    return isinstance(batched, ExactValue) and batched == single
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(_FAMILIES + ["pmean:1/2", "table"]),
+    st.sampled_from([53, 64, 256]),
+    st.data(),
+)
+def test_values_at_matches_value_at(spec, bits, data):
+    """The batch kernel gives value_at's value at every point: equal exact
+    values and infinities, intervals with the same ends and bits."""
+    if spec == "table":
+        fn = PiecewiseTable([0, 1, 3], [2, 0, 1])
+    else:
+        fn = parse_welfare(spec)
+    # square_free_split factors numerator*denominator by trial division
+    max_denominator = 2**12 if spec == "pmean:1/2" else 2**70
+    xs = data.draw(_batches(max_denominator))
+    batched = fn.values_at(xs, bits)
+    assert len(batched) == len(xs)
+    for x, v in zip(xs, batched):
+        assert _same_value(v, fn.value_at(Fraction(x), bits)), (x, v)
+
+
+def test_harmonic_batch_takes_one_digamma_per_fractional_part(monkeypatch):
+    calls = []
+    digamma = mpmath.digamma
+    monkeypatch.setattr(mpmath, "digamma", lambda y: calls.append(y) or digamma(y))
+    fn = ModHarmonic(Fraction(1, 2))
+    # 40 non-integer x; y = x + 3/2 has fractional part 5/6 or 1/6 there
+    xs = [Fraction(k, 3) for k in range(1, 60)]
+    assert [_same_value(v, fn.value_at(x)) for x, v in zip(xs, fn.values_at(xs))] == [True] * len(xs)
+    # two per non-integer x in value_at; one per fractional part and one psi(c+1) in the batch
+    assert len(calls) == 2 * 40 + 2 + 1

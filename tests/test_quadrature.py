@@ -118,3 +118,13 @@ def test_fractional_powers_need_no_refinement(monkeypatch):
         calls.clear()
         harmonic_integral(c, x, 1e-9)
         assert len(calls) <= 4, (c, x, len(calls))
+
+
+def test_node_tables_stay_bounded():
+    # each denominator 2**k + 1 starts one more graded panel, at one more bit
+    # of precision, so every integral here needs two new node tables
+    for k in range(3, 13):
+        x = 1 + Fraction(1, 2**k + 1)
+        iv = harmonic_integral(0, x, 1e-9)
+        assert iv.lo <= ModHarmonic(0).value_at(x, 128).midpoint() <= iv.hi
+        assert quadrature._legendre_nodes.cache_info().currsize <= 16

@@ -3,10 +3,12 @@
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
+import mpmath
 import pytest
 
+from welfarist import solver
 from welfarist.constructions import (
     chain_instance,
     chain_positive_allocation,
@@ -24,7 +26,15 @@ from welfarist.solver import (
     split_family_argmax,
     welfare_of,
 )
-from welfarist.values import NEG_INF, IntervalValue, PrecisionPolicy, Relation, compare
+from welfarist.values import (
+    DEFAULT_PRECISION_BITS,
+    NEG_INF,
+    SCAN_BITS,
+    IntervalValue,
+    PrecisionPolicy,
+    Relation,
+    compare,
+)
 
 LOG = parse_welfare("log")
 MHW = parse_welfare("harmonic:0")
@@ -347,6 +357,76 @@ class TestBranchBound:
         inst = Instance.from_rows([[2], [5]])
         alloc, _ = solve_branch_bound(inst, MHW)
         assert alloc.assignment == (1,)
+
+
+class TestLazyPrecision:
+    """The scan reads f at SCAN_BITS, one digamma per fractional part of the
+    argument; the policy's bits go only to the welfare sums that are read."""
+
+    INST = random_instance(3, 7, "unrestricted", 5, seed=3)
+    # harmonic values are computed 16 bits above the requested precision
+    SCAN, START = SCAN_BITS + 16, DEFAULT_PRECISION_BITS + 16
+
+    @staticmethod
+    def fractional_part(x: Fraction) -> Fraction:
+        return x - floor(x)
+
+    def residues(self, utilities) -> set[Fraction]:
+        """Fractional parts of the digamma arguments x + 1 at the non-integer x = u/d."""
+        return {self.fractional_part(Fraction(u, self.INST.scale)) for u in utilities} - {0}
+
+    def digamma_calls(self, monkeypatch) -> list[tuple[int, Fraction]]:
+        """Record (working precision, fractional part of the argument) per digamma call."""
+        calls = []
+        digamma = mpmath.digamma
+
+        def counted(y):
+            calls.append((mpmath.mp.prec, self.fractional_part(Fraction(float(y)).limit_denominator(10**6))))
+            return digamma(y)
+
+        monkeypatch.setattr(mpmath, "digamma", counted)
+        return calls
+
+    def reachable(self) -> set[int]:
+        sums = set()
+        for row in self.INST.scaled:
+            subset_sums = {0}
+            for u in row:
+                subset_sums |= {s + u for s in subset_sums}
+            sums |= subset_sums
+        return sums
+
+    def test_enumeration(self, monkeypatch):
+        score = solver._scoring(self.INST, solver._ValueCache(MHW, DEFAULT_PRECISION_BITS, self.INST.scale))
+        survivors, _, _ = solver._bounded_survivors(self.INST.utility_vectors(), score)
+        read = self.residues(x for _, u in survivors for x in u)
+        calls = self.digamma_calls(monkeypatch)
+        enumerate_maximizers(self.INST, MHW)
+        scan = [r for bits, r in calls if bits == self.SCAN]
+        start = [r for bits, r in calls if bits == self.START]
+        assert len(scan) + len(start) == len(calls)
+        assert 0 < len(scan) <= len(self.residues(self.reachable())) + 1
+        # psi(c+1) = psi(1) has fractional part 0
+        assert set(start) <= read | {0}
+        assert len(start) <= len(read) + 1
+
+    def test_branch_and_bound(self, monkeypatch):
+        reads = []  # the utility vectors whose welfare the search reads
+        welfare = solver._ValueCache.welfare
+
+        def recorded(cache, utilities):
+            reads.append(list(utilities))
+            return welfare(cache, utilities)
+
+        monkeypatch.setattr(solver._ValueCache, "welfare", recorded)
+        calls = self.digamma_calls(monkeypatch)
+        solve_branch_bound(self.INST, MHW)
+        scan = [r for bits, r in calls if bits == self.SCAN]
+        start = [r for bits, r in calls if bits == self.START]
+        assert len(scan) + len(start) == len(calls)
+        assert 0 < len(scan) <= len(self.residues(self.reachable())) + 1
+        assert set(start) <= set().union(*map(self.residues, reads)) | {0}
+        assert len(start) <= sum(len(self.residues(u)) + 1 for u in reads)
 
 
 class TestChosenAllEf1:
