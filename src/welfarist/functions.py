@@ -203,12 +203,15 @@ class ModHarmonic(WelfareFunction):
     def values_at(self, xs, bits=DEFAULT_PRECISION_BITS):
         """``value_at`` at every x, with one digamma per fractional part.
 
-        A non-integer x with y = x+c+1 >= 1 is grouped by the fractional part
-        r of y, and psi(q+r) = psi(p+r) + sum_{j=p..q-1} 1/(r+j) for p <= q:
-        one digamma at the group's smallest q, then an exact rational prefix
-        sum over the members sorted by q, started afresh ``_RECURRENCE_SPAN``
-        steps on.  Integer x and y < 1 go to ``value_at``.  The intervals are
-        built as ``_digamma_interval`` builds them.
+        A non-integer x with y = x+c+1 = q+r >= 1 is grouped by the fractional
+        part r of y, and psi(q+r) = psi(p+r) + sum_{j=p..q-1} 1/(r+j) for
+        p <= q: one digamma at the group's smallest q, then an exact rational
+        prefix sum over the members sorted by q, started afresh
+        ``_RECURRENCE_SPAN`` steps on.  Integer x and y < 1 go to ``value_at``:
+        a chain from q = 0 would add the sum to psi(r) ~ -1/r and lose up to
+        log2(1/r) bits to cancellation, so its ends could differ from
+        ``value_at``'s.  The intervals are built as ``_digamma_interval``
+        builds them.
         """
         out = [None] * len(xs)
         groups: dict[Fraction, list] = {}
@@ -340,12 +343,13 @@ class LinearCombo(WelfareFunction):
         self.terms = tuple(parsed)
 
     def value_at(self, x, bits=DEFAULT_PRECISION_BITS):
-        return _weighted_sum((w, fn.value_at(x, bits)) for w, fn in self.terms)
-
-    def values_at(self, xs, bits=DEFAULT_PRECISION_BITS):
-        weights = [w for w, _ in self.terms]
-        columns = [fn.values_at(xs, bits) for _, fn in self.terms]
-        return [_weighted_sum(zip(weights, row)) for row in zip(*columns)]
+        parts = []
+        for w, fn in self.terms:
+            v = fn.value_at(x, bits)
+            if isinstance(v, Infinite):
+                return v  # weights are positive
+            parts.append(v.scale(w) if isinstance(v, ExactValue) else _scale_interval(v, w))
+        return value_sum(parts)
 
     def label(self):
         return "combo:" + "+".join(f"{w}*{fn.label()}" for w, fn in self.terms)
@@ -417,16 +421,6 @@ class PiecewiseTable(WelfareFunction):
 
     def approx_array(self, xs):
         return np.array([float(self.value_at(Fraction(x)).as_fraction()) for x in xs])
-
-
-def _weighted_sum(terms) -> ExtendedValue:
-    """sum w*v over (w, v) pairs with w > 0; the first infinite v is the sum."""
-    parts = []
-    for w, v in terms:
-        if isinstance(v, Infinite):
-            return v
-        parts.append(v.scale(w) if isinstance(v, ExactValue) else _scale_interval(v, w))
-    return value_sum(parts)
 
 
 def _scale_interval(v: IntervalValue, w: Fraction) -> IntervalValue:

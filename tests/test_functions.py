@@ -283,7 +283,8 @@ def _batches(draw, max_denominator):
     """Arguments sharing fractional parts (x + k for a few x), integers, and small x (y < 1 at c < 0)."""
     fractions = st.fractions(min_value=0, max_value=6, max_denominator=max_denominator)
     bases = draw(st.lists(fractions, min_size=1, max_size=4))
-    steps = draw(st.lists(st.integers(0, 40), max_size=6))
+    # steps up to 200 reach past the 64-step span at which a digamma chain restarts
+    steps = draw(st.lists(st.integers(0, 200), max_size=6))
     xs = bases + [x + k for x in bases for k in steps] + draw(st.lists(st.integers(0, 40), max_size=3))
     return draw(st.permutations(xs))
 
@@ -330,3 +331,17 @@ def test_harmonic_batch_takes_one_digamma_per_fractional_part(monkeypatch):
     assert [_same_value(v, fn.value_at(x)) for x, v in zip(xs, fn.values_at(xs))] == [True] * len(xs)
     # two per non-integer x in value_at; one per fractional part and one psi(c+1) in the batch
     assert len(calls) == 2 * 40 + 2 + 1
+
+
+def test_harmonic_batch_restarts_long_chains(monkeypatch):
+    calls = []
+    digamma = mpmath.digamma
+    monkeypatch.setattr(mpmath, "digamma", lambda y: calls.append(y) or digamma(y))
+    fn = ModHarmonic(Fraction(-3, 4))
+    # y = x + 1/4 = q + 3/8 for q = 1, 4, ..., 199: one fractional part, 67 points
+    xs = [Fraction(1, 8) + k for k in range(1, 200, 3)]
+    batched = fn.values_at(xs, 256)
+    # chains start at q = 1, 67, 133 and 199, each more than 64 steps past
+    # the last start; and one psi(c+1)
+    assert len(calls) == 4 + 1
+    assert [_same_value(v, fn.value_at(x, 256)) for x, v in zip(xs, batched)] == [True] * len(xs)
