@@ -73,6 +73,8 @@ class ConditionId(enum.Enum):
 
 
 REAL_CONDITIONS = {ConditionId.C1, ConditionId.C1A, ConditionId.C2}
+# the conditions Delta_l(b) > Delta_k(a) over block pairs (l, k)
+_BLOCK_PAIR_CONDITIONS = {ConditionId.C1, ConditionId.C3, ConditionId.C3A, ConditionId.C4}
 
 DEFAULT_REAL_GRID = tuple(Fraction(j, 4) for j in range(1, 41))
 
@@ -159,21 +161,19 @@ def condition_inequalities(
     """The (lhs, rhs) pairs the condition relates at one tuple: lhs > rhs for
     every condition but C1a, whose one pair must be equal."""
     w = witness
-    if cond is ConditionId.C1 or cond is ConditionId.C3:
-        return [(delta(fn, w["k"], w["b"]), delta(fn, w["k"] + 1, w["a"]))]
+    if cond in _BLOCK_PAIR_CONDITIONS:
+        # Delta_l(b) > Delta_k(a), with k = l + 1 except in C3a, and a = b = 1 in C4
+        l, k = (w["l"], w["k"]) if cond is ConditionId.C3A else (w["k"], w["k"] + 1)
+        return [(delta(fn, l, w.get("b", 1)), delta(fn, k, w.get("a", 1)))]
     if cond is ConditionId.C1A:
         return [(delta(fn, w["k"], w["x"]), delta(fn, w["k"], w["y"]))]
     if cond is ConditionId.C2:
         lhs = value_sum([fn.value_at(Fraction(w["a"])), fn.value_at(Fraction(w["b"]))])
         rhs = value_sum([fn.value_at(Fraction(w["c"])), fn.value_at(Fraction(w["d"]))])
         return [(rhs, lhs)]  # rhs > lhs is what the condition asserts
-    if cond is ConditionId.C3A:
-        return [(delta(fn, w["l"], w["b"]), delta(fn, w["k"], w["a"]))]
     if cond is ConditionId.C3B:
         mid = delta(fn, w["k"] + 1, w["a"])
         return [(delta(fn, w["k"], 1), mid), (mid, delta(fn, w["k"] + 2, 1))]
-    if cond is ConditionId.C4:
-        return [(delta(fn, w["k"], 1), delta(fn, w["k"] + 1, 1))]
     if cond is ConditionId.C5:
         base = w["l"] * w["b"] + w["r"] * w["a"]
         mid = delta(fn, w["k"] + 1, w["a"])
@@ -289,19 +289,33 @@ def _ranks(values) -> np.ndarray:
     return np.array([rank[v] for v in values])
 
 
-# tuple order (k, a, b) over the grid.  f is read once, at the floats nearest
-# the exact arguments k*x; that rounding (relative 2^-53) sits far inside the
-# margin.
+def _block_pairs(fn, pairs, a_xs, b_xs):
+    """(l, k, a, b) where Delta_l(b) > Delta_k(a) is not cleared: pair by pair,
+    then a, then b, each in the given order.
+
+    f is read once, at the floats nearest the exact arguments j*x; that
+    rounding (relative 2^-53) sits far inside the margin.
+    """
+    xs = sorted(set(a_xs) | set(b_xs))
+    top = max(map(max, pairs)) + 1  # the largest multiple j read
+    table = _approx(fn, [float(j * x) for j in range(top + 1) for x in xs]).reshape(top + 1, len(xs))
+    margin = _margin(fn, math.ceil(top * xs[-1]))
+    with np.errstate(invalid="ignore"):
+        blocks = np.diff(table, axis=0)  # blocks[k, i] = Delta_k(xs[i])
+    column = {x: i for i, x in enumerate(xs)}
+    a_cols = [column[x] for x in a_xs]
+    b_cols = [column[x] for x in b_xs]
+    for l, k in pairs:
+        for ai, bi in _cells(_suspect(blocks[l, b_cols][None, :], blocks[k, a_cols][:, None], margin)):
+            yield l, k, a_xs[ai], b_xs[bi]
+
+
+# tuple order (k, a, b) over the grid
 def _suspects_c1(fn, bounds):
     grid = sorted(bounds.real_grid)
-    args = [float(k * x) for k in range(bounds.k_max + 3) for x in grid]
-    table = _approx(fn, args).reshape(bounds.k_max + 3, len(grid))
-    margin = _margin(fn, math.ceil((bounds.k_max + 2) * grid[-1]))
-    with np.errstate(invalid="ignore"):
-        blocks = np.diff(table, axis=0)  # blocks[k, i] = Delta_k(grid[i])
-    for k in range(bounds.k_max + 1):
-        for ai, bi in _cells(_suspect(blocks[k][None, :], blocks[k + 1][:, None], margin)):
-            yield {"k": k, "a": grid[ai], "b": grid[bi]}
+    pairs = [(k, k + 1) for k in range(bounds.k_max + 1)]
+    for k, _, a, b in _block_pairs(fn, pairs, grid, grid):
+        yield {"k": k, "a": a, "b": b}
 
 
 # tuple order (k, x, y) with x < y: constancy of Delta_k on the grid, k >= 1.
@@ -338,33 +352,16 @@ def _suspects_c2(fn, bounds):
 
 # tuple order (k, a, b)
 def _suspects_c3(fn, bounds):
-    upto = (bounds.k_max + 2) * max(bounds.a_max, bounds.b_limit)
-    table, margin = _table(fn, upto)
-    a_idx = np.arange(1, bounds.a_max + 1)
-    b_idx = np.arange(1, bounds.b_limit + 1)
-    for k in range(bounds.k_max + 1):
-        lhs = _diff(table, (k + 1) * b_idx, k * b_idx)
-        rhs = _diff(table, (k + 2) * a_idx, (k + 1) * a_idx)
-        for ai, bi in _cells(_suspect(lhs[None, :], rhs[:, None], margin)):
-            yield {"k": k, "a": ai + 1, "b": bi + 1}
+    pairs = [(k, k + 1) for k in range(bounds.k_max + 1)]
+    for k, _, a, b in _block_pairs(fn, pairs, range(1, bounds.a_max + 1), range(1, bounds.b_limit + 1)):
+        yield {"k": k, "a": a, "b": b}
 
 
 # tuple order (l, k, a, b) with l < k
 def _suspects_c3a(fn, bounds):
-    upto = (bounds.k_max + 1) * max(bounds.a_max, bounds.b_limit)
-    table, margin = _table(fn, upto)
-    a_idx = np.arange(1, bounds.a_max + 1)
-    b_idx = np.arange(1, bounds.b_limit + 1)
-    lhs_rows = {
-        l: _diff(table, (l + 1) * b_idx, l * b_idx) for l in range(bounds.k_max)
-    }
-    rhs_rows = {
-        k: _diff(table, (k + 1) * a_idx, k * a_idx) for k in range(1, bounds.k_max + 1)
-    }
-    for l in range(bounds.k_max):
-        for k in range(l + 1, bounds.k_max + 1):
-            for ai, bi in _cells(_suspect(lhs_rows[l][None, :], rhs_rows[k][:, None], margin)):
-                yield {"l": l, "k": k, "a": ai + 1, "b": bi + 1}
+    pairs = [(l, k) for l in range(bounds.k_max) for k in range(l + 1, bounds.k_max + 1)]
+    for l, k, a, b in _block_pairs(fn, pairs, range(1, bounds.a_max + 1), range(1, bounds.b_limit + 1)):
+        yield {"l": l, "k": k, "a": a, "b": b}
 
 
 _C3B_CHUNK = 1 << 16
@@ -402,9 +399,8 @@ def _suspects_c3b(fn, bounds):
 
 # tuple order (k,)
 def _suspects_c4(fn, bounds):
-    table, margin = _table(fn, bounds.k_max + 2)
-    ks = np.arange(bounds.k_max + 1)
-    for (k,) in _cells(_suspect(_diff(table, ks + 1, ks), _diff(table, ks + 2, ks + 1), margin)):
+    pairs = [(k, k + 1) for k in range(bounds.k_max + 1)]
+    for k, _, _, _ in _block_pairs(fn, pairs, [1], [1]):
         yield {"k": k}
 
 

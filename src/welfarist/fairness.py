@@ -59,10 +59,6 @@ class ParetoResult:
     verdict: str  # "PO" | "Dominated" | "BudgetExceeded"
     dominator: Allocation | None = None
 
-    @property
-    def is_po(self) -> bool:
-        return self.verdict == "PO"
-
 
 def is_pareto_optimal(inst: Instance, alloc: Allocation, budget: int = 1_000_000) -> ParetoResult:
     """Brute-force Pareto check over :meth:`Instance.utility_vectors`.

@@ -25,7 +25,6 @@ from .values import (
     ExtendedValue,
     Infinite,
     IntervalValue,
-    sqrt_of_fraction,
     value_sum,
 )
 
@@ -446,9 +445,6 @@ def increment(fn: WelfareFunction, lo, hi, bits: int = DEFAULT_PRECISION_BITS) -
         lo_i, hi_i = int(lo), int(hi)
         if fn.c == -1 and lo_i == 0:
             return POS_INF
-        if fn.c == -1:
-            shifted = ModHarmonic(0)
-            return ExactValue.from_rational(shifted.range_sum(lo_i, hi_i - 1))
         return ExactValue.from_rational(fn.range_sum(lo_i + 1, hi_i))
     lower = fn.value_at(lo, bits)
     if isinstance(lower, Infinite):

@@ -29,7 +29,8 @@ A vector holding f = -inf scores the point ``(-inf, -inf)``.  One scan drops
 each vector whose ``hi`` is below another's ``lo``; a drop on bounds that are
 not a point is an interval decision.  Equal points are equal welfare, so a
 survivor set of points is the argmax set as it stands; any other goes through
-the exact/interval comparator, which confirms every maximizer and every tie.
+the exact/interval comparator, one candidate per multiset of utilities, which
+confirms every maximizer and every tie.
 
 The scan reads f at double precision (``SCAN_BITS``, what the float bounds
 need), in one :meth:`~welfarist.functions.WelfareFunction.values_at` batch.
@@ -301,7 +302,8 @@ def enumerate_maximizers(
     drops every vector whose bounds (see the module docstring) fall below the
     best lower bound.  A survivor set of points (integer keys, or -inf) is the
     argmax set as it stands; any other goes through the exact/interval
-    comparator, which confirms every member and the welfare.  A drop on
+    comparator once per distinct multiset of utilities (equal multisets are
+    equal welfare), which confirms every member and the welfare.  A drop on
     bounds that are not a point counts as an interval decision at
     ``policy.start()`` (the label is then at least ``IntervalCertified``);
     a drop on a point counts as exact.  When no assignment is finite, every
@@ -318,8 +320,14 @@ def enumerate_maximizers(
         best, best_value = [a for a, _ in survivors], value.welfare(survivors[0][1])
         exactness = Exactness("Exact")
     else:
-        value.fill(x for _, u in survivors for x in u)
-        best, best_value, exactness = _argmax(((a, value.welfare(u)) for a, u in survivors), policy)
+        # welfare depends only on the multiset of utilities: one candidate per multiset
+        multisets = {}
+        for _, u in survivors:
+            multisets.setdefault(tuple(sorted(u)), u)
+        value.fill(x for u in multisets.values() for x in u)
+        winners, best_value, exactness = _argmax(((s, value.welfare(u)) for s, u in multisets.items()), policy)
+        winners = set(winners)
+        best = [a for a, u in survivors if tuple(sorted(u)) in winners]
     if interval_drop and exactness.kind == "Exact":
         exactness = Exactness("IntervalCertified", policy.start())
     return MaximizerSet(tuple(Allocation(a) for a in best), best_value, exactness)

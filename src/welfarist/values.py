@@ -1,11 +1,15 @@
 """Exact and interval welfare values, and the three-tier comparator.
 
 Welfare sums must be compared without floating-point ties, so values are kept
-in a canonical exact form for as long as possible:
+in an exact form for as long as possible:
 
     value = rational + sum(w * log(q)) + sum(c * sqrt(d))
 
-with rational coefficients, q positive rationals and d squarefree integers.
+with rational coefficients, q positive rationals and d non-square integers,
+one radicand per class: no ratio of two of them is a rational square (d*d'
+is never a perfect square), which an ``isqrt`` tests without factoring.
+Square roots of such radicands are linearly independent over the rationals
+(Besicovitch 1940), so a sum with a nonzero surd coefficient is never zero.
 This covers logarithms (Nash-style welfare), modified-harmonic values at
 integer arguments, integer and half-integer power means, and positive linear
 combinations of all of these.  Everything else is handled by high-precision
@@ -23,7 +27,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import mpmath
@@ -114,38 +117,13 @@ NEG_INF = Infinite(-1)
 POS_INF = Infinite(+1)
 
 
-@lru_cache(maxsize=None)
-def square_free_split(n: int) -> tuple[int, int]:
-    """Write ``n = s*s*d`` with d squarefree; returns ``(s, d)``."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0, 1
-    s, d = 1, 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    return s, d * n  # leftover n is 1 or prime
-
-
-def sqrt_of_fraction(x: Fraction) -> tuple[Fraction, int]:
-    """sqrt(x) as ``coeff * sqrt(d)`` with d squarefree (d=1 when x is a perfect square)."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    s, d = square_free_split(x.numerator * x.denominator)
-    return Fraction(s, x.denominator), d
-
-
 class ExactValue:
-    """Canonical exact value ``rational + sum(w*log q) + sum(c*sqrt d)``."""
+    """Exact value ``rational + sum(w*log q) + sum(c*sqrt d)``, one d per radicand class.
+
+    A term c*sqrt(d) folds into the rational part when d is a perfect square,
+    else into the coefficient of the held key K with d*K a perfect square, as
+    c*isqrt(d*K)/K; otherwise d becomes a key.
+    """
 
     __slots__ = ("rational", "logs", "surds")
 
@@ -170,10 +148,17 @@ class ExactValue:
             for d, c in surds.items():
                 if c == 0:
                     continue
-                if d == 1:
-                    self.rational += c
+                root = math.isqrt(d)
+                if root * root == d:
+                    self.rational += c * root
+                    continue
+                for key in self.surds:
+                    root = math.isqrt(d * key)
+                    if root * root == d * key:
+                        self.surds[key] += c * Fraction(root, key)
+                        break
                 else:
-                    self.surds[d] = self.surds.get(d, Fraction(0)) + c
+                    self.surds[d] = c
             self.surds = {d: c for d, c in self.surds.items() if c != 0}
 
     # -- constructors -------------------------------------------------------
@@ -192,11 +177,11 @@ class ExactValue:
 
     @staticmethod
     def from_sqrt(x) -> "ExactValue":
-        """The value sqrt(x) for a non-negative rational x."""
-        coeff, d = sqrt_of_fraction(Fraction(x))
-        if d == 1:
-            return ExactValue(coeff)
-        return ExactValue(surds={d: coeff})
+        """The value sqrt(x) for a non-negative rational x = p/q, as sqrt(p*q)/q."""
+        x = Fraction(x)
+        if x < 0:
+            raise ValueError("negative radicand")
+        return ExactValue(surds={x.numerator * x.denominator: Fraction(1, x.denominator)})
 
     # -- structure ----------------------------------------------------------
 
@@ -409,7 +394,7 @@ def _exact_sign(value: ExactValue, policy: PrecisionPolicy) -> ValueOrdering:
                 return EQUAL
             return GREATER if value.rational > 0 else LESS
         # rational + surds with a nonzero surd coefficient is never zero
-        # (linear independence of sqrt of distinct squarefree integers)
+        # (linear independence of sqrt of radicands in distinct classes)
     for bits in policy.schedule():
         enc = evaluate_interval(value, bits)
         if enc.lo > 0:
@@ -443,13 +428,7 @@ def compare(lhs, rhs, policy: PrecisionPolicy | None = None) -> ValueOrdering:
     if isinstance(left, Infinite) or isinstance(right, Infinite):
         lsign = left.sign if isinstance(left, Infinite) else 0
         rsign = right.sign if isinstance(right, Infinite) else 0
-        if isinstance(left, Infinite) and isinstance(right, Infinite):
-            if lsign == rsign:
-                return EQUAL
-            return GREATER if lsign > rsign else LESS
-        if isinstance(left, Infinite):
-            return GREATER if lsign > 0 else LESS
-        return LESS if rsign > 0 else GREATER
+        return EQUAL if lsign == rsign else GREATER if lsign > rsign else LESS
     if isinstance(left, ExactValue) and isinstance(right, ExactValue):
         return _exact_sign(left.sub(right), policy)
     return _interval_compare(left, right, policy)

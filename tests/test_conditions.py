@@ -218,6 +218,8 @@ def test_scan_agrees_with_direct_enumeration(spec, cond):
         boxes = [Bounds(k_max=4, a_max=4, x_max=8)]
     if cond is ConditionId.C6B:
         boxes.append(Bounds(k_max=3, a_max=5, b_max=2, x_max=12))
+    if cond in (ConditionId.C3, ConditionId.C3A):
+        boxes += [Bounds(k_max=3, a_max=5, b_max=2), Bounds(k_max=3, a_max=2, b_max=5)]
     for bounds in boxes:
         direct = next(
             ((w, True) for w in _direct_tuples(cond, bounds) if violates(fn, cond, w)),

@@ -279,9 +279,9 @@ _FAMILIES = (
 
 
 @st.composite
-def _batches(draw, max_denominator):
+def _batches(draw):
     """Arguments sharing fractional parts (x + k for a few x), integers, and small x (y < 1 at c < 0)."""
-    fractions = st.fractions(min_value=0, max_value=6, max_denominator=max_denominator)
+    fractions = st.fractions(min_value=0, max_value=6, max_denominator=2**70)
     bases = draw(st.lists(fractions, min_size=1, max_size=4))
     # steps up to 200 reach past the 64-step span at which a digamma chain restarts
     steps = draw(st.lists(st.integers(0, 200), max_size=6))
@@ -312,9 +312,7 @@ def test_values_at_matches_value_at(spec, bits, data):
         fn = PiecewiseTable([0, 1, 3], [2, 0, 1])
     else:
         fn = parse_welfare(spec)
-    # square_free_split factors numerator*denominator by trial division
-    max_denominator = 2**12 if spec == "pmean:1/2" else 2**70
-    xs = data.draw(_batches(max_denominator))
+    xs = data.draw(_batches())
     batched = fn.values_at(xs, bits)
     assert len(batched) == len(xs)
     for x, v in zip(xs, batched):

@@ -203,24 +203,32 @@ class TestComparatorFallback:
 
     @staticmethod
     def generic_argmax(inst, fn):
-        candidates = iter(itertools.product(range(inst.n), repeat=inst.m))
-        first = next(candidates)
-        best, best_value = [first], welfare_of(inst, fn, Allocation(first))
+        """One comparison per multiset of utilities (equal multisets are equal
+        welfare), each at its first assignment; members in assignment order."""
+        assignments = list(itertools.product(range(inst.n), repeat=inst.m))
+        multiset = {a: tuple(sorted(inst.utility_vector(a))) for a in assignments}
+        firsts = {}
+        for a in assignments:
+            firsts.setdefault(multiset[a], a)
+        candidates = iter(firsts.items())
+        first_set, first = next(candidates)
+        best, best_value = [first_set], welfare_of(inst, fn, Allocation(first))
         max_bits, inconclusive = 0, False
-        for a in candidates:
+        for key, a in candidates:
             welfare = welfare_of(inst, fn, Allocation(a))
             ordering = compare(welfare, best_value)
             max_bits = max(max_bits, ordering.bits or 0)
             if ordering.relation is Relation.GREATER:
-                best, best_value = [a], welfare
+                best, best_value = [key], welfare
             elif ordering.relation in (Relation.EQUAL, Relation.INCONCLUSIVE):
-                best.append(a)
+                best.append(key)
                 inconclusive |= ordering.relation is Relation.INCONCLUSIVE
+        members = [a for a in assignments if multiset[a] in best]
         if inconclusive:
-            return best, "Inconclusive", max_bits or None
+            return members, "Inconclusive", max_bits or None
         if max_bits:
-            return best, "IntervalCertified", max_bits
-        return best, "Exact", None
+            return members, "IntervalCertified", max_bits
+        return members, "Exact", None
 
     @pytest.mark.parametrize(
         "spec, rows",
@@ -271,11 +279,12 @@ class TestFloatBoundsScan:
 
     @pytest.mark.parametrize(
         "spec, big",
-        [("combo:1*pmean:0+1*pmean:2", 10**200), ("pmean:1/3", 10**1000)],
+        [("combo:1*pmean:0+1*pmean:2", 10**200), ("pmean:1/3", 10**1000), ("pmean:1/2", 10**700)],
     )
     def test_values_beyond_the_double_range(self, spec, big):
         # f reaches past 10**308, where a sum of float bounds would overflow,
-        # so every decision goes to the comparator
+        # so every decision goes to the comparator; under pmean:1/2 the
+        # radicand 10**700 + 1 is far beyond factoring
         inst, fn = Instance.from_rows([[big, 1, 2], [1, big, 3]]), parse_welfare(spec)
         maxima = enumerate_maximizers(inst, fn)
         best, kind, bits = TestComparatorFallback.generic_argmax(inst, fn)

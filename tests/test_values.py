@@ -16,8 +16,6 @@ from welfarist.values import (
     evaluate_interval,
     float_bounds,
     render_value,
-    sqrt_of_fraction,
-    square_free_split,
     value_sum,
 )
 
@@ -80,19 +78,67 @@ class TestInfinities:
             value_sum([NEG_INF, POS_INF])
 
 
+# squarefree radicands, so sqrt(s*s*d) = s*sqrt(d) groups by d
+_SQUAREFREE = [1, 2, 3, 5, 6, 7, 10, 11, 30, 97, 10**6 + 3]
+
+
 class TestSquarefree:
+    """sqrt(s*s*d) = s*sqrt(d) for the squarefree split of a radicand, decided
+    by perfect-square tests alone: one radicand is held per rational-square class."""
+
     @pytest.mark.parametrize(
         "n,expected",
         [(1, (1, 1)), (4, (2, 1)), (12, (2, 3)), (72, (6, 2)), (97, (1, 97)), (0, (0, 1))],
     )
     def test_split(self, n, expected):
-        assert square_free_split(n) == expected
+        s, d = expected
+        split = ExactValue(surds={d: Fraction(s)})
+        assert ExactValue.from_sqrt(n).sub(split).is_zero()
+        assert rel(ExactValue.from_sqrt(n), split) is Relation.EQUAL
 
     def test_sqrt_of_fraction(self):
-        coeff, d = sqrt_of_fraction(Fraction(9, 4))
-        assert (coeff, d) == (Fraction(3, 2), 1)
-        coeff, d = sqrt_of_fraction(Fraction(1, 2))
-        assert (coeff, d) == (Fraction(1, 2), 2)  # sqrt(1/2) = sqrt(2)/2
+        v = ExactValue.from_sqrt(Fraction(9, 4))
+        assert (v.rational, v.surds) == (Fraction(3, 2), {})
+        v = ExactValue.from_sqrt(Fraction(1, 2))
+        assert (v.rational, v.surds) == (0, {2: Fraction(1, 2)})  # sqrt(1/2) = sqrt(2)/2
+
+    def test_same_class_folds_into_the_first_key(self):
+        # sqrt(72) - 6*sqrt(2) = 0, and sqrt(8) + sqrt(18) = 5*sqrt(2) is held on key 8
+        assert value_sum([ExactValue.from_sqrt(72), ExactValue.from_sqrt(2).scale(-6)]).is_zero()
+        v = value_sum([ExactValue.from_sqrt(8), ExactValue.from_sqrt(18)])
+        assert (v.rational, v.surds) == (0, {8: Fraction(5, 2)})
+        assert rel(v, ExactValue.from_sqrt(50)) is Relation.EQUAL
+
+    def test_negative_radicand_rejected(self):
+        with pytest.raises(ValueError):
+            ExactValue.from_sqrt(-2)
+
+    def test_huge_radicand_needs_no_factoring(self):
+        # 10**700 + 1 is far beyond trial division
+        lhs = ExactValue.from_sqrt(10**700 + 1)
+        assert rel(lhs, ExactValue.from_sqrt(10**700)) is Relation.GREATER
+        square = ExactValue.from_sqrt((10**700 + 1) ** 2 * 3)
+        assert rel(square, ExactValue.from_sqrt(3).scale(10**700 + 1)) is Relation.EQUAL
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-3, 3),
+                st.integers(0, 12),
+                st.sampled_from(_SQUAREFREE),
+                st.integers(1, 4),
+            ),
+            max_size=8,
+        )
+    )
+    def test_is_zero_matches_grouping_by_squarefree_part(self, terms):
+        """sum of c*sqrt(s*s*d)/q is zero iff the coefficients c*s/q sum to zero per d."""
+        total = value_sum([ExactValue.from_sqrt(s * s * d).scale(Fraction(c, q)) for c, s, d, q in terms])
+        by_d = {}
+        for c, s, d, q in terms:
+            by_d[d] = by_d.get(d, 0) + Fraction(c * s, q)
+        assert total.is_zero() == all(v == 0 for v in by_d.values())
+        assert len(total.surds) == sum(1 for d, v in by_d.items() if d > 1 and v != 0)
 
 
 class TestIntervals:
