@@ -16,6 +16,9 @@ family's one float model, ``approx_array``, and clears a tuple only when the
 float difference passes a margin: 1e-8 for C2, and
 ``max(1e-9, 16 * table_error_bound(upto))`` for the rest, where upto bounds
 the arguments the scan reads.  A cleared tuple is not re-checked exactly.
+Six conditions (C1, C3, C3a, C4, C6a, C6b) compare two float vectors over a
+grid and share one scan, ``_grid_cells``: the least value each row reads
+finds the rows that hold a suspect, so no grid-sized array is ever built.
 C1a demands equality, and a float difference can prove two values unequal but
 never prove them equal, so C1a is the one exact prescreen.
 """
@@ -289,6 +292,25 @@ def _ranks(values) -> np.ndarray:
     return np.array([rank[v] for v in values])
 
 
+def _grid_cells(lhs, rhs, margin: float, admitted=None):
+    """(i, j) where lhs[j] > rhs[i] is not cleared by the margin, in row-major
+    order; row i reads only the j < admitted[i] when admitted is given.
+
+    A float difference is monotone in its first operand and np.minimum
+    propagates NaN, so row i holds a suspect exactly when the least lhs over
+    its columns does (a running minimum for prefixes, +inf for none), and
+    only those rows are scanned cell by cell.
+    """
+    if admitted is None:
+        least = lhs.min(initial=np.inf)
+    else:
+        least = np.minimum.accumulate(np.concatenate(([np.inf], lhs)))[admitted]
+    for (i,) in _cells(_suspect(least, rhs, margin)):
+        row = lhs if admitted is None else lhs[: admitted[i]]
+        for (j,) in _cells(_suspect(row, rhs[i], margin)):
+            yield i, j
+
+
 def _block_pairs(fn, pairs, a_xs, b_xs):
     """(l, k, a, b) where Delta_l(b) > Delta_k(a) is not cleared: pair by pair,
     then a, then b, each in the given order.
@@ -303,10 +325,10 @@ def _block_pairs(fn, pairs, a_xs, b_xs):
     with np.errstate(invalid="ignore"):
         blocks = np.diff(table, axis=0)  # blocks[k, i] = Delta_k(xs[i])
     column = {x: i for i, x in enumerate(xs)}
-    a_cols = [column[x] for x in a_xs]
-    b_cols = [column[x] for x in b_xs]
+    a_cols = np.array([column[x] for x in a_xs], dtype=int)
+    b_cols = np.array([column[x] for x in b_xs], dtype=int)
     for l, k in pairs:
-        for ai, bi in _cells(_suspect(blocks[l, b_cols][None, :], blocks[k, a_cols][:, None], margin)):
+        for ai, bi in _grid_cells(blocks[l, b_cols], blocks[k, a_cols], margin):
             yield l, k, a_xs[ai], b_xs[bi]
 
 
@@ -429,18 +451,16 @@ def _suspects_c5(fn, bounds):
 def _suspects_c6a(fn, bounds):
     upto = (bounds.k_max + 1) * max(bounds.a_max, bounds.b_limit) + 1
     table, margin = _table(fn, upto)
+    a_idx = np.arange(1, bounds.a_max + 1)
     b_idx = np.arange(1, bounds.b_limit + 1)
     for k in range(1, bounds.k_max + 1):
         lhs = _diff(table, (k + 1) * b_idx - 1, k * b_idx - 1)
-        for a in range(1, bounds.a_max + 1):
-            for (bi,) in _cells(_suspect(lhs, _diff(table, (k + 1) * a, k * a), margin)):
-                yield {"k": k, "a": a, "b": bi + 1}
+        for ai, bi in _grid_cells(lhs, _diff(table, (k + 1) * a_idx, k * a_idx), margin):
+            yield {"k": k, "a": ai + 1, "b": bi + 1}
 
 
 # tuple order (a, b, x, y) with the guard x*b >= (y+1)*a, which admits the
-# y < x*b // a.  Row x holds a suspect exactly when the least lhs over its
-# admitted y does (NaN counted as -inf), so one running minimum per (a, b)
-# finds the rows, and only those rows are scanned cell by cell.
+# y < x*b // a
 def _suspects_c6b(fn, bounds):
     x_lim = bounds.x_limit
     table, margin = _table(fn, x_lim + bounds.a_max + bounds.b_limit + 1)
@@ -450,12 +470,9 @@ def _suspects_c6b(fn, bounds):
         rhs = _diff(table, x_idx + a, x_idx)
         for b in range(1, bounds.b_limit + 1):
             lhs = _diff(table, y_idx + b, y_idx)
-            least = np.minimum.accumulate(np.where(np.isnan(lhs), -np.inf, lhs))
             admitted = np.minimum(x_idx * b // a, x_lim + 1)
-            rows = (admitted > 0) & _suspect(least[np.maximum(admitted - 1, 0)], rhs, margin)
-            for (xi,) in _cells(rows):
-                for (y,) in _cells(_suspect(lhs[: admitted[xi]], rhs[xi], margin)):
-                    yield {"a": a, "b": b, "x": xi + 1, "y": y}
+            for xi, y in _grid_cells(lhs, rhs, margin, admitted):
+                yield {"a": a, "b": b, "x": xi + 1, "y": y}
 
 
 _SUSPECTS: dict[ConditionId, Callable] = {

@@ -171,7 +171,7 @@ class ModHarmonic(WelfareFunction):
             return NEG_INF
         if x.denominator == 1:
             return ExactValue.from_rational(self.integer_value(int(x)))
-        return self._digamma_interval(x, bits)
+        return self.values_at([x], bits)[0]
 
     def integer_value(self, x: int) -> Fraction:
         if x < 0:
@@ -202,25 +202,23 @@ class ModHarmonic(WelfareFunction):
     def values_at(self, xs, bits=DEFAULT_PRECISION_BITS):
         """``value_at`` at every x, with one digamma per fractional part.
 
-        A non-integer x with y = x+c+1 = q+r >= 1 is grouped by the fractional
-        part r of y, and psi(q+r) = psi(p+r) + sum_{j=p..q-1} 1/(r+j) for
+        A non-integer x > 0 is grouped by the fractional part r of
+        y = x+c+1 = q+r, and psi(q+r) = psi(p+r) + sum_{j=p..q-1} 1/(r+j) for
         p <= q: one digamma at the group's smallest q, then an exact rational
         prefix sum over the members sorted by q, started afresh
-        ``_RECURRENCE_SPAN`` steps on.  Integer x and y < 1 go to ``value_at``:
-        a chain from q = 0 would add the sum to psi(r) ~ -1/r and lose up to
-        log2(1/r) bits to cancellation, so its ends could differ from
-        ``value_at``'s.  The intervals are built as ``_digamma_interval``
-        builds them.
+        ``_RECURRENCE_SPAN`` steps on.  A chain also starts afresh after a
+        member with q = 0 (y < 1): added to psi(r) ~ -1/r, the sum would lose
+        up to log2(1/r) bits to cancellation.  Each interval is the value
+        padded by 2^-(bits+4) (|value| + 1); integer x go to ``value_at``.
         """
         out = [None] * len(xs)
         groups: dict[Fraction, list] = {}
         for i, x in enumerate(xs):
             if x.denominator > 1 and x > 0:
                 q, r = divmod(x + self.c + 1, 1)
-                if q >= 1:
-                    groups.setdefault(r, []).append((q, i, x))
-                    continue
-            out[i] = self.value_at(x, bits)
+                groups.setdefault(r, []).append((q, i, x))
+            else:
+                out[i] = self.value_at(x, bits)
         if not groups:
             return out
         vals = []
@@ -230,7 +228,7 @@ class ModHarmonic(WelfareFunction):
                 a, b = r.numerator, r.denominator
                 start = None
                 for q, i, x in sorted(members):
-                    if start is None or q - start > _RECURRENCE_SPAN:
+                    if start is None or start == 0 or q - start > _RECURRENCE_SPAN:
                         start = last = q
                         num, den = 0, 1  # the sum of 1/(r+j) over start <= j < q
                         psi = mpmath.digamma(self._digamma_arg(x)) + shift
@@ -256,12 +254,6 @@ class ModHarmonic(WelfareFunction):
         if self.c == -1:
             return +mpmath.euler
         return -mpmath.digamma(mpmath.mpf(self.c.numerator) / mpmath.mpf(self.c.denominator) + 1)
-
-    def _digamma_interval(self, x: Fraction, bits: int) -> IntervalValue:
-        with mpmath.workprec(bits + 16):
-            val = mpmath.digamma(self._digamma_arg(x)) + self._digamma_shift()
-            err = mpmath.ldexp(abs(val) + 1, -(bits + 4))
-        return IntervalValue(val - err, val + err, bits)
 
     def label(self):
         return f"harmonic:{self.c}"

@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+from mpmath.calculus.quadrature import GaussLegendre
 
 from .values import IntervalValue
 
@@ -44,36 +45,23 @@ class QuadratureError(RuntimeError):
 
 @lru_cache(maxsize=16)
 def _legendre_nodes(order: int, prec: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] by Newton iteration.
+    """The (node, weight) pairs of the order-point Gauss-Legendre rule on
+    [-1, 1], for order 3 * 2**(d-1), from mpmath's degree-d table.
 
+    mpmath computes the table at 1.5 * prec; the pairs are rounded to prec.
     The precision grows with the tolerance and with the exponents'
     denominator, so the cache keeps only the 16 most recent (order, prec)
     tables: eight precisions of the GL(12)/GL(24) pair.
     """
     with mpmath.workprec(prec):
-        nodes, weights = [], []
-        for i in range(1, order + 1):
-            # Chebyshev-like initial guess
-            x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(1) / 4) / (order + mpmath.mpf(1) / 2))
-            for _ in range(60):
-                p0, p1 = mpmath.mpf(1), x
-                for k in range(2, order + 1):
-                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-                dp = order * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < mpmath.ldexp(1, -(prec - 8)):
-                    break
-            nodes.append(x)
-            weights.append(2 / ((1 - x * x) * dp * dp))
-        return tuple(nodes), tuple(weights)
+        table = GaussLegendre(mpmath.mp).calc_nodes((order // 3).bit_length(), prec)
+        return tuple((+x, +w) for x, w in table)
 
 
 def _panel_sum(f, a, b, order: int, prec: int):
-    nodes, weights = _legendre_nodes(order, prec)
     half = (b - a) / 2
     mid = (b + a) / 2
-    return half * mpmath.fsum(w * f(mid + half * x) for x, w in zip(nodes, weights))
+    return half * mpmath.fsum(w * f(mid + half * x) for x, w in _legendre_nodes(order, prec))
 
 
 def _adaptive(f, abs_tol, prec, grade, max_panels=4000):

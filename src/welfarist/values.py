@@ -198,14 +198,6 @@ class ExactValue:
             raise ValueError("value is not rational")
         return self.rational
 
-    def log_product(self) -> Fraction:
-        """For a single-log value ``1*log(q)``, return q."""
-        if self.is_pure_log and len(self.logs) == 1:
-            (q, w), = self.logs.items()
-            if w == 1:
-                return q
-        raise ValueError("value is not a plain logarithm")
-
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, other: "ExactValue") -> "ExactValue":

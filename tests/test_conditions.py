@@ -1,9 +1,12 @@
 """Bounded condition checks, analytic verdicts, implication harness, bisection."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from welfarist import conditions
 from welfarist.conditions import (
@@ -220,6 +223,8 @@ def test_scan_agrees_with_direct_enumeration(spec, cond):
         boxes.append(Bounds(k_max=3, a_max=5, b_max=2, x_max=12))
     if cond in (ConditionId.C3, ConditionId.C3A):
         boxes += [Bounds(k_max=3, a_max=5, b_max=2), Bounds(k_max=3, a_max=2, b_max=5)]
+    if cond in (ConditionId.C3, ConditionId.C3A, ConditionId.C6A):
+        boxes.append(Bounds(k_max=3, a_max=3, b_max=0))  # no b at all: nothing to violate
     for bounds in boxes:
         direct = next(
             ((w, True) for w in _direct_tuples(cond, bounds) if violates(fn, cond, w)),
@@ -229,6 +234,47 @@ def test_scan_agrees_with_direct_enumeration(spec, cond):
         assert (report.verdict == VIOLATED) == direct[1], bounds.real_grid
         if direct[1]:
             assert report.witness == direct[0], bounds.real_grid
+
+
+_SCAN_VALUES = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1e-9, -1e-9, 1.0])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.lists(_SCAN_VALUES, max_size=6),
+    st.lists(_SCAN_VALUES, max_size=6),
+    st.sampled_from([0.0, 1e-9, 0.3]),
+    st.data(),
+)
+def test_grid_cells_match_a_double_loop(lhs, rhs, margin, data):
+    """The row-minimum scan yields exactly the cells a plain loop over
+    not (lhs[j] - rhs[i] > margin) finds, in the same order."""
+    prefix = st.lists(st.integers(0, len(lhs)), min_size=len(rhs), max_size=len(rhs))
+    admitted = data.draw(st.none() | prefix)
+    lhs, rhs = np.array(lhs), np.array(rhs)
+    with np.errstate(invalid="ignore"):
+        want = [
+            (i, j)
+            for i in range(len(rhs))
+            for j in range(len(lhs) if admitted is None else admitted[i])
+            if not (lhs[j] - rhs[i] > margin)
+        ]
+    if admitted is not None:
+        admitted = np.array(admitted, dtype=int)
+    assert list(conditions._grid_cells(lhs, rhs, margin, admitted)) == want
+
+
+@pytest.mark.parametrize("cond", [ConditionId.C3, ConditionId.C3A])
+def test_block_pair_scan_memory_stays_linear(cond):
+    # an a_max x b_max difference matrix alone would take 32 MiB here
+    tracemalloc.start()
+    try:
+        report = check_condition(parse_welfare("log"), cond, Bounds(k_max=2, a_max=2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == NO_VIOLATION
+    assert peak < 8 * 2**20
 
 
 class TestWitnessSoundness:

@@ -52,7 +52,8 @@ class TestEval:
 
     def test_modlog_zero_shift_at_zero(self):
         assert evaluate(ModLog(0), 0) is NEG_INF
-        assert evaluate(ModLog(Fraction(1, 2)), 0).log_product() == Fraction(1, 2)
+        v = evaluate(ModLog(Fraction(1, 2)), 0)  # exactly 1*log(1/2)
+        assert (v.rational, v.logs, v.surds) == (0, {Fraction(1, 2): 1}, {})
 
     def test_negative_argument_rejected(self):
         for fn in [Log(), ModLog(1), ModHarmonic(0), PMean(2)]:
@@ -343,3 +344,22 @@ def test_harmonic_batch_restarts_long_chains(monkeypatch):
     # the last start; and one psi(c+1)
     assert len(calls) == 4 + 1
     assert [_same_value(v, fn.value_at(x, 256)) for x, v in zip(xs, batched)] == [True] * len(xs)
+
+
+def test_harmonic_batch_restarts_after_y_below_one():
+    # y = x for c = -1: 1/191 has q = 0 and 192/191 has q = 1, one fractional
+    # part.  A chain from psi(1/191) ~ -191 would lose the last bit at 192/191;
+    # every point must equal psi(y) + gamma padded at bits + 16 on its own.
+    fn, bits = ModHarmonic(-1), 53
+    xs = [Fraction(1, 191), Fraction(192, 191)]
+
+    def reference(x):
+        with mpmath.workprec(bits + 16):
+            val = mpmath.digamma(mpmath.mpf(x.numerator) / x.denominator) + mpmath.euler
+            err = mpmath.ldexp(abs(val) + 1, -(bits + 4))
+        return IntervalValue(val - err, val + err, bits)
+
+    batched = fn.values_at(xs, bits)
+    for x, v in zip(xs, batched):
+        assert _same_value(v, fn.value_at(x, bits)), x
+        assert _same_value(v, reference(x)), x

@@ -120,6 +120,20 @@ def test_fractional_powers_need_no_refinement(monkeypatch):
         assert len(calls) <= 4, (c, x, len(calls))
 
 
+@pytest.mark.parametrize("order", [12, 24])
+@pytest.mark.parametrize("prec", [96, 200])
+def test_legendre_rule_is_exact_to_its_degree(order, prec):
+    # an order-point rule integrates polynomials of degree up to 2*order - 1
+    # exactly; x**(2*order - 2) is the highest even power it must get right
+    with mpmath.workprec(prec):
+        table = quadrature._legendre_nodes(order, prec)
+        tol = mpmath.ldexp(1, -(prec - 8))
+        assert len(table) == order
+        assert abs(mpmath.fsum(w for _, w in table) - 2) <= tol
+        moment = mpmath.fsum(w * x ** (2 * order - 2) for x, w in table)
+        assert abs(moment - mpmath.mpf(2) / (2 * order - 1)) <= tol
+
+
 def test_node_tables_stay_bounded():
     # each denominator 2**k + 1 starts one more graded panel, at one more bit
     # of precision, so every integral here needs two new node tables
