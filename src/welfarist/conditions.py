@@ -311,6 +311,21 @@ def _grid_cells(lhs, rhs, margin: float, admitted=None):
             yield i, j
 
 
+def _multiples(xs, top: int) -> np.ndarray:
+    """float(j*x) for j = 0..top (rows) and x in xs (columns), flattened.
+
+    While top*max(|num|, den) < 2**53 the float product j*num is exact, so
+    the one division rounds j*x once, as float(j*x) does, and no Python list
+    of floats is built.
+    """
+    nums, dens = zip(*(x.as_integer_ratio() for x in xs))
+    if top * max(max(map(abs, nums)), max(dens)) >= 2**53:
+        return np.array([float(j * x) for j in range(top + 1) for x in xs])
+    args = np.arange(top + 1.0)[:, None] * np.array(nums, dtype=float)
+    args /= np.array(dens, dtype=float)
+    return args.ravel()
+
+
 def _block_pairs(fn, pairs, a_xs, b_xs):
     """(l, k, a, b) where Delta_l(b) > Delta_k(a) is not cleared: pair by pair,
     then a, then b, each in the given order.
@@ -320,7 +335,7 @@ def _block_pairs(fn, pairs, a_xs, b_xs):
     """
     xs = sorted(set(a_xs) | set(b_xs))
     top = max(map(max, pairs)) + 1  # the largest multiple j read
-    table = _approx(fn, [float(j * x) for j in range(top + 1) for x in xs]).reshape(top + 1, len(xs))
+    table = _approx(fn, _multiples(xs, top)).reshape(top + 1, len(xs))
     margin = _margin(fn, math.ceil(top * xs[-1]))
     with np.errstate(invalid="ignore"):
         blocks = np.diff(table, axis=0)  # blocks[k, i] = Delta_k(xs[i])

@@ -1,5 +1,9 @@
 """Exact fairness and efficiency predicates on allocations.
 
+Every predicate sums integers: utilities in units of 1/``inst.scale`` (the
+rows of ``inst.scaled``), which preserves every order and equality.  Only an
+EF1 violation's margin is converted back, to an exact ``Fraction``.
+
 EF1 is checked through the max-good reformulation: agent i accepts agent j's
 bundle iff u_i(A_i) >= u_i(A_j) - max_{g in A_j} u_i(g), which by additivity
 is equivalent to the existential remove-one-good definition, and costs O(1)
@@ -23,33 +27,38 @@ class Ef1Report:
     violations: tuple[tuple[int, int, Fraction], ...]
 
 
+def _scaled_own(inst: Instance, alloc: Allocation) -> list[int]:
+    """Each agent's utility for its own bundle, in units of 1/``inst.scale``."""
+    alloc.validate_for(inst)
+    own = [0] * inst.n
+    for g, agent in enumerate(alloc.assignment):
+        own[agent] += inst.scaled[agent][g]
+    return own
+
+
 def is_ef1(inst: Instance, alloc: Allocation) -> Ef1Report:
     """Check envy-freeness up to one good, exactly, for every ordered pair."""
-    alloc.validate_for(inst)
+    own = _scaled_own(inst, alloc)
     bundles = alloc.bundles(inst.n)
-    own = inst.utility_vector(alloc.assignment)
     violations = []
-    for i in range(inst.n):
-        row = inst.utilities[i]
-        for j in range(inst.n):
-            if i == j or not bundles[j]:
+    for i, row in enumerate(inst.scaled):
+        for j, bundle in enumerate(bundles):
+            if i == j or not bundle:
                 continue
-            other = sum((row[g] for g in bundles[j]), Fraction(0))
-            best_good = max(row[g] for g in bundles[j])
-            margin = other - best_good - own[i]
+            vals = [row[g] for g in bundle]
+            margin = sum(vals) - max(vals) - own[i]
             if margin > 0:
-                violations.append((i, j, margin))
+                violations.append((i, j, Fraction(margin, inst.scale)))
     return Ef1Report(not violations, tuple(violations))
 
 
 def is_ef(inst: Instance, alloc: Allocation) -> bool:
     """Plain envy-freeness: nobody prefers another agent's bundle."""
-    alloc.validate_for(inst)
+    own = _scaled_own(inst, alloc)
     bundles = alloc.bundles(inst.n)
-    own = inst.utility_vector(alloc.assignment)
-    for i in range(inst.n):
-        for j in range(inst.n):
-            if i != j and inst.bundle_utility(i, bundles[j]) > own[i]:
+    for i, row in enumerate(inst.scaled):
+        for j, bundle in enumerate(bundles):
+            if i != j and sum(row[g] for g in bundle) > own[i]:
                 return False
     return True
 
@@ -69,8 +78,7 @@ def is_pareto_optimal(inst: Instance, alloc: Allocation, budget: int = 1_000_000
     returned is the lexicographically smallest one, which makes parallel or
     resumed scans deterministic.
     """
-    alloc.validate_for(inst)
-    base = [int(u * inst.scale) for u in inst.utility_vector(alloc.assignment)]
+    base = _scaled_own(inst, alloc)
     for scanned, (assignment, utilities) in enumerate(inst.utility_vectors()):
         if scanned >= budget:
             return ParetoResult("BudgetExceeded")

@@ -169,8 +169,6 @@ class ModHarmonic(WelfareFunction):
             raise ValueError("negative argument")
         if self.c == -1 and x == 0:
             return NEG_INF
-        if x.denominator == 1:
-            return ExactValue.from_rational(self.integer_value(int(x)))
         return self.values_at([x], bits)[0]
 
     def integer_value(self, x: int) -> Fraction:
@@ -200,7 +198,14 @@ class ModHarmonic(WelfareFunction):
         return terms[0]
 
     def values_at(self, xs, bits=DEFAULT_PRECISION_BITS):
-        """``value_at`` at every x, with one digamma per fractional part.
+        """``value_at`` at every x, with one exact prefix sum over the integers
+        and one digamma per fractional part.
+
+        The integer x where h_c is finite (x >= 0, or x >= 1 when c = -1) are
+        read in ascending order from one running sum, h_c(x) = h_c(x') +
+        ``range_sum(x'+1, x)`` for the previous point x': the batch adds
+        max(x) terms, not the sum of all x.  Other integers (negative, or
+        h_{-1}(0) = -inf) go to ``value_at``, which takes no other.
 
         A non-integer x > 0 is grouped by the fractional part r of
         y = x+c+1 = q+r, and psi(q+r) = psi(p+r) + sum_{j=p..q-1} 1/(r+j) for
@@ -209,16 +214,24 @@ class ModHarmonic(WelfareFunction):
         ``_RECURRENCE_SPAN`` steps on.  A chain also starts afresh after a
         member with q = 0 (y < 1): added to psi(r) ~ -1/r, the sum would lose
         up to log2(1/r) bits to cancellation.  Each interval is the value
-        padded by 2^-(bits+4) (|value| + 1); integer x go to ``value_at``.
+        padded by 2^-(bits+4) (|value| + 1).
         """
         out = [None] * len(xs)
-        groups: dict[Fraction, list] = {}
+        first = 1 if self.c == -1 else 0  # h_c(first) = 0
+        points, groups = [], {}
         for i, x in enumerate(xs):
             if x.denominator > 1 and x > 0:
                 q, r = divmod(x + self.c + 1, 1)
                 groups.setdefault(r, []).append((q, i, x))
+            elif x >= first:
+                points.append((int(x), i))
             else:
                 out[i] = self.value_at(x, bits)
+        h, prev = Fraction(0), first
+        for x, i in sorted(points):
+            h += self.range_sum(prev + 1, x)
+            prev = x
+            out[i] = ExactValue.from_rational(h)
         if not groups:
             return out
         vals = []

@@ -277,6 +277,37 @@ def test_block_pair_scan_memory_stays_linear(cond):
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("cond", [ConditionId.C3, ConditionId.C3A])
+def test_block_pair_table_builds_no_argument_list(cond):
+    # a Python list of the 1.06 M float arguments j*a alone takes over 32 MiB
+    tracemalloc.start()
+    try:
+        report = check_condition(parse_welfare("log"), cond, Bounds(k_max=64, a_max=16384))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == NO_VIOLATION
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        NON_DYADIC_GRID,
+        SMALL_GRID,
+        [1, 2, 7, 10**9 + 7],
+        # past the exact-product bound: the list form itself
+        NON_DYADIC_GRID + (Fraction(1, 3**40),),
+        [1, 2**60 + 1],
+    ],
+)
+def test_block_pair_arguments_are_the_rounded_products(xs):
+    xs = sorted(set(xs))
+    top = 65
+    want = [float(j * x) for j in range(top + 1) for x in xs]
+    assert conditions._multiples(xs, top).tolist() == want
+
+
 class TestWitnessSoundness:
     @pytest.mark.parametrize("spec", BATTERY)
     def test_violated_witnesses_reverify(self, spec):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from welfarist.constructions import chain_instance, chain_shifted_allocation
-from welfarist.fairness import is_ef, is_ef1, is_pareto_optimal
+from welfarist.fairness import Ef1Report, is_ef, is_ef1, is_pareto_optimal
 from welfarist.model import Allocation, Instance, random_instance
 
 
@@ -24,6 +24,31 @@ def ef1_existential(inst, alloc):
             if not fine:
                 return False
     return True
+
+
+def ef1_reference(inst, alloc):
+    """Max-good margins added in Fractions: u_i(A_j) - max_g u_i(g) - u_i(A_i)."""
+    bundles = alloc.bundles(inst.n)
+    violations = []
+    for i in range(inst.n):
+        own = inst.bundle_utility(i, bundles[i])
+        for j in range(inst.n):
+            if i == j or not bundles[j]:
+                continue
+            best = max(inst.utility(i, g) for g in bundles[j])
+            margin = inst.bundle_utility(i, bundles[j]) - best - own
+            if margin > 0:
+                violations.append((i, j, margin))
+    return Ef1Report(not violations, tuple(violations))
+
+
+def ef_reference(inst, alloc):
+    bundles = alloc.bundles(inst.n)
+    return all(
+        inst.bundle_utility(i, bundles[j]) <= inst.bundle_utility(i, bundles[i])
+        for i in range(inst.n)
+        for j in range(inst.n)
+    )
 
 
 class TestEf1:
@@ -50,13 +75,21 @@ class TestEf1:
         assert report.violations == ((0, 1, Fraction(10)),)
 
     def test_agreement_with_existential_definition(self):
+        # unrestricted rows have denominators: the scaled sums run in units of 1/scale
+        scales = set()
         for seed in range(150):
             rng = random.Random(seed)
             n, m = rng.randint(2, 3), rng.randint(0, 5)
-            inst = random_instance(n, m, "integer", 3, seed=seed)
-            for assignment in itertools.product(range(n), repeat=m):
-                alloc = Allocation(assignment)
-                assert is_ef1(inst, alloc).holds == ef1_existential(inst, alloc)
+            for cls in ("integer", "unrestricted"):
+                inst = random_instance(n, m, cls, 3, seed=seed)
+                scales.add(inst.scale)
+                for assignment in itertools.product(range(n), repeat=m):
+                    alloc = Allocation(assignment)
+                    report = is_ef1(inst, alloc)
+                    assert report.holds == ef1_existential(inst, alloc)
+                    assert report == ef1_reference(inst, alloc)
+                    assert is_ef(inst, alloc) == ef_reference(inst, alloc)
+        assert max(scales) > 1
 
 
 class TestEf:

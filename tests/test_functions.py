@@ -346,6 +346,31 @@ def test_harmonic_batch_restarts_long_chains(monkeypatch):
     assert [_same_value(v, fn.value_at(x, 256)) for x, v in zip(xs, batched)] == [True] * len(xs)
 
 
+@pytest.mark.parametrize("c", ["-1", "-3/4", "0", "3/7", "1"])
+def test_harmonic_batch_reads_integers_from_one_prefix_sum(monkeypatch, c):
+    fn = ModHarmonic(c)
+    # unsorted, repeated, with 0 and 1, mixed with non-integers
+    xs = [Fraction(x) for x in ("7", "0", "5/2", "1", "13", "7", "1/3", "2", "0", "40", "19/4", "1")]
+    # integer_value sums each point's terms afresh; h_{-1}(0) and non-integers from value_at
+    finite_integer = {x for x in xs if x.denominator == 1 and x + fn.c + 1 > 0}
+    want = [
+        ExactValue.from_rational(fn.integer_value(int(x))) if x in finite_integer else fn.value_at(x)
+        for x in xs
+    ]
+    terms = []
+    range_sum = ModHarmonic.range_sum
+
+    def counted(self, lo, hi):
+        terms.append(max(0, hi - lo + 1))
+        return range_sum(self, lo, hi)
+
+    monkeypatch.setattr(ModHarmonic, "range_sum", counted)
+    batched = fn.values_at(xs)
+    assert [_same_value(v, w) for v, w in zip(batched, want)] == [True] * len(xs)
+    # one running sum: h_c(40) is the last point, and no term is added twice
+    assert sum(terms) <= max(xs)
+
+
 def test_harmonic_batch_restarts_after_y_below_one():
     # y = x for c = -1: 1/191 has q = 0 and 192/191 has q = 1, one fractional
     # part.  A chain from psi(1/191) ~ -191 would lose the last bit at 192/191;
