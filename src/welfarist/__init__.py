@@ -31,7 +31,6 @@ from .functions import (
     PiecewiseTable,
     WelfareFunction,
     delta,
-    evaluate,
     increment,
     parse_welfare,
 )

@@ -13,14 +13,17 @@ lexicographic tuple order and yields every tuple its prescreen cannot clear.
 verdict always carries an exactly re-verified witness: the first violating
 suspect in tuple order.  Every prescreen but C1a's reads f through the
 family's one float model, ``approx_array``, and clears a tuple only when the
-float difference passes a margin: 1e-8 for C2, and
-``max(1e-9, 16 * table_error_bound(upto))`` for the rest, where upto bounds
-the arguments the scan reads.  A cleared tuple is not re-checked exactly.
-Six conditions (C1, C3, C3a, C4, C6a, C6b) compare two float vectors over a
-grid and share one scan, ``_grid_cells``: the least value each row reads
-finds the rows that hold a suspect, so no grid-sized array is ever built.
-C1a demands equality, and a float difference can prove two values unequal but
-never prove them equal, so C1a is the one exact prescreen.
+float difference passes one margin, ``max(1e-9, 16 * table_error_bound(upto))``,
+where upto bounds the arguments the scan reads.  A cleared tuple is not
+re-checked exactly.  Six conditions (C1, C3, C3a, C4, C6a, C6b) compare two
+float vectors over a grid and share one scan, ``_grid_cells``: the least value
+each row reads finds the rows that hold a suspect, so no grid-sized array is
+ever built.  C2 finds its suspect rows the same way, from the least sum
+f(c) + f(d) each row (a, b) admits, but its admitted pairs are not a prefix of
+one vector, so it keeps that scan beside ``_grid_cells``.  C1a demands
+equality, and a float difference can prove two values unequal but never prove
+them equal, so C1a is the one exact prescreen.  C3b and C5 keep their own
+loops over chained increments.
 """
 
 from __future__ import annotations
@@ -367,7 +370,12 @@ def _suspects_c1a(fn, bounds):
                 yield {"k": k, "x": grid[0], "y": y}
 
 
-# tuple order (a, b, c, d) over the grid, guard min(a,b) <= min(c,d) and ab < cd
+# tuple order (a, b, c, d) over the grid, guard min(a,b) <= min(c,d) and ab < cd.
+# Row (a, b) admits the (c, d) of no smaller min rank and a larger product rank.
+# For each min rank, a running minimum of f(c) + f(d) over the pairs it admits,
+# largest product first, gives each row of that min rank its least admitted sum.
+# Once the min ranks up to rank[a] are done every row (a, .) is known, so the
+# rows are scanned in tuple order as they become known.
 def _suspects_c2(fn, bounds):
     grid = sorted(bounds.real_grid)
     n = len(grid)
@@ -380,11 +388,19 @@ def _suspects_c2(fn, bounds):
     prod_rank = _ranks([p * q for p in ints for q in ints]).reshape(n, n)
     f_float = _approx(fn, grid)
     sums = f_float[:, None] + f_float[None, :]
-    for i in range(n):
-        for j in range(n):
-            guard = (min_rank >= min_rank[i, j]) & (prod_rank > prod_rank[i, j])
-            for c, d in _cells(guard & _suspect(sums, sums[i, j], 1e-8)):
-                yield {"a": grid[i], "b": grid[j], "c": grid[c], "d": grid[d]}
+    margin = _margin(fn, math.ceil(grid[-1]))
+    by_product = np.argsort(-prod_rank, axis=None, kind="stable")  # flat indices
+    least = np.empty((n, n))
+    for r in range(rank[-1] + 1):  # dense ranks of the sorted grid
+        pairs = by_product[min_rank.flat[by_product] >= r]
+        running = np.minimum.accumulate(np.concatenate(([np.inf], sums.flat[pairs])))
+        rows = min_rank == r
+        least[rows] = running[np.searchsorted(-prod_rank.flat[pairs], -prod_rank[rows])]
+        for i in np.flatnonzero(rank == r):
+            for (j,) in _cells(_suspect(least[i], sums[i], margin)):
+                guard = (min_rank >= min_rank[i, j]) & (prod_rank > prod_rank[i, j])
+                for c, d in _cells(guard & _suspect(sums, sums[i, j], margin)):
+                    yield {"a": grid[i], "b": grid[j], "c": grid[c], "d": grid[d]}
 
 
 # tuple order (k, a, b)

@@ -405,19 +405,6 @@ class PiecewiseTable(WelfareFunction):
             total += slope * (nxt - bp)
         raise AssertionError("unreachable")
 
-    def flat_intervals(self) -> list[tuple[Fraction, Fraction | None]]:
-        """Maximal intervals with slope zero; None upper end means unbounded."""
-        out = []
-        for i, slope in enumerate(self.slopes):
-            if slope == 0:
-                lo = self.breakpoints[i]
-                hi = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else None
-                if out and out[-1][1] == lo:
-                    out[-1] = (out[-1][0], hi)
-                else:
-                    out.append((lo, hi))
-        return out
-
     def label(self):
         bps = ",".join(str(b) for b in self.breakpoints)
         slopes = ",".join(str(s) for s in self.slopes)
@@ -432,11 +419,6 @@ def _scale_interval(v: IntervalValue, w: Fraction) -> IntervalValue:
     lo, hi = v.lo * wf, v.hi * wf
     pad = mpmath.ldexp(max(1, abs(lo), abs(hi)), -(v.bits - 2))
     return IntervalValue(lo - pad, hi + pad, v.bits)
-
-
-def evaluate(fn: WelfareFunction, x, bits: int = DEFAULT_PRECISION_BITS) -> ExtendedValue:
-    """f(x) for rational x >= 0."""
-    return fn.value_at(Fraction(x), bits)
 
 
 def increment(fn: WelfareFunction, lo, hi, bits: int = DEFAULT_PRECISION_BITS) -> ExtendedValue:

@@ -75,9 +75,6 @@ class Instance:
         m = len(utilities[0]) if utilities else 0
         return Instance(len(utilities), m, utilities, tuple(labels) if labels else None)
 
-    def utility(self, agent: int, good: int) -> Fraction:
-        return self.utilities[agent][good]
-
     def bundle_utility(self, agent: int, bundle: Iterable[int]) -> Fraction:
         """Exact additive utility of a set of goods; the empty bundle is 0."""
         if not 0 <= agent < self.n:

@@ -1,6 +1,7 @@
 """Bounded condition checks, analytic verdicts, implication harness, bisection."""
 
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from welfarist.conditions import (
     threshold_bisect,
     violates,
 )
-from welfarist.functions import parse_welfare
+from welfarist.functions import WelfareFunction, parse_welfare
 from welfarist.values import Relation, compare
 
 SMALL_GRID = tuple(Fraction(j, 4) for j in range(1, 13))
@@ -71,6 +72,16 @@ class TestCheckCondition:
             parse_welfare("modlog:2"), ConditionId.C3B, Bounds(k_max=3, a_max=5)
         )
         assert bad.verdict == VIOLATED and bad.witness == {"k": 0, "a": 2}
+
+    def test_c2_margin_scales_with_the_table(self):
+        # t^2 + (7t)^2 = 2 (5t)^2 exactly, yet the float sums near 5.6e10 differ by 1.5e-5
+        t = Fraction(100001, 3)
+        report = check_condition(
+            parse_welfare("pmean:2"), ConditionId.C2, Bounds(real_grid=(t, 5 * t, 7 * t))
+        )
+        assert report.verdict == VIOLATED
+        assert report.witness == {"a": t, "b": 7 * t, "c": 5 * t, "d": 5 * t}
+        assert report.lhs.as_fraction() == report.rhs.as_fraction() == Fraction(500010000050, 9)
 
     def test_harmonic_block_not_constant(self):
         report = check_condition(
@@ -262,6 +273,56 @@ def test_grid_cells_match_a_double_loop(lhs, rhs, margin, data):
     if admitted is not None:
         admitted = np.array(admitted, dtype=int)
     assert list(conditions._grid_cells(lhs, rhs, margin, admitted)) == want
+
+
+class _FloatStub(WelfareFunction):
+    """f known only through its float model: the given floats at the sorted grid."""
+
+    def __init__(self, floats, error):
+        self.floats, self.error = np.array(floats), error
+
+    def value_at(self, x, bits=None):
+        raise NotImplementedError
+
+    def label(self):
+        return "stub"
+
+    def approx_array(self, xs):
+        assert len(xs) == len(self.floats)
+        return self.floats
+
+    def table_error_bound(self, upto):
+        return self.error
+
+
+# repeats, and the product ties 3/10 * 2 = 2/5 * 3/2 and 1 * 3 = 3/2 * 2
+_C2_POOL = tuple(Fraction(x) for x in ("3/10", "2/5", "1", "3/2", "2", "3"))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from(_C2_POOL), min_size=1, max_size=6),
+    st.sampled_from([0.0, 1e-10, 0.1]),
+    st.data(),
+)
+def test_c2_scan_matches_a_quadruple_loop(grid, error, data):
+    """The row-minimum C2 scan yields exactly the tuples a plain loop over
+    grid^4 with the exact guard and not (f(c) + f(d) - (f(a) + f(b)) > margin)
+    finds, in the same order."""
+    f = data.draw(st.lists(_SCAN_VALUES, min_size=len(grid), max_size=len(grid)))
+    fn = _FloatStub(f, error)
+    xs = sorted(grid)
+    margin = conditions._margin(fn, math.ceil(xs[-1]))
+    with np.errstate(invalid="ignore"):  # +inf + -inf is NaN, a suspect
+        want = [
+            {"a": xs[i], "b": xs[j], "c": xs[c], "d": xs[d]}
+            for i, j, c, d in itertools.product(range(len(xs)), repeat=4)
+            if min(xs[i], xs[j]) <= min(xs[c], xs[d])
+            and xs[i] * xs[j] < xs[c] * xs[d]
+            and not (fn.floats[c] + fn.floats[d] - (fn.floats[i] + fn.floats[j]) > margin)
+        ]
+        got = list(conditions._suspects_c2(fn, Bounds(real_grid=tuple(grid))))
+    assert got == want
 
 
 @pytest.mark.parametrize("cond", [ConditionId.C3, ConditionId.C3A])

@@ -97,7 +97,7 @@ class TestEvenSplit:
     def test_piece_value(self):
         inst = even_split_instance(1, Fraction(1, 2))
         assert inst.m == 4
-        assert inst.utility(0, 0) == Fraction(1, 2)
+        assert inst.utilities[0][0] == Fraction(1, 2)
 
     def test_flags(self):
         profile = classify(even_split_instance(1, Fraction(1, 3)))
@@ -115,7 +115,7 @@ class TestBinaryOverlap:
     def test_two_agent_case(self):
         inst = binary_overlap_instance(2, 1)
         assert inst.m == 4
-        assert all(inst.utility(i, g) == 1 for i in range(2) for g in range(4))
+        assert all(inst.utilities[i][g] == 1 for i in range(2) for g in range(4))
 
     def test_flags(self):
         profile = classify(binary_overlap_instance(4, 0))
@@ -142,7 +142,7 @@ class TestOffsetGood:
     def test_degenerate_first_good(self):
         inst = offset_good_instance(2, 1, 1, 1)
         assert inst.m == 3
-        assert inst.utility(0, 0) == 0
+        assert inst.utilities[0][0] == 0
 
     def test_shape(self):
         inst = offset_good_instance(3, 2, 4, 3)
@@ -157,7 +157,7 @@ class TestOffsetGood:
 class TestFlatTie:
     def test_recipe_values(self):
         inst, balanced, lopsided = flat_tie_gadget(2, 1, 2)
-        assert inst.utility(0, 0) == Fraction(1, 4)  # d = 4
+        assert inst.utilities[0][0] == Fraction(1, 4)  # d = 4
         assert inst.m == 12  # c = 6 goods per agent
 
     def test_tie_and_fairness_split(self):

@@ -35,7 +35,7 @@ def ef1_reference(inst, alloc):
         for j in range(inst.n):
             if i == j or not bundles[j]:
                 continue
-            best = max(inst.utility(i, g) for g in bundles[j])
+            best = max(inst.utilities[i][g] for g in bundles[j])
             margin = inst.bundle_utility(i, bundles[j]) - best - own
             if margin > 0:
                 violations.append((i, j, margin))

@@ -27,7 +27,7 @@ class TestParsing:
     def test_basic_document(self):
         inst = parse_instance('{"agents":2,"utilities":[["1","1/2"],["0","3"]]}')
         assert (inst.n, inst.m) == (2, 2)
-        assert inst.utility(0, 1) == Fraction(1, 2)
+        assert inst.utilities[0][1] == Fraction(1, 2)
 
     def test_rejects_single_agent(self):
         with pytest.raises(ParseError):
