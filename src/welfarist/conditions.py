@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -99,7 +99,8 @@ class Bounds:
     real_grid: tuple[Fraction, ...] = DEFAULT_REAL_GRID
     b_max: int | None = None
     x_max: int | None = None
-    policy: PrecisionPolicy = field(default_factory=PrecisionPolicy)
+    # a class constant, not a field: exact confirmations use the default schedule
+    policy = PrecisionPolicy()
 
     def __post_init__(self):
         if self.k_max < 2 or self.a_max < 1:
@@ -261,7 +262,8 @@ def _table(fn: WelfareFunction, upto: int) -> tuple[np.ndarray, float]:
 
 
 def _diff(table: np.ndarray, hi, lo) -> np.ndarray:
-    """table[hi]-table[lo] with -inf at lo mapped to +inf (left side passes)."""
+    """table[hi] - table[lo]; IEEE arithmetic gives x - (-inf) = +inf for
+    x > -inf (the left side passes) and NaN for -inf - (-inf)."""
     with np.errstate(invalid="ignore"):
         return table[hi] - table[lo]
 
@@ -779,17 +781,17 @@ def find_witness_adaptive(
 
     Several necessity results only guarantee witnesses for large enough
     parameters, so a fixed box can be silently too small; the returned report
-    carries the last bounds used either way.  Block indices double, capped at
-    64, since the binding tuples of every studied family sit at small k while
-    the argument scales run away.  An initial box with a_max >= a_cap is
-    checked once, as it is.
+    carries the last bounds used either way.  Block indices double up to 64
+    (an initial k_max above 64 is kept), since the binding tuples of every
+    studied family sit at small k while the argument scales run away.  An
+    initial box with a_max >= a_cap is checked once, as it is.
     """
     bounds = initial or Bounds(k_max=4, a_max=8)
     while True:
         report = check_condition(fn, cond, bounds)
         if report.verdict != NO_VIOLATION or bounds.a_max >= a_cap:
             return report
-        bounds = _scaled(bounds, 2, min(bounds.k_max * 2, 64))
+        bounds = _scaled(bounds, 2, max(bounds.k_max, min(bounds.k_max * 2, 64)))
 
 
 _FAMILIES = {"modlog": ModLog, "harmonic": ModHarmonic}
@@ -893,11 +895,10 @@ class LemmaSuiteReport:
         return all(c.passed for c in self.checks)
 
 
-def _reciprocal_log_offset(x, shift: int, prec: int = 160):
-    """1/log((x+1)/x) - (x + shift) at high precision."""
-    with mpmath.workprec(prec):
-        xf = mpmath.mpf(x)
-        return 1 / mpmath.log((xf + 1) / xf) - (xf + shift)
+def _reciprocal_log_offset(x, shift: int):
+    """1/log((x+1)/x) - (x + shift) at the working precision."""
+    xf = mpmath.mpf(x)
+    return 1 / mpmath.log((xf + 1) / xf) - (xf + shift)
 
 
 def numeric_lemma_suite() -> LemmaSuiteReport:

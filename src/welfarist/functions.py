@@ -421,8 +421,8 @@ def _scale_interval(v: IntervalValue, w: Fraction) -> IntervalValue:
     return IntervalValue(lo - pad, hi + pad, v.bits)
 
 
-def increment(fn: WelfareFunction, lo, hi, bits: int = DEFAULT_PRECISION_BITS) -> ExtendedValue:
-    """f(hi) - f(lo) for 0 <= lo <= hi; +inf exactly when f(lo) = -inf < f(hi)."""
+def increment(fn: WelfareFunction, lo, hi) -> ExtendedValue:
+    """f(hi) - f(lo) for 0 <= lo <= hi at f's default precision; +inf exactly when f(lo) = -inf < f(hi)."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("arguments out of order")
@@ -433,24 +433,24 @@ def increment(fn: WelfareFunction, lo, hi, bits: int = DEFAULT_PRECISION_BITS) -
         if fn.c == -1 and lo_i == 0:
             return POS_INF
         return ExactValue.from_rational(fn.range_sum(lo_i + 1, hi_i))
-    lower = fn.value_at(lo, bits)
+    lower = fn.value_at(lo)
     if isinstance(lower, Infinite):
         return POS_INF
-    upper = fn.value_at(hi, bits)
+    upper = fn.value_at(hi)
     if isinstance(upper, ExactValue) and isinstance(lower, ExactValue):
         return upper.sub(lower)
     neg = lower.neg() if isinstance(lower, ExactValue) else IntervalValue(-lower.hi, -lower.lo, lower.bits)
     return value_sum([upper, neg])
 
 
-def delta(fn: WelfareFunction, k: int, x, bits: int = DEFAULT_PRECISION_BITS) -> ExtendedValue:
+def delta(fn: WelfareFunction, k: int, x) -> ExtendedValue:
     """Block increment f((k+1)x) - f(kx) for x > 0; +inf iff k=0 and f(0)=-inf."""
     x = Fraction(x)
     if x <= 0:
         raise ValueError("argument must be positive")
     if k < 0:
         raise ValueError("block index must be >= 0")
-    return increment(fn, Fraction(k) * x, (k + 1) * x, bits)
+    return increment(fn, Fraction(k) * x, (k + 1) * x)
 
 
 # -- welfare-spec grammar -----------------------------------------------------

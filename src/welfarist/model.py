@@ -292,6 +292,7 @@ def is_positive_admitting(inst: Instance) -> tuple[bool, Allocation | None]:
 
 # -- seeded random instances -----------------------------------------------------
 
+_MAX_ATTEMPTS = 2000  # draws before random_instance gives up on a constraint
 _KNOWN_FLAGS = {"unrestricted", "integer", "binary", "two_value", "identical_good", "normalized"}
 
 
@@ -303,7 +304,6 @@ def random_instance(
     seed: int = 0,
     *,
     require_positive_admitting: bool = False,
-    max_attempts: int = 2000,
 ) -> Instance:
     """Deterministic seeded instance satisfying a class constraint.
 
@@ -318,7 +318,7 @@ def random_instance(
     if unknown:
         raise InfeasibleConstraintError(f"unknown class flags: {sorted(unknown)}")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         inst = _generate(n, m, flags, max_value, rng)
         if inst is None:
             continue

@@ -34,6 +34,8 @@ from mpmath.calculus.quadrature import GaussLegendre
 
 from .values import IntervalValue
 
+_MAX_PANELS = 4000  # the refinement budget of one integral
+
 
 class DivergentIntegralError(ValueError):
     """The requested point of the integral family diverges."""
@@ -64,7 +66,7 @@ def _panel_sum(f, a, b, order: int, prec: int):
     return half * mpmath.fsum(w * f(mid + half * x) for x, w in _legendre_nodes(order, prec))
 
 
-def _adaptive(f, abs_tol, prec, grade, max_panels=4000):
+def _adaptive(f, abs_tol, prec, grade):
     """Composite GL(12)/GL(24) refinement on [0, 1]; returns (value, error_estimate).
 
     Starts from the panels [0, 1/2], [1/2, 3/4], ..., [1 - 2**-grade, 1].
@@ -78,7 +80,7 @@ def _adaptive(f, abs_tol, prec, grade, max_panels=4000):
         while stack:
             a, b = stack.pop()
             panels += 1
-            if panels > max_panels:
+            if panels > _MAX_PANELS:
                 raise QuadratureError("refinement budget exhausted")
             coarse = _panel_sum(f, a, b, 12, prec)
             fine = _panel_sum(f, a, b, 24, prec)

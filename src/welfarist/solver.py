@@ -64,14 +64,14 @@ from .values import (
     value_sum,
 )
 
-DEFAULT_ENUMERATION_CAP = 50_000_000
+_ENUMERATION_CAP = 50_000_000  # the largest n**m that enumeration scans
 # float bounds are used only while every finite one lies inside +-2**1000, so
 # that no sum of n of them can overflow
 _FLOAT_RANGE = 2.0**1000
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """The assignment space n**m is larger than the configured cap."""
+    """The assignment space n**m is larger than the enumeration cap."""
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,10 @@ class _ValueCache:
         return value_sum([self(u) for u in utilities])
 
 
-def welfare_of(inst: Instance, fn: WelfareFunction, alloc: Allocation, bits: int = 256) -> ExtendedValue:
-    """Welfare of one allocation; -inf as soon as any bundle hits f = -inf."""
+def welfare_of(inst: Instance, fn: WelfareFunction, alloc: Allocation) -> ExtendedValue:
+    """Welfare of one allocation at f's default precision; -inf as soon as any bundle hits f = -inf."""
     alloc.validate_for(inst)
-    return value_sum([fn.value_at(u, bits) for u in inst.utility_vector(alloc.assignment)])
+    return value_sum([fn.value_at(u) for u in inst.utility_vector(alloc.assignment)])
 
 
 def _argmax(
@@ -293,7 +293,6 @@ def enumerate_maximizers(
     inst: Instance,
     fn: WelfareFunction,
     *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
     policy: PrecisionPolicy | None = None,
 ) -> MaximizerSet:
     """Scan :meth:`Instance.utility_vectors` and return the full argmax set.
@@ -312,8 +311,8 @@ def enumerate_maximizers(
     which the exactness flag reports.
     """
     policy = policy or PrecisionPolicy()
-    if inst.n**inst.m > cap:
-        raise EnumerationCapExceeded(f"{inst.n}**{inst.m} exceeds cap {cap}")
+    if inst.n**inst.m > _ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"{inst.n}**{inst.m} exceeds cap {_ENUMERATION_CAP}")
     value = _ValueCache(fn, policy.start(), inst.scale)
     survivors, points, interval_drop = _bounded_survivors(inst.utility_vectors(), _scoring(inst, value))
     if points:
@@ -406,11 +405,10 @@ def chosen_all_ef1(
     inst: Instance,
     fn: WelfareFunction,
     *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
     policy: PrecisionPolicy | None = None,
 ) -> tuple[bool, Allocation | None]:
     """Is every welfare-maximizing allocation EF1?  Returns a violating maximizer if not."""
-    maxima = enumerate_maximizers(inst, fn, cap=cap, policy=policy)
+    maxima = enumerate_maximizers(inst, fn, policy=policy)
     bad = next((a for a in maxima.allocations if not is_ef1(inst, a).holds), None)
     return bad is None, bad
 

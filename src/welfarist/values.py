@@ -13,9 +13,9 @@ Square roots of such radicands are linearly independent over the rationals
 This covers logarithms (Nash-style welfare), modified-harmonic values at
 integer arguments, integer and half-integer power means, and positive linear
 combinations of all of these.  Everything else is handled by high-precision
-intervals with precision doubling up to a hard ceiling; an undecided
-comparison at the ceiling is reported as inconclusive, never silently
-resolved.  :func:`float_bounds` encloses any of these values in two
+intervals with precision doubling up to a hard ceiling, which is always tried;
+an undecided comparison at the ceiling is reported as inconclusive, never
+silently resolved.  :func:`float_bounds` encloses any of these values in two
 outward-rounded doubles, for scans that decide most comparisons in floats
 and leave the rest to :func:`compare`.
 """
@@ -27,7 +27,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import mpmath
 
@@ -37,17 +37,21 @@ SCAN_BITS = 64
 PRECISION_CEILING_ENV = "WELFARIST_PRECISION_CEILING"
 
 _GUARD_BITS = 24
+_RENDER_DIGITS = 30  # significant decimals of a rendered non-rational value
 
 
 def precision_ceiling() -> int:
     """Hard precision ceiling in bits (overridable via environment)."""
-    return int(os.environ.get(PRECISION_CEILING_ENV, "4096"))
+    bits = int(os.environ.get(PRECISION_CEILING_ENV, "4096"))
+    if bits < 1:
+        raise ValueError(f"{PRECISION_CEILING_ENV} must be >= 1, got {bits}")
+    return bits
 
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
     """Escalation schedule for interval comparisons: the precision doubles
-    from ``start_bits`` up to the ceiling."""
+    from ``start_bits`` while below the ceiling, and ends at the ceiling."""
 
     start_bits: int = DEFAULT_PRECISION_BITS
     ceiling_bits: int = 0  # 0 means: read the environment ceiling
@@ -65,11 +69,11 @@ class PrecisionPolicy:
         return min(self.start_bits, self.ceiling())
 
     def schedule(self) -> Iterable[int]:
-        bits = self.start()
-        ceiling = self.ceiling()
-        while 0 < bits <= ceiling:
+        bits, ceiling = self.start(), self.ceiling()
+        while bits < ceiling:
             yield bits
             bits *= 2
+        yield ceiling
 
 
 class Relation(enum.Enum):
@@ -271,6 +275,7 @@ class IntervalValue:
 
 
 ExtendedValue = Union[Infinite, ExactValue, IntervalValue]
+_ZERO = IntervalValue(0, 0, 0)  # exact at every precision
 
 
 def value_sum(values: Iterable[ExtendedValue]) -> ExtendedValue:
@@ -368,32 +373,21 @@ def _log_of_fraction(q: Fraction):
 
 
 def _exact_sign(value: ExactValue, policy: PrecisionPolicy) -> ValueOrdering:
-    """Sign of an exact value as an ordering against zero."""
-    logs = value.logs
-    if logs:
-        prod = _log_part_product(logs)
-        if prod == 1:
-            # the log part vanishes identically
+    """Sign of an exact value as an ordering against zero; a nonzero value
+    no exact shortcut decides is refined against [0, 0]."""
+    if value.logs:
+        prod = _log_part_product(value.logs)
+        if prod == 1:  # the log part vanishes identically
             value = ExactValue(value.rational, None, value.surds)
-            logs = {}
         elif value.rational == 0 and not value.surds:
             return GREATER if prod > 1 else LESS
-        # otherwise: mixed log and algebraic parts are never equal unless the
-        # log part vanishes (transcendence of log of a rational != 1)
-    if not logs:
-        if not value.surds:
-            if value.rational == 0:
-                return EQUAL
-            return GREATER if value.rational > 0 else LESS
-        # rational + surds with a nonzero surd coefficient is never zero
-        # (linear independence of sqrt of radicands in distinct classes)
-    for bits in policy.schedule():
-        enc = evaluate_interval(value, bits)
-        if enc.lo > 0:
-            return ValueOrdering(Relation.GREATER, bits)
-        if enc.hi < 0:
-            return ValueOrdering(Relation.LESS, bits)
-    return ValueOrdering(Relation.INCONCLUSIVE, policy.ceiling())
+        # otherwise logs mixed with algebraic parts are never zero
+        # (transcendence of log of a rational != 1)
+    if not value.logs and not value.surds:
+        return EQUAL if value.rational == 0 else GREATER if value.rational > 0 else LESS
+    # rational + surds with a nonzero surd coefficient is never zero
+    # (linear independence of sqrt of radicands in distinct classes)
+    return _interval_compare(value, _ZERO, policy)
 
 
 def _as_value(operand) -> ExtendedValue:
@@ -401,18 +395,16 @@ def _as_value(operand) -> ExtendedValue:
         return operand
     if isinstance(operand, (int, Fraction)):
         return ExactValue.from_rational(operand)
-    if isinstance(operand, Sequence):
-        return value_sum(operand)
     raise TypeError(f"cannot interpret {operand!r} as a welfare value")
 
 
 def compare(lhs, rhs, policy: PrecisionPolicy | None = None) -> ValueOrdering:
-    """Three-tier comparison of welfare values (or sequences to be summed).
+    """Three-tier comparison of two welfare values (``ExtendedValue``, int or Fraction).
 
     Tier 1 decides purely rational differences exactly; tier 2 decides log and
     surd combinations exactly through big-rational products and linear
-    independence; tier 3 falls back to interval evaluation with precision
-    doubling.  Equal infinities of the same sign compare Equal by convention.
+    independence; tier 3 refines intervals along ``policy.schedule()``, which
+    ends at the ceiling.  Equal infinities of the same sign compare Equal.
     """
     policy = policy or PrecisionPolicy()
     left = _as_value(lhs)
@@ -433,10 +425,10 @@ def _enclose(value: ExtendedValue, bits: int) -> IntervalValue:
 
 
 def _interval_compare(left, right, policy: PrecisionPolicy) -> ValueOrdering:
+    """Order two enclosures along ``policy.schedule()``; only an exact operand
+    refines, and an undecided pair reports the last precision tried."""
     refinable = isinstance(left, ExactValue) or isinstance(right, ExactValue)
-    bits_used = policy.start()
     for bits in policy.schedule():
-        bits_used = bits
         l = _enclose(left, bits)
         r = _enclose(right, bits)
         if l.hi < r.lo:
@@ -445,11 +437,12 @@ def _interval_compare(left, right, policy: PrecisionPolicy) -> ValueOrdering:
             return ValueOrdering(Relation.GREATER, bits)
         if not refinable:
             break
-    return ValueOrdering(Relation.INCONCLUSIVE, bits_used)
+    return ValueOrdering(Relation.INCONCLUSIVE, bits)
 
 
-def render_value(value: ExtendedValue, digits: int = 30) -> dict:
-    """JSON-friendly rendering: exact rationals/logs kept exact, else decimals."""
+def render_value(value: ExtendedValue) -> dict:
+    """JSON-friendly rendering: exact rationals/logs kept exact, else
+    ``_RENDER_DIGITS`` significant decimals."""
     if isinstance(value, Infinite):
         return {"kind": "pos_inf" if value.sign > 0 else "neg_inf"}
     if isinstance(value, ExactValue):
@@ -460,12 +453,12 @@ def render_value(value: ExtendedValue, digits: int = 30) -> dict:
             for base, w in value.logs.items():
                 q *= base**w.numerator
             return {"kind": "log", "argument": str(q)}
-        with mpmath.workprec(max(64, 4 * digits)):
-            approx = mpmath.nstr(evaluate_interval(value, 4 * digits).midpoint(), digits)
+        with mpmath.workprec(4 * _RENDER_DIGITS):
+            approx = mpmath.nstr(evaluate_interval(value, 4 * _RENDER_DIGITS).midpoint(), _RENDER_DIGITS)
         return {"kind": "exact", "decimal": approx}
     return {
         "kind": "interval",
-        "lo": mpmath.nstr(value.lo, digits),
-        "hi": mpmath.nstr(value.hi, digits),
+        "lo": mpmath.nstr(value.lo, _RENDER_DIGITS),
+        "hi": mpmath.nstr(value.hi, _RENDER_DIGITS),
         "bits": value.bits,
     }

@@ -52,6 +52,13 @@ def test_solve_usage_error(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_solve_refuses_an_instance_over_the_enumeration_cap(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"agents": 3, "utilities": [["1"] * 17] * 3}))
+    code, out, err = run(capsys, "solve", str(path), "--welfare", "log")
+    assert code == 2 and "exceeds cap" in err and out == ""
+
+
 def test_check_exit_codes(chain_file, tmp_path, capsys):
     good = tmp_path / "b.json"
     good.write_text('{"bundles":[[0],[],[1],[2,3]]}')

@@ -108,6 +108,14 @@ class TestCheckCondition:
         assert report.verdict == VIOLATED
         assert report.witness["k"] == expect_k
 
+    def test_adaptive_search_keeps_a_large_initial_k_max(self):
+        # block indices grow to 64 at most, but never shrink below the start
+        report = find_witness_adaptive(
+            parse_welfare("log"), ConditionId.C4, Bounds(k_max=100, a_max=1), a_cap=4
+        )
+        assert report.verdict == NO_VIOLATION
+        assert (report.bounds.k_max, report.bounds.a_max) == (100, 4)
+
     def test_harmonic_general_chain_witness(self):
         report = find_witness_adaptive(
             parse_welfare("harmonic:-3/4"), ConditionId.C6A, Bounds(k_max=4, a_max=8)

@@ -63,9 +63,12 @@ class TestEnumerate:
         assert {a.assignment for a in maxima.allocations} == {(0, 1), (1, 0)}
 
     def test_cap(self):
-        inst = Instance.from_rows([[1] * 10, [1] * 10])
+        # 3**17 > 5 * 10**7 assignments: refused before any work
+        inst = Instance.from_rows([[1] * 17] * 3)
         with pytest.raises(EnumerationCapExceeded):
-            enumerate_maximizers(inst, LOG, cap=100)
+            enumerate_maximizers(inst, LOG)
+        with pytest.raises(EnumerationCapExceeded):
+            chosen_all_ef1(inst, LOG)
 
     def test_negative_infinity_participates(self):
         # nobody values anything: all allocations tie at f-sum of f(0)

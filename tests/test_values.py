@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -143,8 +144,6 @@ class TestSquarefree:
 
 class TestIntervals:
     def test_enclosure_contains_truth(self):
-        import mpmath
-
         v = ExactValue(logs={Fraction(2): Fraction(1)})
         enc = evaluate_interval(v, 128)
         with mpmath.workprec(256):
@@ -175,6 +174,19 @@ class TestIntervals:
         ordering = compare(ExactValue.from_log(2), Fraction(6931471805599453, 10**16), policy)
         assert (ordering.relation, ordering.bits) == (Relation.GREATER, policy.ceiling())
 
+    def test_schedule_ends_at_the_ceiling(self):
+        # 300 * 2**k never lands on 4096, and 2,400 bits cannot tell the two apart
+        with mpmath.workprec(2600):
+            below = Fraction(int(mpmath.floor(mpmath.log(2) * mpmath.ldexp(1, 2500))), 2**2500)
+        ordering = compare(ExactValue.from_log(2), below, PrecisionPolicy(start_bits=300, ceiling_bits=4096))
+        assert (ordering.relation, ordering.bits) == (Relation.GREATER, 4096)
+
+    @given(start=st.integers(1, 8192), ceiling=st.integers(1, 8192))
+    def test_schedule_doubles_up_to_the_ceiling(self, start, ceiling):
+        steps = list(PrecisionPolicy(start_bits=start, ceiling_bits=ceiling).schedule())
+        assert steps[0] == min(start, ceiling) and steps[-1] == ceiling
+        assert all(a < b <= 2 * a for a, b in zip(steps, steps[1:]))
+
 
 class TestFloatBounds:
     @pytest.mark.parametrize(
@@ -199,8 +211,6 @@ class TestFloatBounds:
         assert lo < hi
 
     def test_interval_widened_outward(self):
-        import mpmath
-
         with mpmath.workprec(256):
             interval = IntervalValue(mpmath.mpf(1) / 3, mpmath.mpf(2) / 3, 256)
             lo, hi = float_bounds(interval)
@@ -226,6 +236,14 @@ def test_precision_ceiling_env_override(monkeypatch):
     assert precision_ceiling() == 512
     assert PrecisionPolicy().ceiling() == 512
     assert PrecisionPolicy(ceiling_bits=128).ceiling() == 128
+
+
+@pytest.mark.parametrize("bits", ["0", "-100"])
+def test_precision_ceiling_below_one_bit_is_rejected(monkeypatch, bits):
+    # every schedule ends at the ceiling, so a ceiling below one bit must not be tried
+    monkeypatch.setenv("WELFARIST_PRECISION_CEILING", bits)
+    with pytest.raises(ValueError):
+        compare(ExactValue.from_log(2), Fraction(7, 10))
 
 
 @given(a=rationals, b=rationals)
