@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from math import ceil
 
-from .conditions import Bounds, ConditionId, find_witness_adaptive
+from .conditions import ConditionId, find_witness_adaptive
 from .constructions import (
     binary_overlap_instance,
     offset_good_instance,
@@ -83,27 +83,26 @@ def _modlog_gadget(fn: WelfareFunction) -> Instance:
     return uniform_goods_instance(2, 0, a, 1)
 
 
-def _harmonic_chain_gadget(fn: WelfareFunction) -> Instance:
-    report = find_witness_adaptive(fn, ConditionId.C3B, Bounds(k_max=4, a_max=8))
+def _witness(fn: WelfareFunction, cond: ConditionId) -> dict:
+    """The witness of the adaptive search for a violation of ``cond`` from its default box."""
+    report = find_witness_adaptive(fn, cond)
     if report.verdict != "Violated":
-        raise ValueError("no bounded witness found for this shift")
-    w = report.witness
+        raise ValueError(f"no bounded {cond.value} witness found for {fn.label()}")
+    return report.witness
+
+
+def _harmonic_chain_gadget(fn: WelfareFunction) -> Instance:
+    w = _witness(fn, ConditionId.C3B)
     return uniform_goods_instance(2, w["k"], w["a"], 1)
 
 
 def _harmonic_general_gadget(fn: WelfareFunction) -> Instance:
-    report = find_witness_adaptive(fn, ConditionId.C6A, Bounds(k_max=4, a_max=8))
-    if report.verdict != "Violated":
-        raise ValueError("no bounded witness found for this shift")
-    w = report.witness
+    w = _witness(fn, ConditionId.C6A)
     return offset_good_instance(2, w["k"], w["a"], w["b"])
 
 
 def _pmean_binary_gadget(fn: WelfareFunction) -> Instance:
-    report = find_witness_adaptive(fn, ConditionId.C4, Bounds(k_max=4, a_max=8))
-    if report.verdict != "Violated":
-        raise ValueError("no bounded witness found for this exponent")
-    return binary_overlap_instance(2, report.witness["k"])
+    return binary_overlap_instance(2, _witness(fn, ConditionId.C4)["k"])
 
 
 @dataclass(frozen=True)
@@ -140,6 +139,8 @@ THEOREMS: dict[str, _Theorem] = {
 def run_campaign(spec: CampaignSpec) -> CampaignResult:
     if spec.theorem not in THEOREMS:
         raise ValueError(f"unknown theorem id {spec.theorem!r}; known: {sorted(THEOREMS)}")
+    if spec.trials < 0:
+        raise ValueError(f"trials must be >= 0, got {spec.trials}")
     theorem = THEOREMS[spec.theorem]
     fn = spec.welfare or parse_welfare(theorem.default_welfare)
     violations = 0

@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import __version__
 from .campaigns import THEOREMS, CampaignSpec, run_campaign
 from .conditions import (
+    DEFAULT_A_CAP,
     Bounds,
     ConditionId,
     check_condition,
@@ -22,7 +23,7 @@ from .conditions import (
     numeric_lemma_suite,
 )
 from .constructions import GENERATORS, flat_tie_gadget
-from .fairness import is_ef, is_ef1, is_pareto_optimal
+from .fairness import DEFAULT_PARETO_BUDGET, is_ef, is_ef1, is_pareto_optimal
 from .functions import parse_welfare
 from .model import (
     ParseError,
@@ -32,7 +33,7 @@ from .model import (
     serialize_instance,
 )
 from .solver import EnumerationCapExceeded, enumerate_maximizers
-from .values import PrecisionPolicy, render_value
+from .values import DEFAULT_PRECISION_BITS, PrecisionPolicy, render_value
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -208,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument("--welfare", required=True)
     solve.add_argument("--all", action="store_true", help="print the full argmax set")
-    solve.add_argument("--precision-bits", type=int, default=256)
+    solve.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
     solve.set_defaults(handler=_cmd_solve)
 
     check = sub.add_parser("check", help="verify a fairness/efficiency property")
     check.add_argument("kind", choices=["ef1", "ef", "po"])
     check.add_argument("instance")
     check.add_argument("allocation")
-    check.add_argument("--budget", type=int, default=1_000_000)
+    check.add_argument("--budget", type=int, default=DEFAULT_PARETO_BUDGET)
     check.set_defaults(handler=_cmd_check)
 
     cls = sub.add_parser("classify", help="evaluate instance-class predicates")
@@ -225,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     cond = sub.add_parser("condition", help="bounded check of one condition")
     cond.add_argument("cond")
     cond.add_argument("--welfare", required=True)
-    cond.add_argument("--k-max", type=int, default=10)
-    cond.add_argument("--a-max", type=int, default=10)
+    cond.add_argument("--k-max", type=int, default=Bounds.k_max)
+    cond.add_argument("--a-max", type=int, default=Bounds.a_max)
     cond.add_argument("--b-max", type=int, default=None)
     cond.add_argument("--x-max", type=int, default=None)
     cond.add_argument("--grid", default=None, help="comma-separated rationals")
     cond.add_argument("--adaptive", action="store_true", help="grow bounds until a witness appears")
-    cond.add_argument("--a-cap", type=int, default=1 << 17)
+    cond.add_argument("--a-cap", type=int, default=DEFAULT_A_CAP)
     cond.set_defaults(handler=_cmd_condition)
 
     construct = sub.add_parser("construct", help="emit a structured instance")
@@ -243,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = sub.add_parser("campaign", help="seeded randomized theorem campaign")
     campaign.add_argument("--theorem", required=True, choices=sorted(THEOREMS))
     campaign.add_argument("--welfare", default=None)
-    campaign.add_argument("--trials", type=int, default=100)
-    campaign.add_argument("--seed", type=int, default=0)
-    campaign.add_argument("--n-min", type=int, default=2)
-    campaign.add_argument("--n-max", type=int, default=3)
-    campaign.add_argument("--m-min", type=int, default=1)
-    campaign.add_argument("--m-max", type=int, default=6)
-    campaign.add_argument("--max-value", type=int, default=5)
+    campaign.add_argument("--trials", type=int, default=CampaignSpec.trials)
+    campaign.add_argument("--seed", type=int, default=CampaignSpec.seed)
+    campaign.add_argument("--n-min", type=int, default=CampaignSpec.n_min)
+    campaign.add_argument("--n-max", type=int, default=CampaignSpec.n_max)
+    campaign.add_argument("--m-min", type=int, default=CampaignSpec.m_min)
+    campaign.add_argument("--m-max", type=int, default=CampaignSpec.m_max)
+    campaign.add_argument("--max-value", type=int, default=CampaignSpec.max_value)
     campaign.set_defaults(handler=_cmd_campaign)
 
     lemmas = sub.add_parser("lemmas", help="run the numeric lemma suite")

@@ -105,6 +105,8 @@ class Bounds:
     def __post_init__(self):
         if self.k_max < 2 or self.a_max < 1:
             raise ValueError("need k_max >= 2 and a_max >= 1")
+        if min(self.b_limit, self.x_limit) < 0:
+            raise ValueError("need b_max >= 0 and x_max >= 0")
 
     @property
     def b_limit(self) -> int:
@@ -758,6 +760,9 @@ def implication_scan(fn: WelfareFunction, bounds: Bounds | None = None) -> Impli
 
 # -- adaptive bounds and threshold bisection ----------------------------------------
 
+# the a_max at which the adaptive search stops doubling, and so the box of a bisection probe
+DEFAULT_A_CAP = 1 << 17
+
 
 def _scaled(bounds: Bounds, factor: int, k_max: int) -> Bounds:
     """bounds with block indices up to k_max and the argument scales (a_max,
@@ -775,7 +780,7 @@ def find_witness_adaptive(
     fn: WelfareFunction,
     cond: ConditionId,
     initial: Bounds | None = None,
-    a_cap: int = 1 << 17,
+    a_cap: int = DEFAULT_A_CAP,
 ) -> ConditionReport:
     """Double the bounded box until a witness appears or a_max reaches the cap.
 
@@ -804,7 +809,7 @@ def threshold_bisect(
     c_hi,
     bounds: Bounds | None = None,
     iters: int = 20,
-    a_cap: int = 1 << 17,
+    a_cap: int = DEFAULT_A_CAP,
 ) -> tuple[Fraction, Fraction]:
     """Bisect the family parameter on the bounded-verdict boundary.
 

@@ -63,13 +63,16 @@ def is_ef(inst: Instance, alloc: Allocation) -> bool:
     return True
 
 
+DEFAULT_PARETO_BUDGET = 1_000_000  # assignments a Pareto check scans before giving up
+
+
 @dataclass(frozen=True)
 class ParetoResult:
     verdict: str  # "PO" | "Dominated" | "BudgetExceeded"
     dominator: Allocation | None = None
 
 
-def is_pareto_optimal(inst: Instance, alloc: Allocation, budget: int = 1_000_000) -> ParetoResult:
+def is_pareto_optimal(inst: Instance, alloc: Allocation, budget: int = DEFAULT_PARETO_BUDGET) -> ParetoResult:
     """Brute-force Pareto check over :meth:`Instance.utility_vectors`.
 
     Scans at most ``budget`` integer vectors (units of 1/``inst.scale``), in

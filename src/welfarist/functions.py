@@ -369,17 +369,16 @@ class LinearCombo(WelfareFunction):
 
 
 class PiecewiseTable(WelfareFunction):
-    """Continuous piecewise-linear function given by breakpoints and slopes.
+    """Continuous piecewise-linear function with f(0) = 0, given by breakpoints and slopes.
 
     Slopes may be zero, so the function need not be strictly increasing; the
     flag is computed accordingly and rule-level guarantees do not apply when
     it is False.  Exists to host flat-region counterexample functions.
     """
 
-    def __init__(self, breakpoints: Sequence, slopes: Sequence, start_value=0):
+    def __init__(self, breakpoints: Sequence, slopes: Sequence):
         self.breakpoints = tuple(_fraction(b) for b in breakpoints)
         self.slopes = tuple(_fraction(s) for s in slopes)
-        self.start_value = _fraction(start_value)
         if len(self.slopes) != len(self.breakpoints):
             raise ValueError("need one slope per breakpoint")
         if self.breakpoints[0] != 0:
@@ -397,7 +396,7 @@ class PiecewiseTable(WelfareFunction):
         x = Fraction(x)
         if x < 0:
             raise ValueError("negative argument")
-        total = self.start_value
+        total = Fraction(0)
         for i, (bp, slope) in enumerate(zip(self.breakpoints, self.slopes)):
             nxt = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else None
             if nxt is None or x < nxt:
@@ -408,7 +407,7 @@ class PiecewiseTable(WelfareFunction):
     def label(self):
         bps = ",".join(str(b) for b in self.breakpoints)
         slopes = ",".join(str(s) for s in self.slopes)
-        return f"table[{bps};{slopes};{self.start_value}]"
+        return f"table[{bps};{slopes}]"
 
     def approx_array(self, xs):
         return np.array([float(self.value_at(Fraction(x)).as_fraction()) for x in xs])

@@ -70,10 +70,10 @@ class Instance:
         object.__setattr__(self, "scaled", tuple(tuple(int(u * d) for u in row) for row in self.utilities))
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence], labels: Sequence[str] | None = None) -> "Instance":
+    def from_rows(rows: Sequence[Sequence]) -> "Instance":
         utilities = tuple(tuple(Fraction(u) for u in row) for row in rows)
         m = len(utilities[0]) if utilities else 0
-        return Instance(len(utilities), m, utilities, tuple(labels) if labels else None)
+        return Instance(len(utilities), m, utilities)
 
     def bundle_utility(self, agent: int, bundle: Iterable[int]) -> Fraction:
         """Exact additive utility of a set of goods; the empty bundle is 0."""
@@ -127,17 +127,16 @@ class Allocation:
     assignment: tuple[int, ...]
 
     @staticmethod
-    def from_bundles(bundles: Sequence[Sequence[int]], m: int | None = None) -> "Allocation":
+    def from_bundles(bundles: Sequence[Sequence[int]], m: int) -> "Allocation":
         seen: dict[int, int] = {}
         for agent, bundle in enumerate(bundles):
             for g in bundle:
                 if g in seen:
                     raise ParseError(f"good {g} assigned twice")
                 seen[g] = agent
-        count = m if m is not None else len(seen)
-        if sorted(seen) != list(range(count)):
+        if sorted(seen) != list(range(m)):
             raise ParseError("bundles do not partition the goods")
-        return Allocation(tuple(seen[g] for g in range(count)))
+        return Allocation(tuple(seen[g] for g in range(m)))
 
     def bundles(self, n: int) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(n)]

@@ -35,9 +35,10 @@ confirms every maximizer and every tie.
 The scan reads f at double precision (``SCAN_BITS``, what the float bounds
 need), in one :meth:`~welfarist.functions.WelfareFunction.values_at` batch.
 Exact values hold at every precision; an interval value is evaluated again at
-``policy.start()`` only for the welfare the comparator reads -- the
-survivors', and the two sides of a branch-and-bound comparison -- so a high
-``start_bits`` costs only there.
+the comparator's start precision (enumeration's ``policy.start()``, the
+default for branch-and-bound) only for the welfare the comparator reads --
+the survivors', and the two sides of a branch-and-bound comparison -- so a
+high ``start_bits`` costs only there.
 """
 
 from __future__ import annotations
@@ -332,28 +333,20 @@ def enumerate_maximizers(
     return MaximizerSet(tuple(Allocation(a) for a in best), best_value, exactness)
 
 
-def solve_branch_bound(
-    inst: Instance,
-    fn: WelfareFunction,
-    *,
-    policy: PrecisionPolicy | None = None,
-) -> tuple[Allocation, ExtendedValue]:
+def solve_branch_bound(inst: Instance, fn: WelfareFunction) -> tuple[Allocation, ExtendedValue]:
     """One maximizer via depth-first search with an optimistic completion bound.
 
     The bound adds every unassigned good to every agent simultaneously; since
-    f is increasing this can only overestimate, so pruning on bound <= incumbent
-    is safe.  Bounds and incumbent are scored like enumeration's vectors:
-    bounds that do not overlap decide outright, as do overlapping points
-    (equal keys); the exact/interval comparator decides the rest.  A bound
-    holding -inf is pruned, as it equals or falls below any incumbent.  The
-    incumbent starts at "all goods to agent 0".  Requires strictly increasing
-    f (falls back to enumeration otherwise, where ties against the flat
-    regions matter).
+    f is non-decreasing this can only overestimate, so pruning on bound <=
+    incumbent is safe: no completion beats the incumbent, and one that ties
+    it is not needed.  Bounds and incumbent are scored like enumeration's
+    vectors: bounds that do not overlap decide outright, as do overlapping
+    points (equal keys); the exact/interval comparator decides the rest, at
+    the default ``PrecisionPolicy``.  A bound holding -inf is pruned, as it
+    equals or falls below any incumbent.  The incumbent starts at "all goods
+    to agent 0".
     """
-    policy = policy or PrecisionPolicy()
-    if not fn.strictly_increasing:
-        maxima = enumerate_maximizers(inst, fn, policy=policy)
-        return maxima.allocations[0], maxima.welfare
+    policy = PrecisionPolicy()
     value = _ValueCache(fn, policy.start(), inst.scale)
     score = _scoring(inst, value)
     rows = inst.scaled
@@ -401,19 +394,14 @@ def solve_branch_bound(
     return Allocation(incumbent_assignment), value.welfare(incumbent_vector)
 
 
-def chosen_all_ef1(
-    inst: Instance,
-    fn: WelfareFunction,
-    *,
-    policy: PrecisionPolicy | None = None,
-) -> tuple[bool, Allocation | None]:
+def chosen_all_ef1(inst: Instance, fn: WelfareFunction) -> tuple[bool, Allocation | None]:
     """Is every welfare-maximizing allocation EF1?  Returns a violating maximizer if not."""
-    maxima = enumerate_maximizers(inst, fn, policy=policy)
+    maxima = enumerate_maximizers(inst, fn)
     bad = next((a for a in maxima.allocations if not is_ef1(inst, a).holds), None)
     return bad is None, bad
 
 
-def split_family_argmax(k: int, fn: WelfareFunction, *, policy: PrecisionPolicy | None = None) -> int:
+def split_family_argmax(k: int, fn: WelfareFunction) -> int:
     """Welfare-maximizing x over the structured two-agent split family.
 
     For the doubling-pairs instance with parameter k, the candidate
@@ -430,7 +418,7 @@ def split_family_argmax(k: int, fn: WelfareFunction, *, policy: PrecisionPolicy 
         (x, value_sum([fn.value_at(Fraction(4 * x)), fn.value_at(Fraction(4 * k + 1 - 2 * x))]))
         for x in range(ceil(Fraction(k, 2)), k + 1)
     )
-    best, _, exactness = _argmax(candidates, policy or PrecisionPolicy())
+    best, _, exactness = _argmax(candidates, PrecisionPolicy())
     if exactness.kind == "Inconclusive":
         raise RuntimeError("inconclusive comparison in structured argmax")
     return best[0]

@@ -51,10 +51,10 @@ def precision_ceiling() -> int:
 @dataclass(frozen=True)
 class PrecisionPolicy:
     """Escalation schedule for interval comparisons: the precision doubles
-    from ``start_bits`` while below the ceiling, and ends at the ceiling."""
+    from ``start_bits`` while below the ceiling (``precision_ceiling()``),
+    and ends at the ceiling."""
 
     start_bits: int = DEFAULT_PRECISION_BITS
-    ceiling_bits: int = 0  # 0 means: read the environment ceiling
 
     def __post_init__(self):
         # doubling never leaves 0, and a negative start only goes further down
@@ -62,7 +62,7 @@ class PrecisionPolicy:
             raise ValueError(f"start_bits must be >= 1, got {self.start_bits}")
 
     def ceiling(self) -> int:
-        return self.ceiling_bits if self.ceiling_bits > 0 else precision_ceiling()
+        return precision_ceiling()
 
     def start(self) -> int:
         """The first precision of the schedule: ``start_bits``, capped at the ceiling."""

@@ -1,10 +1,15 @@
 """CLI surface: exit codes, JSON output, determinism."""
 
+import inspect
 import json
 
 import pytest
 
-from welfarist.cli import main
+from welfarist.campaigns import CampaignSpec, run_campaign
+from welfarist.cli import build_parser, main
+from welfarist.conditions import Bounds, find_witness_adaptive, threshold_bisect
+from welfarist.fairness import is_pareto_optimal
+from welfarist.values import PrecisionPolicy
 
 
 def run(capsys, *argv):
@@ -145,6 +150,45 @@ def test_construct_bad_params(capsys):
     assert code == 2
     code, _out, err = run(capsys, "construct", "unknown-thing", "1")
     assert code == 2
+
+
+def test_condition_rejects_a_negative_b_max_or_x_max(capsys):
+    # a negative box is empty, and an empty box reads NoViolationFound
+    for flag in ("--b-max", "--x-max"):
+        code, _out, err = run(capsys, "condition", "C6b", "--welfare", "harmonic:-3/4", flag, "-3")
+        assert code == 2 and "error" in err
+    with pytest.raises(ValueError):
+        Bounds(b_max=-1)
+    with pytest.raises(ValueError):
+        Bounds(x_max=-1)
+    # a bound of 0, an empty box, stays valid
+    assert Bounds(b_max=0, x_max=0).b_limit == 0
+
+
+def test_campaign_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "campaign", "--theorem", "modlog-integer", "--trials", "-5")
+    assert code == 2 and out == "" and "error" in err
+    with pytest.raises(ValueError):
+        run_campaign(CampaignSpec("modlog-integer", trials=-1))
+    assert run_campaign(CampaignSpec("modlog-integer", trials=0)).passed
+
+
+def test_parser_defaults_are_the_library_defaults():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    parser = build_parser()
+    solve = parser.parse_args(["solve", "instance.json", "--welfare", "log"])
+    assert solve.precision_bits == PrecisionPolicy().start_bits
+    check = parser.parse_args(["check", "po", "instance.json", "allocation.json"])
+    assert check.budget == default(is_pareto_optimal, "budget")
+    cond = parser.parse_args(["condition", "C1", "--welfare", "log"])
+    assert (cond.k_max, cond.a_max) == (Bounds().k_max, Bounds().a_max)
+    assert cond.a_cap == default(find_witness_adaptive, "a_cap") == default(threshold_bisect, "a_cap")
+    campaign = parser.parse_args(["campaign", "--theorem", "mnw-integer"])
+    spec = CampaignSpec("mnw-integer")
+    for name in ("trials", "seed", "n_min", "n_max", "m_min", "m_max", "max_value"):
+        assert getattr(campaign, name) == getattr(spec, name), name
 
 
 def test_campaign_roundtrip(capsys, tmp_path):

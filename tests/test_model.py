@@ -96,7 +96,7 @@ def test_allocation_serialization_round_trip():
 
 
 def test_labeled_instance_round_trip():
-    inst = Instance.from_rows([[1, 2], [2, 1]], labels=["left", "right"])
+    inst = Instance(2, 2, ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))), ("left", "right"))
     text = serialize_instance(inst)
     assert '"goods":["left","right"]' in text
     assert parse_instance(text) == inst

@@ -7,6 +7,7 @@ from math import floor, lcm
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from welfarist import solver
 from welfarist.constructions import (
@@ -14,9 +15,11 @@ from welfarist.constructions import (
     chain_positive_allocation,
     chain_shifted_allocation,
     doubling_pairs_instance,
+    flat_table_function,
+    flat_tie_gadget,
 )
 from welfarist.fairness import is_ef1, is_pareto_optimal
-from welfarist.functions import parse_welfare
+from welfarist.functions import PiecewiseTable, parse_welfare
 from welfarist.model import Allocation, Instance, random_instance
 from welfarist.solver import (
     EnumerationCapExceeded,
@@ -357,11 +360,10 @@ class TestBranchBound:
 
     def test_welfare_at_the_policy_precision(self):
         # harmonic values at 7/3 and 1/3 are intervals; the incumbent's welfare
-        # is evaluated at the policy's bits like every other node
+        # is evaluated at the default policy's bits like every other node
         inst = Instance.from_rows([[Fraction(7, 3), Fraction(7, 3)], [Fraction(1, 3), Fraction(1, 3)]])
-        policy = PrecisionPolicy(start_bits=64)
-        _, welfare = solve_branch_bound(inst, MHW, policy=policy)
-        assert welfare.bits == enumerate_maximizers(inst, MHW, policy=policy).welfare.bits == 64
+        _, welfare = solve_branch_bound(inst, MHW)
+        assert welfare.bits == enumerate_maximizers(inst, MHW).welfare.bits == DEFAULT_PRECISION_BITS
 
     def test_single_good_goes_to_argmax_agent(self):
         # under log every one-good allocation starves someone, so use the
@@ -369,6 +371,38 @@ class TestBranchBound:
         inst = Instance.from_rows([[2], [5]])
         alloc, _ = solve_branch_bound(inst, MHW)
         assert alloc.assignment == (1,)
+
+    @staticmethod
+    def assert_matches_enumeration(inst, fn):
+        maxima = enumerate_maximizers(inst, fn)
+        alloc, welfare = solve_branch_bound(inst, fn)
+        assert compare(welfare, maxima.welfare).relation is Relation.EQUAL
+        assert alloc in maxima
+
+    def test_flat_tie_gadget_matches_enumeration(self):
+        # f is flat on (1, 2), and the gadget's maximizers tie there
+        inst, _balanced, _lopsided = flat_tie_gadget(2, 1, 2)
+        self.assert_matches_enumeration(inst, flat_table_function(1, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True),
+        slopes=st.lists(st.sampled_from([0, Fraction(1, 2), 1, 3]), min_size=4, max_size=4),
+        flat=st.integers(0, 3),
+        n=st.integers(2, 3),
+        utilities=st.lists(st.sampled_from([0, Fraction(1, 2), 1, 2, Fraction(7, 2), 5]), min_size=15, max_size=15),
+        m=st.integers(1, 5),
+    )
+    def test_non_decreasing_tables_match_enumeration(self, cuts, slopes, flat, n, utilities, m):
+        # pruning on bound <= incumbent needs f non-decreasing only, so zero
+        # slopes (welfare ties across flat regions) keep bb inside the argmax set
+        breakpoints = [0] + sorted(cuts)
+        slopes = slopes[: len(breakpoints)]
+        slopes[flat % len(breakpoints)] = 0
+        fn = PiecewiseTable(breakpoints, slopes)
+        assert not fn.strictly_increasing
+        inst = Instance.from_rows([utilities[i * m : (i + 1) * m] for i in range(n)])
+        self.assert_matches_enumeration(inst, fn)
 
 
 class TestLazyPrecision:
@@ -457,8 +491,6 @@ class TestChosenAllEf1:
         assert not is_ef1(uniform_goods_instance(2, 0, 6, 1), witness).holds
 
     def test_flat_function_ties_in_a_non_ef1_maximizer(self):
-        from welfarist.constructions import flat_table_function, flat_tie_gadget
-
         fn = flat_table_function(1, 2)
         inst, _balanced, _lopsided = flat_tie_gadget(2, 1, 2)
         ok, witness = chosen_all_ef1(inst, fn)
@@ -490,7 +522,5 @@ class TestSplitFamily:
         assert x in firsts
 
     def test_requires_strictly_increasing(self):
-        from welfarist.functions import PiecewiseTable
-
         with pytest.raises(ValueError):
             split_family_argmax(3, PiecewiseTable([0, 1, 2], [1, 0, 1]))

@@ -1,6 +1,8 @@
 """Exact/interval value arithmetic and the three-tier comparator."""
 
+import os
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, strategies as st
 from welfarist.values import (
     NEG_INF,
     POS_INF,
+    PRECISION_CEILING_ENV,
     ExactValue,
     IntervalValue,
     PrecisionPolicy,
@@ -155,11 +158,12 @@ class TestIntervals:
         b = IntervalValue(0.5, 1.5, 53)
         assert rel(a, b) is Relation.INCONCLUSIVE
 
-    def test_ceiling_yields_inconclusive(self):
+    def test_ceiling_yields_inconclusive(self, monkeypatch):
         # an exact tie fed through the interval tier only
+        monkeypatch.setenv(PRECISION_CEILING_ENV, "128")
         lhs = IntervalValue(0.0, 1e-40, 53)
         rhs = ExactValue.from_rational(0)
-        ordering = compare(lhs, rhs, policy=PrecisionPolicy(start_bits=64, ceiling_bits=128))
+        ordering = compare(lhs, rhs, policy=PrecisionPolicy(start_bits=64))
         assert ordering.relation is Relation.INCONCLUSIVE
 
     @pytest.mark.parametrize("bits", [0, -5])
@@ -174,16 +178,19 @@ class TestIntervals:
         ordering = compare(ExactValue.from_log(2), Fraction(6931471805599453, 10**16), policy)
         assert (ordering.relation, ordering.bits) == (Relation.GREATER, policy.ceiling())
 
-    def test_schedule_ends_at_the_ceiling(self):
+    def test_schedule_ends_at_the_ceiling(self, monkeypatch):
         # 300 * 2**k never lands on 4096, and 2,400 bits cannot tell the two apart
+        monkeypatch.setenv(PRECISION_CEILING_ENV, "4096")
         with mpmath.workprec(2600):
             below = Fraction(int(mpmath.floor(mpmath.log(2) * mpmath.ldexp(1, 2500))), 2**2500)
-        ordering = compare(ExactValue.from_log(2), below, PrecisionPolicy(start_bits=300, ceiling_bits=4096))
+        ordering = compare(ExactValue.from_log(2), below, PrecisionPolicy(start_bits=300))
         assert (ordering.relation, ordering.bits) == (Relation.GREATER, 4096)
 
     @given(start=st.integers(1, 8192), ceiling=st.integers(1, 8192))
     def test_schedule_doubles_up_to_the_ceiling(self, start, ceiling):
-        steps = list(PrecisionPolicy(start_bits=start, ceiling_bits=ceiling).schedule())
+        # a function-scoped fixture would not be reset between Hypothesis examples
+        with mock.patch.dict(os.environ, {PRECISION_CEILING_ENV: str(ceiling)}):
+            steps = list(PrecisionPolicy(start_bits=start).schedule())
         assert steps[0] == min(start, ceiling) and steps[-1] == ceiling
         assert all(a < b <= 2 * a for a, b in zip(steps, steps[1:]))
 
@@ -235,7 +242,6 @@ def test_precision_ceiling_env_override(monkeypatch):
     monkeypatch.setenv("WELFARIST_PRECISION_CEILING", "512")
     assert precision_ceiling() == 512
     assert PrecisionPolicy().ceiling() == 512
-    assert PrecisionPolicy(ceiling_bits=128).ceiling() == 128
 
 
 @pytest.mark.parametrize("bits", ["0", "-100"])
