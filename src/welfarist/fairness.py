@@ -79,8 +79,10 @@ def is_pareto_optimal(inst: Instance, alloc: Allocation, budget: int = DEFAULT_P
     lexicographic order; if the space is larger and no dominating allocation
     was found within the budget, reports ``BudgetExceeded``.  The dominator
     returned is the lexicographically smallest one, which makes parallel or
-    resumed scans deterministic.
+    resumed scans deterministic.  A ``budget`` below 1 is refused.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     base = _scaled_own(inst, alloc)
     for scanned, (assignment, utilities) in enumerate(inst.utility_vectors()):
         if scanned >= budget:

@@ -1,11 +1,18 @@
 """Maximizers of the additive welfarist objective sum_i f(u_i(A_i)).
 
-Three routes: exhaustive enumeration over :meth:`Instance.utility_vectors`
-(the ground truth, returning the complete argmax set in the kernel's canonical
-lexicographic order), a pruned depth-first search that returns a single
-maximizer, and the structured two-agent split family, which shares the argmax
-loop of enumeration.  The argmax set matters because the rule breaks ties
-arbitrarily, so a guarantee about "the chosen allocation" must hold for every member.
+Three routes: exhaustive enumeration (the ground truth, returning the
+complete argmax set in lexicographic assignment order), a pruned depth-first
+search that returns a single maximizer, and the structured two-agent split
+family, which shares the argmax loop of enumeration.  The argmax set matters
+because the rule breaks ties arbitrarily, so a guarantee about "the chosen
+allocation" must hold for every member.
+
+Enumeration scores each distinct reachable utility vector once, since many
+assignments share one: it builds them good by good, each packed into one
+integer, and recovers the survivors' assignments in lexicographic order
+(:func:`_distinct_survivors`).  Where its layers could hold more than
+``_STATE_CAP`` vectors, it walks the n**m assignments of
+:meth:`Instance.utility_vectors` instead, with the same result.
 
 Enumeration and the depth-first search add integer utilities in units of
 1/d, d the instance's least common denominator (``Instance.scaled``): scaling
@@ -66,6 +73,10 @@ from .values import (
 )
 
 _ENUMERATION_CAP = 50_000_000  # the largest n**m that enumeration scans
+# the most distinct partial utility vectors enumeration keeps, summed over
+# its layers; where they could pass it, enumeration walks the n**m
+# assignments instead, which keeps none
+_STATE_CAP = 1 << 18
 # float bounds are used only while every finite one lies inside +-2**1000, so
 # that no sum of n of them can overflow
 _FLOAT_RANGE = 2.0**1000
@@ -258,8 +269,9 @@ def _scoring(inst: Instance, value: _ValueCache) -> Callable:
 
 
 def _bounded_survivors(walk, score) -> tuple[list[tuple[tuple[int, ...], tuple]], bool, bool]:
-    """(assignment, utility vector) pairs of the walk whose ``hi`` reaches the maximum ``lo``.
+    """(key, utility vector) pairs of ``walk`` whose ``hi`` reaches the maximum ``lo``.
 
+    A key is an assignment, or a packed vector of ``_distinct_survivors``.
     A vector is dropped once its ``hi`` falls below the running maximum
     ``lo``, and the rest are filtered by the final one.  No maximizer is ever
     dropped: its ``hi`` is at least the maximum welfare, which is at least
@@ -290,16 +302,56 @@ def _bounded_survivors(walk, score) -> tuple[list[tuple[tuple[int, ...], tuple]]
     return survivors, points, interval_drop
 
 
+def _distinct_survivors(inst: Instance, score) -> tuple[list[tuple[tuple[int, ...], tuple]], bool, bool] | None:
+    """What ``_bounded_survivors`` gives on the walk, scoring each distinct vector once.
+
+    A utility vector is one int with a field of ``width`` bits per agent,
+    wide enough that no field carries, and layer g holds the distinct vectors
+    of the first g goods.  Which vectors survive, and the two flags, depend
+    only on the set of final vectors, so the flags are the walk's.  The
+    survivors' assignments come back in lexicographic order: each layer keeps
+    only the vectors one step below a kept vector of the next (a difference
+    that borrows across fields is no vector of the layer), and the forward
+    pass extends each kept prefix in agent order.  Returns ``None``, having
+    built no layer that could take the states past ``_STATE_CAP``.
+    """
+    rows = inst.scaled
+    width = max(map(sum, rows)).bit_length() + 1
+    steps = [[row[g] << (i * width) for i, row in enumerate(rows)] for g in range(inst.m)]
+    layers = [{0}]
+    states = 1
+    for step in steps:
+        if states + inst.n * len(layers[-1]) > _STATE_CAP:  # the most the next layer can add
+            return None
+        layers.append({v + s for v in layers[-1] for s in step})
+        states += len(layers[-1])
+    final = list(layers[-1])
+    mask = (1 << width) - 1
+    columns = [[v >> (i * width) & mask for v in final] for i in range(inst.n)]
+    kept, points, interval_drop = _bounded_survivors(zip(final, zip(*columns)), score)
+    vectors = dict(kept)
+    layers[-1] = set(vectors)
+    for g in range(inst.m - 1, -1, -1):
+        layers[g] = {t - s for t in layers[g + 1] for s in steps[g]} & layers[g]
+    prefixes = [((), 0)]
+    for step, reachable in zip(steps, layers[1:]):
+        prefixes = [(a + (i,), v + s) for a, v in prefixes for i, s in enumerate(step) if v + s in reachable]
+    return [(a, vectors[v]) for a, v in prefixes], points, interval_drop
+
+
 def enumerate_maximizers(
     inst: Instance,
     fn: WelfareFunction,
     *,
     policy: PrecisionPolicy | None = None,
 ) -> MaximizerSet:
-    """Scan :meth:`Instance.utility_vectors` and return the full argmax set.
+    """The full argmax set, from each distinct utility vector scored once.
 
-    The maximizers come out in lexicographic assignment order.  One scan
-    drops every vector whose bounds (see the module docstring) fall below the
+    The maximizers come out in lexicographic assignment order.  The distinct
+    vectors come from layers built good by good; where those could pass
+    ``_STATE_CAP`` states, the walk of :meth:`Instance.utility_vectors`
+    scores every assignment instead, with the same result.  One scan drops
+    every vector whose bounds (see the module docstring) fall below the
     best lower bound.  A survivor set of points (integer keys, or -inf) is the
     argmax set as it stands; any other goes through the exact/interval
     comparator once per distinct multiset of utilities (equal multisets are
@@ -315,7 +367,10 @@ def enumerate_maximizers(
     if inst.n**inst.m > _ENUMERATION_CAP:
         raise EnumerationCapExceeded(f"{inst.n}**{inst.m} exceeds cap {_ENUMERATION_CAP}")
     value = _ValueCache(fn, policy.start(), inst.scale)
-    survivors, points, interval_drop = _bounded_survivors(inst.utility_vectors(), _scoring(inst, value))
+    score = _scoring(inst, value)
+    survivors, points, interval_drop = _distinct_survivors(inst, score) or _bounded_survivors(
+        inst.utility_vectors(), score
+    )
     if points:
         best, best_value = [a for a, _ in survivors], value.welfare(survivors[0][1])
         exactness = Exactness("Exact")

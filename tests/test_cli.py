@@ -173,6 +173,15 @@ def test_campaign_rejects_negative_trials(capsys):
     assert run_campaign(CampaignSpec("modlog-integer", trials=0)).passed
 
 
+def test_check_po_rejects_a_budget_below_one(chain_file, tmp_path, capsys):
+    # no assignment would be scanned, so BudgetExceeded (exit 3) would say nothing
+    alloc = tmp_path / "b.json"
+    alloc.write_text('{"bundles":[[0],[],[1],[2,3]]}')
+    for budget in ("0", "-5"):
+        code, out, err = run(capsys, "check", "po", chain_file, str(alloc), "--budget", budget)
+        assert code == 2 and out == "" and "error" in err
+
+
 def test_parser_defaults_are_the_library_defaults():
     def default(fn, name):
         return inspect.signature(fn).parameters[name].default

@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from welfarist.constructions import chain_instance, chain_shifted_allocation
 from welfarist.fairness import Ef1Report, is_ef, is_ef1, is_pareto_optimal
 from welfarist.model import Allocation, Instance, random_instance
@@ -149,3 +151,10 @@ class TestPareto:
         assert result.verdict == "Dominated"
         assert result.dominator.assignment == (1, 0)
         assert is_pareto_optimal(inst, dominated, budget=2).verdict == "BudgetExceeded"
+
+    def test_budget_below_one_is_refused(self):
+        inst = Instance.from_rows([[1, 2], [2, 1]])
+        assert is_pareto_optimal(inst, Allocation((1, 0)), budget=1).verdict == "BudgetExceeded"
+        for budget in (0, -5):
+            with pytest.raises(ValueError):
+                is_pareto_optimal(inst, Allocation((1, 0)), budget=budget)

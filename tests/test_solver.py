@@ -37,6 +37,7 @@ from welfarist.values import (
     PrecisionPolicy,
     Relation,
     compare,
+    render_value,
 )
 
 LOG = parse_welfare("log")
@@ -403,6 +404,79 @@ class TestBranchBound:
         assert not fn.strictly_increasing
         inst = Instance.from_rows([utilities[i * m : (i + 1) * m] for i in range(n)])
         self.assert_matches_enumeration(inst, fn)
+
+
+class TestDistinctLayers:
+    """Enumeration over layers of distinct utility vectors gives what the n**m walk gives."""
+
+    RULES = ["log", "pmean:2", "pmean:1/2", "pmean:1/3", "harmonic:0", "harmonic:-3/4", "modlog:2"]
+    CLASSES = {"binary": 1, "two_value": 5, "integer+identical_good": 4, "integer": 4, "unrestricted": 4}
+
+    @staticmethod
+    def summary(maxima):
+        return [a.assignment for a in maxima.allocations], maxima.exactness, render_value(maxima.welfare)
+
+    def assert_routes_agree(self, inst, fn):
+        layered = enumerate_maximizers(inst, fn)
+        # m = 0 builds no layer, so no cap forces the walk there: take the layer route out
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_distinct_survivors", lambda inst, score: None)
+            walked = enumerate_maximizers(inst, fn)
+        assert self.summary(layered) == self.summary(walked)
+        return layered
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cls=st.sampled_from(sorted(CLASSES)),
+        spec=st.sampled_from(RULES),
+        n=st.integers(2, 3),
+        m=st.integers(1, 6),
+        seed=st.integers(0, 2**20),
+    )
+    def test_layers_match_the_walk(self, cls, spec, n, m, seed):
+        inst = random_instance(n, m, cls, self.CLASSES[cls], seed=seed)
+        self.assert_routes_agree(inst, parse_welfare(spec))
+
+    @pytest.mark.parametrize("spec", RULES)
+    @pytest.mark.parametrize(
+        "rows, members",
+        [
+            ([[], []], 1),  # m = 0
+            ([[1, 2], [2, 1], [1, 1]], 9),  # more agents than goods (an instance has n >= 2)
+            ([[0, 0, 0], [0, 0, 0]], 8),  # every vector is (0, 0)
+            ([[1] * 6] * 3, 90),  # 90 assignments reach the vector (2, 2, 2)
+        ],
+    )
+    def test_edge_cases(self, spec, rows, members):
+        maxima = self.assert_routes_agree(Instance.from_rows(rows), parse_welfare(spec))
+        if spec == "log":  # -inf everywhere in the two middle cases
+            assert len(maxima.allocations) == members
+
+    @staticmethod
+    def most_states(inst) -> int:
+        """The largest count the cap is checked against, by brute force: before
+        each layer is built, the layers kept plus n times the last one."""
+        sizes = []
+        for g in range(inst.m + 1):
+            prefixes = itertools.product(range(inst.n), repeat=g)
+            sizes.append(len({tuple(inst.utility_vector(a)) for a in prefixes}))
+        return max(sum(sizes[: g + 1]) + inst.n * sizes[g] for g in range(inst.m))
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 2, 3, 4], [2, 1, 4, 3], [1, 1, 1, 1]], [[1] * 5] * 2, [[3, 5, 7], [2, 2, 2]]]
+    )
+    def test_the_walk_runs_exactly_past_the_cap(self, monkeypatch, rows):
+        inst = Instance.from_rows(rows)
+        walks = []
+        walk = Instance.utility_vectors
+        monkeypatch.setattr(Instance, "utility_vectors", lambda self: walks.append(1) or walk(self))
+        expected = self.summary(enumerate_maximizers(inst, LOG))
+        cap = self.most_states(inst)
+        for cap, walked in ((cap, False), (cap - 1, True)):
+            walks.clear()
+            monkeypatch.setattr(solver, "_STATE_CAP", cap)
+            assert self.summary(enumerate_maximizers(inst, LOG)) == expected
+            assert bool(walks) is walked
 
 
 class TestLazyPrecision:
