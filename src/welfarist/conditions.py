@@ -22,13 +22,16 @@ ever built.  C2 finds its suspect rows the same way, from the least sum
 f(c) + f(d) each row (a, b) admits, but its admitted pairs are not a prefix of
 one vector, so it keeps that scan beside ``_grid_cells``.  C1a demands
 equality, and a float difference can prove two values unequal but never prove
-them equal, so C1a is the one exact prescreen.  C3b and C5 keep their own
-loops over chained increments.
+them equal, so C1a is the one exact prescreen.  C5 keeps its own loop over
+chained increments, and so does C3b for most families.  For shifted logs
+C3b reduces to one rational inequality in a, the same in every row, so no
+scan runs: the first violating tuple, if any, is the only suspect.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -168,8 +171,21 @@ def condition_inequalities(
     fn: WelfareFunction, cond: ConditionId, witness: dict
 ) -> list[tuple[ExtendedValue, ExtendedValue]]:
     """The (lhs, rhs) pairs the condition relates at one tuple: lhs > rhs for
-    every condition but C1a, whose one pair must be equal."""
-    w = witness
+    every condition but C1a, whose one pair must be equal.
+
+    The result is memoized for the last (fn, cond, witness) asked for, with
+    fn matched by its label, so ``check_condition`` reads the failing pair of
+    a witness that ``violates`` has just confirmed without evaluating it
+    again.  ``check_condition`` empties the memo when it starts.  A direct
+    call reads the memo too, so one made after fn's evaluation has changed
+    (under a monkeypatch, say) can return the pairs of the earlier one.
+    """
+    return list(_inequalities(fn, cond, tuple(witness.items())))
+
+
+@functools.lru_cache(maxsize=1)
+def _inequalities(fn, cond, items):
+    w = dict(items)
     if cond in _BLOCK_PAIR_CONDITIONS:
         # Delta_l(b) > Delta_k(a), with k = l + 1 except in C3a, and a = b = 1 in C4
         l, k = (w["l"], w["k"]) if cond is ConditionId.C3A else (w["k"], w["k"] + 1)
@@ -234,14 +250,6 @@ def violates(
             return True
         undecided = undecided or holds is None
     return None if undecided else False
-
-
-def _failing_pair(fn, cond, witness, policy):
-    """(lhs, rhs) of the first failing relation at a confirmed witness."""
-    for lhs, rhs, holds in _relations(fn, cond, witness, policy):
-        if holds is False:
-            return lhs, rhs
-    raise AssertionError("witness did not re-verify")
 
 
 # -- suspect generators, one per condition; tuple order noted above each -----------
@@ -425,12 +433,38 @@ _C3B_CHUNK = 1 << 16
 
 
 # tuple order (k, a); the report's lhs and rhs are the sides of the failing
-# inequality of the chain.
+# inequality of the chain Delta_k(1) > Delta_{k+1}(a) > Delta_{k+2}(1).
+# Shifted logs are decided in closed form, every other family by the float
+# scan: the closed form below holds for log(x + c) only.
+def _suspects_c3b(fn, bounds):
+    if isinstance(fn, (Log, ModLog)):
+        return _shifted_log_c3b(fn, bounds)
+    return _scan_c3b(fn, bounds)
+
+
+# For f(x) = log(x + c), c >= 0 (Log is c = 0), every increment is the log of
+# a rational, Delta_t(x) = log(((t+1)x + c) / (tx + c)), and log p > log q iff
+# p > q.  Cross-multiplying the chain's two inequalities leaves
+#   left:  (k+1+c)((k+1)a+c) - (k+c)((k+2)a+c) = a + c - ac > 0,
+#   right: ((k+2)a+c)(k+2+c) - ((k+1)a+c)(k+3+c) = a + ac - c > 0,
+# whatever k (at k = c = 0, Delta_0(1) = +inf and the left side holds too).
+# The right one, a + c(a - 1) > 0, holds for every a >= 1.  The left one,
+# a - c(a - 1) > 0, holds for every a when c <= 1, and for c > 1 fails exactly
+# from a = c / (c - 1) on, in every row.
+# So the first violating tuple is k = 0 at the least such a, the only suspect.
+def _shifted_log_c3b(fn, bounds):
+    c = fn.c if isinstance(fn, ModLog) else 0
+    if c > 1:
+        a = math.ceil(c / (c - 1))
+        if a <= bounds.a_max:
+            yield {"k": 0, "a": a}
+
+
 # The scan runs over chunks of a, which bound its memory.  In a chunk f(j*a) is
 # evaluated once per j, since f((k+2)a) at k is f((k+1)a) at k + 1.  The
 # suspects at k = 0 come out at once; those at k >= 1 are held until every
 # chunk has been scanned at k = 0, which keeps the tuple order.
-def _suspects_c3b(fn, bounds):
+def _scan_c3b(fn, bounds):
     margin = _margin(fn, (bounds.k_max + 3) * bounds.a_max)
     unit = np.diff(_approx(fn, np.arange(bounds.k_max + 4)))  # f(t+1) - f(t)
     held = [[] for _ in range(bounds.k_max + 1)]
@@ -530,19 +564,25 @@ def check_condition(
     """Exhaustively test one condition inside the bounded parameter box.
 
     Returns the lexicographically smallest violating tuple when one exists
-    within bounds (tuple orders are documented per condition above).
+    within bounds (tuple orders are documented per condition above).  Each
+    suspect is settled by ``violates``; a confirmed witness is evaluated
+    exactly once, since the report's lhs and rhs are the failing pair of
+    that evaluation, read back from the memo of ``condition_inequalities``.
     """
     bounds = bounds or Bounds()
     if cond in REAL_CONDITIONS and not bounds.real_grid:
         raise ValueError("real-quantified conditions need a non-empty grid")
+    _inequalities.cache_clear()
     inconclusive = False
     for witness in _SUSPECTS[cond](fn, bounds):
         outcome = violates(fn, cond, witness, bounds.policy)
         if outcome is None:
             inconclusive = True
         elif outcome:
-            lhs, rhs = _failing_pair(fn, cond, witness, bounds.policy)
-            return ConditionReport(cond, VIOLATED, bounds, witness, lhs, rhs)
+            for lhs, rhs, holds in _relations(fn, cond, witness, bounds.policy):
+                if holds is False:
+                    return ConditionReport(cond, VIOLATED, bounds, witness, lhs, rhs)
+            raise AssertionError("witness did not re-verify")
     return ConditionReport(cond, INCONCLUSIVE if inconclusive else NO_VIOLATION, bounds)
 
 

@@ -35,6 +35,9 @@ _EULER_GAMMA = 0.5772156649015329
 # multiplies a growing numerator and denominator by one more term, so a chain
 # costs the square of its length, and a longer one starts again at a digamma
 _RECURRENCE_SPAN = 64
+# terms of one unreduced block sum in ModHarmonic.range_sum; the blocks' reduced
+# sums are added as Fractions in a balanced tree
+_SPLIT_BLOCK = 64
 
 
 def _fraction(text) -> Fraction:
@@ -64,6 +67,19 @@ def _float_digamma_array(x: np.ndarray) -> np.ndarray:
     out = np.log(x) - inv * (0.5 + inv * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252))))
     out[low] -= recurrence
     return out
+
+
+def _reciprocal_sum(qs: Sequence[int], i: int, j: int) -> tuple[int, int]:
+    """sum(1/q for q in qs[i:j]) for positive integers q as an unreduced
+    (numerator, denominator), by binary splitting: no gcd is taken."""
+    if j - i == 1:
+        return 1, qs[i]
+    if j - i == 2:
+        return qs[i] + qs[i + 1], qs[i] * qs[i + 1]
+    mid = (i + j) // 2
+    p1, q1 = _reciprocal_sum(qs, i, mid)
+    p2, q2 = _reciprocal_sum(qs, mid, j)
+    return p1 * q2 + p2 * q1, q1 * q2
 
 
 class WelfareFunction(ABC):
@@ -181,21 +197,29 @@ class ModHarmonic(WelfareFunction):
         return self.range_sum(1, x)
 
     def range_sum(self, lo: int, hi: int) -> Fraction:
-        """Exact sum of 1/(t+c) for t in [lo, hi] (balanced to limit gcd blowup)."""
+        """Exact sum of 1/(t+c) for t in [lo, hi]: each block of
+        ``_SPLIT_BLOCK`` terms is one integer fraction reduced once, and the
+        blocks are added in a balanced tree to limit gcd blowup."""
         if lo > hi:
             return Fraction(0)
         if self.c == -1 and lo <= 1:
             # 1/(t-1) terms: t=1 contributes 1/0 only through h_{-1}(0), which
             # is handled upstream as -inf; shift the window instead
             raise ValueError("window includes the divergent term")
-        c = self.c
-        terms = [Fraction(c.denominator, t * c.denominator + c.numerator) for t in range(lo, hi + 1)]
-        while len(terms) > 1:
-            paired = [a + b for a, b in zip(terms[::2], terms[1::2])]
-            if len(terms) % 2:
-                paired.append(terms[-1])
-            terms = paired
-        return terms[0]
+        n, d = self.c.numerator, self.c.denominator  # 1/(t+c) = d/(t*d + n)
+        if lo == hi:
+            return Fraction(d, lo * d + n)
+        sums = []
+        for start in range(lo, hi + 1, _SPLIT_BLOCK):
+            qs = [t * d + n for t in range(start, min(start + _SPLIT_BLOCK, hi + 1))]
+            num, den = _reciprocal_sum(qs, 0, len(qs))
+            sums.append(Fraction(num * d, den))
+        while len(sums) > 1:
+            paired = [a + b for a, b in zip(sums[::2], sums[1::2])]
+            if len(sums) % 2:
+                paired.append(sums[-1])
+            sums = paired
+        return sums[0]
 
     def values_at(self, xs, bits=DEFAULT_PRECISION_BITS):
         """``value_at`` at every x, with one exact prefix sum over the integers

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from welfarist import conditions
+from welfarist import conditions, functions
 from welfarist.conditions import (
     Bounds,
     ConditionId,
@@ -27,7 +27,7 @@ from welfarist.conditions import (
     threshold_bisect,
     violates,
 )
-from welfarist.functions import WelfareFunction, parse_welfare
+from welfarist.functions import Log, ModHarmonic, ModLog, WelfareFunction, increment, parse_welfare
 from welfarist.values import Relation, compare
 
 SMALL_GRID = tuple(Fraction(j, 4) for j in range(1, 13))
@@ -394,6 +394,74 @@ class TestWitnessSoundness:
         for cond in [ConditionId.C3, ConditionId.C4, ConditionId.C5, ConditionId.C6A]:
             if check_condition(fn, cond, small).verdict == VIOLATED:
                 assert check_condition(fn, cond, big).verdict == VIOLATED
+
+
+def _c3b_reports(fn, bounds):
+    """The C3b report through the closed form for shifted logs and through the float scan."""
+    closed = check_condition(fn, ConditionId.C3B, bounds).to_json_dict()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(conditions._SUSPECTS, ConditionId.C3B, conditions._scan_c3b)
+        scan = check_condition(fn, ConditionId.C3B, bounds).to_json_dict()
+    return closed, scan
+
+
+# c = 1 is the threshold; 1 + 2^-j first fails at an a that grows like 2^j
+_LOG_SHIFTS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)] + [1 + Fraction(1, 2**j) for j in range(1, 31)]),
+    st.fractions(min_value=0, max_value=4, max_denominator=64),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.none(), _LOG_SHIFTS),
+    st.integers(2, 8),
+    st.one_of(st.integers(1, 2**17), st.sampled_from([1, 2, 2**17])),
+)
+def test_c3b_closed_form_matches_the_scan(c, k_max, a_max):
+    """Log and ModLog reports are the same through both routes, also on the
+    boxes whose a_max is the scan's witness a and the one below it."""
+    fn = Log() if c is None else ModLog(c)
+    closed, scan = _c3b_reports(fn, Bounds(k_max=k_max, a_max=a_max))
+    assert closed == scan
+    if scan["verdict"] == VIOLATED:
+        a = scan["witness"]["a"]
+        for edge in {a, max(a - 1, 1)}:
+            closed, scan = _c3b_reports(fn, Bounds(k_max=k_max, a_max=edge))
+            assert closed == scan
+
+
+def test_a_violated_check_evaluates_its_witness_once(monkeypatch):
+    """harmonic:-3/4 violates C6a at its first suspect: two increments, one
+    per side, serve both the confirmation and the report."""
+    calls = []
+
+    def counted(fn, lo, hi):
+        calls.append((lo, hi))
+        return increment(fn, lo, hi)
+
+    monkeypatch.setattr(functions, "increment", counted)
+    monkeypatch.setattr(conditions, "increment", counted)
+    report = check_condition(parse_welfare("harmonic:-3/4"), ConditionId.C6A, Bounds())
+    assert report.verdict == VIOLATED
+    assert len(calls) == 2
+
+
+def test_a_c3b_witness_sums_its_middle_term_once(monkeypatch):
+    fn = parse_welfare("harmonic:1")
+    windows = []
+    range_sum = ModHarmonic.range_sum
+
+    def counted(self, lo, hi):
+        windows.append((lo, hi))
+        return range_sum(self, lo, hi)
+
+    monkeypatch.setattr(ModHarmonic, "range_sum", counted)
+    report = check_condition(fn, ConditionId.C3B, Bounds())
+    assert report.verdict == VIOLATED
+    k, a = report.witness["k"], report.witness["a"]
+    # mid = h((k+2)a) - h((k+1)a), the terms (k+1)a + 1 .. (k+2)a
+    assert windows.count(((k + 1) * a + 1, (k + 2) * a)) == 1
 
 
 class TestAnalyticVerdicts:

@@ -344,6 +344,16 @@ def test_harmonic_batch_restarts_long_chains(monkeypatch):
     assert [_same_value(v, fn.value_at(x, 256)) for x, v in zip(xs, batched)] == [True] * len(xs)
 
 
+@pytest.mark.parametrize("c", ["-1", "-3/4", "0", "907/2048", "3"])
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 129])
+def test_range_sum_matches_a_plain_sum(c, length):
+    """Blocks of 64 terms around the block edges; lo = 2 skips the divergent
+    term of c = -1."""
+    fn = ModHarmonic(c)
+    want = sum(Fraction(1) / (t + fn.c) for t in range(2, 2 + length))
+    assert fn.range_sum(2, 1 + length) == want
+
+
 @pytest.mark.parametrize("c", ["-1", "-3/4", "0", "3/7", "1"])
 def test_harmonic_batch_reads_integers_from_one_prefix_sum(monkeypatch, c):
     fn = ModHarmonic(c)
