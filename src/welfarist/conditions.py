@@ -23,9 +23,14 @@ f(c) + f(d) each row (a, b) admits, but its admitted pairs are not a prefix of
 one vector, so it keeps that scan beside ``_grid_cells``.  C1a demands
 equality, and a float difference can prove two values unequal but never prove
 them equal, so C1a is the one exact prescreen.  C5 keeps its own loop over
-chained increments, and so does C3b for most families.  For shifted logs
-C3b reduces to one rational inequality in a, the same in every row, so no
-scan runs: the first violating tuple, if any, is the only suspect.
+chained increments.  C3b takes one of three routes by family.  For shifted
+logs (and pmean:0, which is log) it reduces to one rational inequality in a,
+the same in every row, so no float is read: the first violating tuple, if
+any, is the only suspect.  For harmonic shifts c >= -1/2 and the other power
+means the middle increment is monotone in a (proved above ``_monotone_c3b``),
+so each row is settled at its two ends and one float bisection.  The chunked
+float scan serves the families where no such fact is known: combinations,
+tables and harmonic shifts c < -1/2.
 """
 
 from __future__ import annotations
@@ -433,18 +438,27 @@ _C3B_CHUNK = 1 << 16
 
 
 # tuple order (k, a); the report's lhs and rhs are the sides of the failing
-# inequality of the chain Delta_k(1) > Delta_{k+1}(a) > Delta_{k+2}(1).
-# Shifted logs are decided in closed form, every other family by the float
-# scan: the closed form below holds for log(x + c) only.
+# inequality of the chain Delta_k(1) > mid_k(a) > Delta_{k+2}(1), where
+# mid_k(a) = Delta_{k+1}(a).  Three routes, by what is known of mid_k:
+# - shifted logs, and pmean:0 = log, decide the chain in closed form;
+# - harmonic shifts c >= -1/2 and the other power means, whose mid_k is
+#   monotone in a, settle each row at its ends and one float bisection;
+# - the float scan serves the rest: combinations and tables, whose mid_k may
+#   turn, and harmonic shifts c < -1/2, whose mid_k is decreasing at c = -1
+#   but not monotone at c = -0.55, where mid_0 rises up to a = 3 and then falls.
 def _suspects_c3b(fn, bounds):
-    if isinstance(fn, (Log, ModLog)):
+    if isinstance(fn, (Log, ModLog)) or isinstance(fn, PMean) and fn.p == 0:
         return _shifted_log_c3b(fn, bounds)
+    if isinstance(fn, PMean):
+        return _monotone_c3b(fn, bounds, increasing=fn.p > 0)
+    if isinstance(fn, ModHarmonic) and fn.c >= Fraction(-1, 2):
+        return _monotone_c3b(fn, bounds, increasing=True)
     return _scan_c3b(fn, bounds)
 
 
-# For f(x) = log(x + c), c >= 0 (Log is c = 0), every increment is the log of
-# a rational, Delta_t(x) = log(((t+1)x + c) / (tx + c)), and log p > log q iff
-# p > q.  Cross-multiplying the chain's two inequalities leaves
+# For f(x) = log(x + c), c >= 0 (Log and pmean:0 are c = 0), every increment
+# is the log of a rational, Delta_t(x) = log(((t+1)x + c) / (tx + c)), and
+# log p > log q iff p > q.  Cross-multiplying the chain's two inequalities leaves
 #   left:  (k+1+c)((k+1)a+c) - (k+c)((k+2)a+c) = a + c - ac > 0,
 #   right: ((k+2)a+c)(k+2+c) - ((k+1)a+c)(k+3+c) = a + ac - c > 0,
 # whatever k (at k = c = 0, Delta_0(1) = +inf and the left side holds too).
@@ -458,6 +472,94 @@ def _shifted_log_c3b(fn, bounds):
         a = math.ceil(c / (c - 1))
         if a <= bounds.a_max:
             yield {"k": 0, "a": a}
+
+
+# Where mid_k is monotone in a, one inequality of the chain fails only on a
+# suffix of a, and the other only on a prefix: for increasing mid_k the left
+# one fails on a suffix and the right one on a prefix, for decreasing mid_k
+# the reverse.  A tuple the float prescreen clears holds exactly, so in
+# each row the prefix failures lie in the leading run of uncleared a, and the
+# suffix failures lie past every a where the suffix inequality is cleared.
+# Each row yields that run; then, unless the suffix inequality is cleared at
+# a_max, it bisects for a cleared lo next to an uncleared hi = lo + 1 and
+# yields the a >= hi where the suffix inequality is not cleared.  That is a
+# subset of the scan's suspects which holds every violating tuple, in tuple
+# order, so the first confirmed witness is the scan's.  A row costs at most
+# one bisection, O(log a_max) float evaluations, until it yields, and no
+# chunk-sized table is built.
+#
+# Power means: Delta_t(x) = +-x^p((t+1)^p - t^p), so mid_k(a) =
+# a^p |(k+2)^p - (k+1)^p|, increasing for p > 0 and decreasing for p < 0.
+#
+# Harmonic h_c, c >= -1/2: mid_k is strictly increasing in real a > 0.  Proof.
+# For u > 0, coth u = 1/u + sum_{n>=1} 2u/(u^2 + n^2 pi^2) gives
+# 1/u < coth u < 1/u + u/3, since sum 1/n^2 = pi^2/6.  With
+# t/(1 - e^-t) = (t/2) coth(t/2) + t/2 this is
+#   1 + t/2 < t/(1 - e^-t) < 1 + t/2 + t^2/12   (t > 0).
+# Put into psi'(y) = sum_{n>=0} 1/(y+n)^2 = int_0^inf t e^-yt / (1 - e^-t) dt
+# (each 1/(y+n)^2 = int_0^inf t e^-(y+n)t dt, summed as a geometric series)
+# and its derivative -psi''(y) = int_0^inf t^2 e^-yt / (1 - e^-t) dt, and
+# integrated term by term, for y > 0:
+#   psi'(y) > 1/y + 1/(2y^2),   -psi''(y) < 1/y^2 + 1/y^3 + 1/(2y^4).
+# With s = c + 1, mid_k(a) = psi((k+2)a + s) - psi((k+1)a + s), whose
+# derivative in a is phi(k+2) - phi(k+1) for phi(t) = t psi'(ta + s).  At
+# y = ta + s (t, a > 0), phi'(t) = psi'(y) + (y - s) psi''(y)
+#   > 1/y + 1/(2y^2) - (y - s)(1/y^2 + 1/y^3 + 1/(2y^4))
+#   = (s - 1/2)(1/y^2 + 1/y^3) + s/(2y^4),
+# which is > 0 for s >= 1/2.  So phi increases, mid_k increases in real a,
+# and so on the integers.  test_conditions.py checks both polygamma bounds at
+# 200 bits on y in [3/2, 10^6] (y >= 3/2 for a >= 1).
+def _monotone_c3b(fn, bounds, increasing):
+    a_max = bounds.a_max
+    margin = _margin(fn, (bounds.k_max + 3) * a_max)
+    unit = np.diff(_approx(fn, np.arange(bounds.k_max + 4)))  # f(t+1) - f(t)
+
+    def uncleared(k, a):
+        """(the chain, its suffix inequality) not cleared at the tuples (k, a),
+        for an int array a and k an int or an int array like a."""
+        f = _approx(fn, np.concatenate(((k + 1) * a, (k + 2) * a)))
+        mid = f[len(a) :] - f[: len(a)]
+        left = _suspect(unit[k], mid, margin)
+        right = _suspect(mid, unit[k + 2], margin)
+        return left | right, left if increasing else right
+
+    # every row's two weak ends at once: the chain at a = 1, the suffix inequality at a_max
+    rows = bounds.k_max + 1
+    chain, suffix = uncleared(np.tile(np.arange(rows), 2), np.repeat([1, a_max], rows))
+    for k in range(rows):
+        lo = 1  # the first a where the chain is cleared
+        if chain[k]:
+            lo = None
+            for start, stop in _doubling(1, a_max + 1):
+                run = uncleared(k, np.arange(start, stop))[0]
+                length = len(run) if run.all() else int(run.argmin())
+                for a in range(start, start + length):
+                    yield {"k": k, "a": a}
+                if length < len(run):
+                    lo = start + length
+                    break
+        if lo is None or not suffix[rows + k]:
+            continue
+        hi = a_max
+        while hi - lo > 1:
+            probe = (lo + hi) // 2
+            if uncleared(k, np.array([probe]))[1][0]:
+                hi = probe
+            else:
+                lo = probe
+        for start, stop in _doubling(hi, a_max + 1):
+            for (i,) in _cells(uncleared(k, np.arange(start, stop))[1]):
+                yield {"k": k, "a": start + i}
+
+
+def _doubling(start: int, stop: int):
+    """[start, stop) as consecutive windows of length 1, 2, 4, ... up to
+    ``_C3B_CHUNK``: a reader that stops early has evaluated at most about
+    twice as many a as it read."""
+    size = 1
+    while start < stop:
+        yield start, min(start + size, stop)
+        start, size = start + size, min(2 * size, _C3B_CHUNK)
 
 
 # The scan runs over chunks of a, which bound its memory.  In a chunk f(j*a) is

@@ -442,17 +442,25 @@ def _interval_compare(left, right, policy: PrecisionPolicy) -> ValueOrdering:
 
 def render_value(value: ExtendedValue) -> dict:
     """JSON-friendly rendering: exact rationals/logs kept exact, else
-    ``_RENDER_DIGITS`` significant decimals."""
+    ``_RENDER_DIGITS`` significant decimals.
+
+    A rational (or log argument) with more digits than
+    ``sys.get_int_max_str_digits()`` allows, such as a harmonic increment
+    over thousands of terms, is rendered in decimals too.
+    """
     if isinstance(value, Infinite):
         return {"kind": "pos_inf" if value.sign > 0 else "neg_inf"}
     if isinstance(value, ExactValue):
-        if value.is_rational:
-            return {"kind": "rational", "value": str(value.rational)}
-        if value.is_pure_log and all(w.denominator == 1 for w in value.logs.values()):
-            q = Fraction(1)
-            for base, w in value.logs.items():
-                q *= base**w.numerator
-            return {"kind": "log", "argument": str(q)}
+        try:
+            if value.is_rational:
+                return {"kind": "rational", "value": str(value.rational)}
+            if value.is_pure_log and all(w.denominator == 1 for w in value.logs.values()):
+                q = Fraction(1)
+                for base, w in value.logs.items():
+                    q *= base**w.numerator
+                return {"kind": "log", "argument": str(q)}
+        except ValueError:  # str() refuses an integer past the digit limit
+            pass
         with mpmath.workprec(4 * _RENDER_DIGITS):
             approx = mpmath.nstr(evaluate_interval(value, 4 * _RENDER_DIGITS).midpoint(), _RENDER_DIGITS)
         return {"kind": "exact", "decimal": approx}

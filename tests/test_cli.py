@@ -124,6 +124,17 @@ def test_condition_exit_codes(capsys):
     assert code == 1 and json.loads(out)["witness"] == {"k": 1, "a": 1, "b": 7}
 
 
+def test_condition_renders_a_witness_with_large_rationals(capsys):
+    """The middle increment at a = 5574 sums 5,574 terms of 1/(t + c): a
+    rational of about 80,000 bits, past the int-to-str digit limit."""
+    code, out, _ = run(
+        capsys, "condition", "C3b", "--welfare", "harmonic:907/2048", "--k-max", "3", "--a-max", "51200"
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["witness"] == {"k": 0, "a": 5574}
+
+
 def test_condition_real_grid_witness_is_json(capsys):
     code, out, _ = run(capsys, "condition", "C1", "--welfare", "harmonic:0")
     assert code == 1

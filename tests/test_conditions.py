@@ -5,9 +5,10 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from welfarist import conditions, functions
 from welfarist.conditions import (
@@ -143,9 +144,12 @@ class TestCheckCondition:
     @pytest.mark.parametrize("spec", ["pmean:1/2", "pmean:-1", "harmonic:1/2", "harmonic:-1"])
     def test_c3b_chunks_keep_tuple_order(self, spec, monkeypatch):
         """pmean:1/2 violates at (k, a) = (1, 2) and first at (0, 6): suspects at
-        k >= 1 in an early chunk must wait for k = 0 in the later chunks."""
+        k >= 1 in an early chunk must wait for k = 0 in the later chunks.  The
+        scan is patched in, since of these specs only harmonic:-1 reaches it
+        through check_condition."""
         fn = parse_welfare(spec)
         bounds = Bounds(k_max=3, a_max=60)
+        monkeypatch.setitem(conditions._SUSPECTS, ConditionId.C3B, conditions._scan_c3b)
         whole = check_condition(fn, ConditionId.C3B, bounds).to_json_dict()
         monkeypatch.setattr(conditions, "_C3B_CHUNK", 2)
         assert check_condition(fn, ConditionId.C3B, bounds).to_json_dict() == whole
@@ -397,12 +401,12 @@ class TestWitnessSoundness:
 
 
 def _c3b_reports(fn, bounds):
-    """The C3b report through the closed form for shifted logs and through the float scan."""
-    closed = check_condition(fn, ConditionId.C3B, bounds).to_json_dict()
+    """The C3b report through the family's own route and through the float scan."""
+    routed = check_condition(fn, ConditionId.C3B, bounds).to_json_dict()
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(conditions._SUSPECTS, ConditionId.C3B, conditions._scan_c3b)
         scan = check_condition(fn, ConditionId.C3B, bounds).to_json_dict()
-    return closed, scan
+    return routed, scan
 
 
 # c = 1 is the threshold; 1 + 2^-j first fails at an a that grows like 2^j
@@ -429,6 +433,65 @@ def test_c3b_closed_form_matches_the_scan(c, k_max, a_max):
         for edge in {a, max(a - 1, 1)}:
             closed, scan = _c3b_reports(fn, Bounds(k_max=k_max, a_max=edge))
             assert closed == scan
+
+
+# the harmonic route's range, c >= -1/2; 907/2048 first fails at a = 5574 and
+# 1813/4096, just below the threshold 1/log 2 - 1, not below a = 2^15
+_HARMONIC_SHIFTS = st.one_of(
+    st.sampled_from([Fraction(-1, 2), Fraction(907, 2048), Fraction(1813, 4096)]),
+    st.fractions(min_value=Fraction(-1, 2), max_value=3, max_denominator=64),
+)
+_POWERS = st.builds(
+    Fraction,
+    st.integers(-6, 6).filter(lambda s: s != 0),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.builds(ModHarmonic, _HARMONIC_SHIFTS), st.builds(functions.PMean, _POWERS)),
+    st.integers(2, 8),
+    st.one_of(st.integers(1, 2**15), st.sampled_from([1, 2, 2**15])),
+)
+@example(ModHarmonic(Fraction(907, 2048)), 3, 2**15)
+@example(ModHarmonic(Fraction(1813, 4096)), 8, 2**15)
+@example(ModHarmonic(Fraction(-1, 2)), 8, 2**15)
+def test_c3b_monotone_route_matches_the_scan(fn, k_max, a_max):
+    """Harmonic (c >= -1/2) and power-mean (p != 0) reports are the same
+    through the monotone route and the scan, also on the boxes whose a_max is
+    the scan's witness a and the one below it."""
+    routed, scan = _c3b_reports(fn, Bounds(k_max=k_max, a_max=a_max))
+    assert routed == scan
+    if scan["verdict"] == VIOLATED:
+        a = scan["witness"]["a"]
+        for edge in {a, max(a - 1, 1)}:
+            routed, scan = _c3b_reports(fn, Bounds(k_max=k_max, a_max=edge))
+            assert routed == scan
+
+
+@pytest.mark.parametrize(
+    "spec", ["log", "modlog:2", "pmean:0", "pmean:1/3", "pmean:-2", "harmonic:-1/2", "harmonic:3"]
+)
+def test_c3b_monotone_and_closed_routes_build_no_table(spec, monkeypatch):
+    """Shifted logs, power means and harmonic shifts c >= -1/2 never reach the
+    scan, so an a_max of 2^30 costs them a few float evaluations per row."""
+    monkeypatch.setattr(conditions, "_scan_c3b", None)
+    report = check_condition(parse_welfare(spec), ConditionId.C3B, Bounds(k_max=3, a_max=2**30))
+    assert report.verdict == (NO_VIOLATION if spec in {"log", "pmean:0", "harmonic:-1/2"} else VIOLATED)
+
+
+def test_the_harmonic_route_polygamma_bounds_hold():
+    """psi'(y) > 1/y + 1/(2y^2) and -psi''(y) < 1/y^2 + 1/y^3 + 1/(2y^4), the
+    two bounds behind mid_k increasing for c >= -1/2, at 200 bits on
+    y in [3/2, 10^6]: every half-integer to 50, then a geometric grid."""
+    ys = [Fraction(j, 2) for j in range(3, 101)]
+    ys += [Fraction(round(50 * 20_000 ** (i / 200) * 64), 64) for i in range(1, 201)]
+    with mpmath.workprec(200):
+        for y in ys:
+            y = mpmath.mpf(y.numerator) / y.denominator
+            assert mpmath.psi(1, y) > 1 / y + 1 / (2 * y**2)
+            assert -mpmath.psi(2, y) < 1 / y**2 + 1 / y**3 + 1 / (2 * y**4)
 
 
 def test_a_violated_check_evaluates_its_witness_once(monkeypatch):

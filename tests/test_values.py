@@ -290,3 +290,14 @@ def test_render_value_kinds():
     assert render_value(NEG_INF) == {"kind": "neg_inf"}
     surd = render_value(ExactValue.from_sqrt(2))
     assert surd["kind"] == "exact" and surd["decimal"].startswith("1.41421356")
+
+
+def test_render_value_of_a_rational_past_the_digit_limit():
+    """str() refuses an integer of more than sys.get_int_max_str_digits()
+    (default 4,300) digits; such a rational renders in decimals instead."""
+    big = Fraction(2**80_000 + 1, 3)  # 24,082 digits
+    doc = render_value(ExactValue.from_rational(big))
+    assert doc["kind"] == "exact"
+    with mpmath.workprec(200):
+        assert abs(mpmath.mpf(doc["decimal"]) / (mpmath.mpf(2) ** 80_000 / 3) - 1) < mpmath.mpf(10) ** -25
+    assert render_value(ExactValue.from_log(big))["kind"] == "exact"
