@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import ceil
 
 from .conditions import ConditionId, find_witness_adaptive
 from .constructions import (
@@ -21,7 +20,7 @@ from .constructions import (
     uniform_goods_instance,
 )
 from .fairness import is_ef1
-from .functions import ModLog, WelfareFunction, parse_welfare
+from .functions import WelfareFunction, parse_welfare
 from .model import Allocation, Instance, random_instance, serialize_instance
 from .solver import chosen_all_ef1, enumerate_maximizers
 
@@ -76,13 +75,6 @@ def _counterexample(trial: int | None, inst: Instance, alloc: Allocation) -> dic
     }
 
 
-def _modlog_gadget(fn: WelfareFunction) -> Instance:
-    if not isinstance(fn, ModLog) or fn.c <= 1:
-        raise ValueError("needs a shifted log with c > 1")
-    a = ceil(fn.c / (fn.c - 1))
-    return uniform_goods_instance(2, 0, a, 1)
-
-
 def _witness(fn: WelfareFunction, cond: ConditionId) -> dict:
     """The witness of the adaptive search for a violation of ``cond`` from its default box."""
     report = find_witness_adaptive(fn, cond)
@@ -91,7 +83,7 @@ def _witness(fn: WelfareFunction, cond: ConditionId) -> dict:
     return report.witness
 
 
-def _harmonic_chain_gadget(fn: WelfareFunction) -> Instance:
+def _chain_gadget(fn: WelfareFunction) -> Instance:
     w = _witness(fn, ConditionId.C3B)
     return uniform_goods_instance(2, w["k"], w["a"], 1)
 
@@ -119,11 +111,11 @@ THEOREMS: dict[str, _Theorem] = {
     "mnw-integer": _Theorem("log", "integer", True),
     # shifted logs with 0 <= c <= 1 keep the guarantee on integer instances
     "modlog-integer": _Theorem("modlog:1", "integer", True),
-    "modlog-integer-fails": _Theorem("modlog:2", "integer", False, _modlog_gadget),
+    "modlog-integer-fails": _Theorem("modlog:2", "integer", False, _chain_gadget),
     # modified harmonics up to 1/log2 - 1 cover integer identical-good/two-value
     "harmonic-identical": _Theorem("harmonic:0", "integer+identical_good", True),
     "harmonic-identical-fails": _Theorem(
-        "harmonic:1", "integer+identical_good", False, _harmonic_chain_gadget
+        "harmonic:1", "integer+identical_good", False, _chain_gadget
     ),
     "harmonic-twovalue": _Theorem("harmonic:0", "integer+two_value", True),
     # harmonics with c < -1/2 break on general integer instances

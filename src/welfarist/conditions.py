@@ -46,7 +46,6 @@ import mpmath
 import numpy as np
 
 from .functions import (
-    Log,
     ModHarmonic,
     ModLog,
     PMean,
@@ -350,20 +349,19 @@ def _block_pairs(fn, pairs, a_xs, b_xs):
     """(l, k, a, b) where Delta_l(b) > Delta_k(a) is not cleared: pair by pair,
     then a, then b, each in the given order.
 
-    f is read once, at the floats nearest the exact arguments j*x; that
-    rounding (relative 2^-53) sits far inside the margin.
+    The shorter of a_xs and b_xs must be a prefix of the longer, ascending
+    one, which is the table's axis (a repeated point stays a repeated
+    column).  f is read once, at the floats nearest the exact arguments j*x;
+    that rounding (relative 2^-53) sits far inside the margin.
     """
-    xs = sorted(set(a_xs) | set(b_xs))
+    xs = max(a_xs, b_xs, key=len)
     top = max(map(max, pairs)) + 1  # the largest multiple j read
     table = _approx(fn, _multiples(xs, top)).reshape(top + 1, len(xs))
     margin = _margin(fn, math.ceil(top * xs[-1]))
     with np.errstate(invalid="ignore"):
         blocks = np.diff(table, axis=0)  # blocks[k, i] = Delta_k(xs[i])
-    column = {x: i for i, x in enumerate(xs)}
-    a_cols = np.array([column[x] for x in a_xs], dtype=int)
-    b_cols = np.array([column[x] for x in b_xs], dtype=int)
     for l, k in pairs:
-        for ai, bi in _grid_cells(blocks[l, b_cols], blocks[k, a_cols], margin):
+        for ai, bi in _grid_cells(blocks[l, : len(b_xs)], blocks[k, : len(a_xs)], margin):
             yield l, k, a_xs[ai], b_xs[bi]
 
 
@@ -447,7 +445,7 @@ _C3B_CHUNK = 1 << 16
 #   turn, and harmonic shifts c < -1/2, whose mid_k is decreasing at c = -1
 #   but not monotone at c = -0.55, where mid_0 rises up to a = 3 and then falls.
 def _suspects_c3b(fn, bounds):
-    if isinstance(fn, (Log, ModLog)) or isinstance(fn, PMean) and fn.p == 0:
+    if isinstance(fn, ModLog) or isinstance(fn, PMean) and fn.p == 0:
         return _shifted_log_c3b(fn, bounds)
     if isinstance(fn, PMean):
         return _monotone_c3b(fn, bounds, increasing=fn.p > 0)
@@ -456,7 +454,7 @@ def _suspects_c3b(fn, bounds):
     return _scan_c3b(fn, bounds)
 
 
-# For f(x) = log(x + c), c >= 0 (Log and pmean:0 are c = 0), every increment
+# For f(x) = log(x + c), c >= 0 (log and pmean:0 are c = 0), every increment
 # is the log of a rational, Delta_t(x) = log(((t+1)x + c) / (tx + c)), and
 # log p > log q iff p > q.  Cross-multiplying the chain's two inequalities leaves
 #   left:  (k+1+c)((k+1)a+c) - (k+c)((k+2)a+c) = a + c - ac > 0,
@@ -714,8 +712,6 @@ def analytic_verdict(fn: WelfareFunction, cond: ConditionId) -> bool | None:
     graph between the conditions.
     """
     policy = PrecisionPolicy()
-    if isinstance(fn, Log):
-        return True
     if isinstance(fn, ModLog):
         if fn.c == 0:
             return True

@@ -1,10 +1,10 @@
 """The evaluable welfare-function family and the block-increment operator.
 
-Families: the natural logarithm, shifted logarithms log(x+c) with c >= 0,
-modified harmonic numbers h_c (sums 1/(t+c) on integers, extended to the
-reals by the classical integral / digamma identity), power means x**p, and
-positive linear combinations.  A piecewise-linear table variant exists to
-host deliberately non-strictly-increasing functions.
+Families: shifted logarithms log(x+c) with c >= 0, whose c = 0 member is the
+log of the Nash-welfare rule, modified harmonic numbers h_c (sums 1/(t+c) on
+integers, extended to the reals by the classical integral / digamma identity),
+power means x**p, and positive linear combinations.  A piecewise-linear table
+variant exists to host deliberately non-strictly-increasing functions.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ class WelfareFunction(ABC):
 
     @abstractmethod
     def label(self) -> str:
-        """Rendering in the welfare-spec grammar (parse_welfare round-trips it)."""
+        """Rendering in the welfare-spec grammar.  parse_welfare round-trips it,
+        except for tables: they are library-only, and it refuses their labels."""
 
     @abstractmethod
     def approx_array(self, xs: np.ndarray) -> np.ndarray:
@@ -124,24 +125,6 @@ class WelfareFunction(ABC):
         return hash(self.label())
 
 
-class Log(WelfareFunction):
-    """Natural logarithm; log 0 = -inf.  Defines the Nash-welfare rule."""
-
-    def value_at(self, x, bits=DEFAULT_PRECISION_BITS):
-        x = Fraction(x)
-        if x < 0:
-            raise ValueError("negative argument")
-        if x == 0:
-            return NEG_INF
-        return ExactValue.from_log(x)
-
-    def label(self):
-        return "log"
-
-    def approx_array(self, xs):
-        return np.log(xs)
-
-
 class ModLog(WelfareFunction):
     """Shifted logarithm log(x + c) with rational c >= 0."""
 
@@ -163,6 +146,17 @@ class ModLog(WelfareFunction):
 
     def approx_array(self, xs):
         return np.log(xs + float(self.c))
+
+
+class Log(ModLog):
+    """Natural logarithm, the shifted log at c = 0; log 0 = -inf.  Defines the
+    Nash-welfare rule.  Only its label differs from ``ModLog(0)``."""
+
+    def __init__(self):
+        super().__init__(0)
+
+    def label(self):
+        return "log"
 
 
 class ModHarmonic(WelfareFunction):

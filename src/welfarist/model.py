@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Sequence
@@ -167,14 +167,7 @@ class ClassProfile:
     positive_admitting: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "integer_valued": self.integer_valued,
-            "identical_good": self.identical_good,
-            "binary": self.binary,
-            "two_value": self.two_value,
-            "normalized": self.normalized,
-            "positive_admitting": self.positive_admitting,
-        }
+        return asdict(self)
 
 
 # -- JSON I/O -----------------------------------------------------------------

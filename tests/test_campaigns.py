@@ -1,10 +1,14 @@
 """Randomized theorem campaigns and their fallback constructions."""
 
+from fractions import Fraction
+from math import ceil
+
 import pytest
 
-from welfarist.campaigns import THEOREMS, CampaignSpec, run_campaign
+from welfarist.campaigns import THEOREMS, CampaignSpec, _chain_gadget, run_campaign
+from welfarist.constructions import uniform_goods_instance
 from welfarist.fairness import is_ef1
-from welfarist.functions import parse_welfare
+from welfarist.functions import ModLog, parse_welfare
 from welfarist.model import parse_allocation, parse_instance
 from welfarist.solver import enumerate_maximizers
 
@@ -57,3 +61,10 @@ def test_expectation_mismatch_reported():
     result = run_campaign(spec)
     assert not result.passed and result.violations == 0
     assert any("construction unavailable" in note for note in result.notes)
+
+
+@pytest.mark.parametrize("c", ["21/20", "3/2", "2", "7/3", "5"])
+def test_chain_gadget_matches_the_shifted_log_closed_form(c):
+    # for log(x + c), c > 1, the C3b chain first fails at k = 0, a = ceil(c / (c - 1))
+    c = Fraction(c)
+    assert _chain_gadget(ModLog(c)) == uniform_goods_instance(2, 0, ceil(c / (c - 1)), 1)

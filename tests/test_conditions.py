@@ -527,6 +527,15 @@ def test_a_c3b_witness_sums_its_middle_term_once(monkeypatch):
     assert windows.count(((k + 1) * a + 1, (k + 2) * a)) == 1
 
 
+@pytest.mark.parametrize("cond", list(ConditionId))
+def test_log_and_zero_shift_log_agree(cond):
+    # Log is ModLog(0) under another label: same reports, same closed forms
+    bounds = Bounds(k_max=3, a_max=5, real_grid=SIX_POINTS)
+    log, shifted = check_condition(Log(), cond, bounds), check_condition(ModLog(0), cond, bounds)
+    assert log.to_json_dict() == shifted.to_json_dict()
+    assert analytic_verdict(Log(), cond) == analytic_verdict(ModLog(0), cond)
+
+
 class TestAnalyticVerdicts:
     def test_stated_examples(self):
         assert analytic_verdict(parse_welfare("modlog:2"), ConditionId.C3) is False

@@ -49,6 +49,20 @@ class TestEval:
         assert Log().value_at(1).is_zero()
         assert Log().value_at(0) is NEG_INF
 
+    def test_log_is_the_zero_shift_log(self):
+        # every observable but the label agrees with ModLog(0)
+        log, shifted = Log(), ModLog(0)
+        assert isinstance(log, ModLog) and log != shifted
+        assert (log.label(), shifted.label()) == ("log", "modlog:0")
+        xs = [0, 1, 2, Fraction(1, 3), Fraction(7, 2), Fraction(10**20 + 1, 3)]
+        for x in xs:
+            assert log.value_at(x) == shifted.value_at(x)
+        assert log.values_at(xs) == shifted.values_at(xs)
+        floats = np.array([0.0, 0.5, 1.0, 2.0, 1e-300, 3.7e12])
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            assert log.approx_array(floats).tobytes() == shifted.approx_array(floats).tobytes()
+        assert log.table_error_bound(10**6) == shifted.table_error_bound(10**6)
+
     def test_modlog_zero_shift_at_zero(self):
         assert ModLog(0).value_at(0) is NEG_INF
         v = ModLog(Fraction(1, 2)).value_at(0)  # exactly 1*log(1/2)
@@ -198,6 +212,11 @@ class TestGrammar:
                      "combo:1*pmean:0+40*pmean:-1"]:
             fn = parse_welfare(spec)
             assert parse_welfare(fn.label()) == fn
+        # tables are library-only: the grammar has no form for their labels
+        table = PiecewiseTable([0, 1, 2], [1, 0, 1])
+        for label in [table.label(), f"combo:1*log+2*{table.label()}"]:
+            with pytest.raises(ValueError, match="bad welfare spec"):
+                parse_welfare(label)
 
     def test_decimal_arguments(self):
         assert parse_welfare("pmean:0.5") == parse_welfare("pmean:1/2")
