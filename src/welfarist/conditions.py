@@ -53,7 +53,6 @@ from .functions import (
     delta,
     increment,
 )
-from .model import rational_str
 from .values import (
     ExactValue,
     ExtendedValue,
@@ -158,7 +157,7 @@ class ConditionReport:
         }
         if self.witness is not None:
             out["witness"] = {
-                key: rational_str(v) if isinstance(v, Fraction) else v
+                key: str(v) if isinstance(v, Fraction) else v
                 for key, v in self.witness.items()
             }
         if self.lhs is not None:

@@ -456,7 +456,7 @@ def increment(fn: WelfareFunction, lo, hi) -> ExtendedValue:
     upper = fn.value_at(hi)
     if isinstance(upper, ExactValue) and isinstance(lower, ExactValue):
         return upper.sub(lower)
-    neg = lower.neg() if isinstance(lower, ExactValue) else IntervalValue(-lower.hi, -lower.lo, lower.bits)
+    neg = lower.scale(-1) if isinstance(lower, ExactValue) else IntervalValue(-lower.hi, -lower.lo, lower.bits)
     return value_sum([upper, neg])
 
 

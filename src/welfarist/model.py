@@ -35,11 +35,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def rational_str(x: Fraction) -> str:
-    """Canonical rendering: lowest terms, integers without a denominator."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 @dataclass(frozen=True)
 class Instance:
     """n agents, m goods, and an exact utility matrix (rows = agents)."""
@@ -211,7 +206,7 @@ def serialize_instance(inst: Instance) -> str:
     doc: dict = {"agents": inst.n}
     if inst.labels is not None:
         doc["goods"] = list(inst.labels)
-    doc["utilities"] = [[rational_str(u) for u in row] for row in inst.utilities]
+    doc["utilities"] = [[str(u) for u in row] for row in inst.utilities]
     return json.dumps(doc, separators=(",", ":"))
 
 

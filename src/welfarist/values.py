@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,9 +125,10 @@ POS_INF = Infinite(+1)
 class ExactValue:
     """Exact value ``rational + sum(w*log q) + sum(c*sqrt d)``, one d per radicand class.
 
-    A term c*sqrt(d) folds into the rational part when d is a perfect square,
-    else into the coefficient of the held key K with d*K a perfect square, as
-    c*isqrt(d*K)/K; otherwise d becomes a key.
+    The constructor is the one normalizer; ``add``, ``sub`` and ``scale`` feed it
+    the parts of normalized values.  It drops zero weights and log(1), and folds
+    c*sqrt(d) into the rational part when d is a perfect square, else into the held
+    key K with d*K a perfect square, as c*isqrt(d*K)/K; otherwise d becomes a key.
     """
 
     __slots__ = ("rational", "logs", "surds")
@@ -138,15 +140,9 @@ class ExactValue:
         surds: dict[int, Fraction] | None = None,
     ):
         self.rational = rational
-        self.logs = {}
-        if logs:
-            for q, w in logs.items():
-                if w == 0 or q == 1:
-                    continue
-                if q <= 0:
-                    raise ValueError("log argument must be positive")
-                self.logs[q] = self.logs.get(q, Fraction(0)) + w
-            self.logs = {q: w for q, w in self.logs.items() if w != 0}
+        self.logs = {q: w for q, w in logs.items() if w and q != 1} if logs else {}
+        if self.logs and min(self.logs) <= 0:
+            raise ValueError("log argument must be positive")
         self.surds = {}
         if surds:
             for d, c in surds.items():
@@ -174,10 +170,7 @@ class ExactValue:
     @staticmethod
     def from_log(q) -> "ExactValue":
         """The value log(q) for a positive rational q."""
-        q = Fraction(q)
-        if q <= 0:
-            raise ValueError("log argument must be positive")
-        return ExactValue(logs={q: Fraction(1)})
+        return ExactValue(logs={Fraction(q): Fraction(1)})
 
     @staticmethod
     def from_sqrt(x) -> "ExactValue":
@@ -205,23 +198,19 @@ class ExactValue:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, other: "ExactValue") -> "ExactValue":
-        logs = dict(self.logs)
-        for q, w in other.logs.items():
-            logs[q] = logs.get(q, Fraction(0)) + w
-        surds = dict(self.surds)
-        for d, c in other.surds.items():
-            surds[d] = surds.get(d, Fraction(0)) + c
-        return ExactValue(self.rational + other.rational, logs, surds)
-
-    def neg(self) -> "ExactValue":
-        return ExactValue(
-            -self.rational,
-            {q: -w for q, w in self.logs.items()},
-            {d: -c for d, c in self.surds.items()},
-        )
+        return self._merge(other, operator.add)
 
     def sub(self, other: "ExactValue") -> "ExactValue":
-        return self.add(other.neg())
+        return self._merge(other, operator.sub)
+
+    def _merge(self, other: "ExactValue", op) -> "ExactValue":
+        """``op(self, other)`` for ``op`` + or -, part by part, normalized once."""
+        logs, surds = dict(self.logs), dict(self.surds)
+        for q, w in other.logs.items():
+            logs[q] = op(logs.get(q, 0), w)
+        for d, c in other.surds.items():
+            surds[d] = op(surds.get(d, 0), c)
+        return ExactValue(op(self.rational, other.rational), logs, surds)
 
     def scale(self, w) -> "ExactValue":
         w = Fraction(w)

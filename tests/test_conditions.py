@@ -1,9 +1,15 @@
 """Bounded condition checks, analytic verdicts, implication harness, bisection."""
 
+import hashlib
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -29,7 +35,7 @@ from welfarist.conditions import (
     violates,
 )
 from welfarist.functions import Log, ModHarmonic, ModLog, WelfareFunction, increment, parse_welfare
-from welfarist.values import Relation, compare
+from welfarist.values import PRECISION_CEILING_ENV, Relation, compare
 
 SMALL_GRID = tuple(Fraction(j, 4) for j in range(1, 13))
 SIX_POINTS = tuple(Fraction(j, 2) for j in range(1, 7))
@@ -679,3 +685,23 @@ def test_numeric_lemma_suite_passes():
     assert report.passed
     names = [c.name for c in report.checks]
     assert "offset_limit_minus_half" in names and "offset_strictly_increasing" in names
+
+
+# sha256 of the condition dump; some of its rendered interval ends come from
+# enclosures built at 53 bits (ROADMAP item 1), so the fix for those changes it
+CONDITION_DUMP_SHA256 = "4740549137ab81ad30656179f28f25ea2f75b55323a4c6875b9f014120d4105d"
+
+
+def test_condition_report_dump_is_pinned(tmp_path):
+    """The 1,260-report dump whose recipe BENCH_13.json records (18 functions
+    x 7 boxes x 10 conditions) reproduces byte for byte."""
+    bench = json.loads((Path(__file__).resolve().parent.parent / "BENCH_13.json").read_text())
+    recipe = bench["condition_reports"]
+    out = tmp_path / "reports.jsonl"
+    package_root = str(Path(conditions.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]))
+    env.pop(PRECISION_CEILING_ENV, None)
+    script = "\n".join(recipe["script"])
+    subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+    assert len(out.read_text().splitlines()) == recipe["lines"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONDITION_DUMP_SHA256

@@ -51,7 +51,7 @@ class TestExactTiers:
 
     def test_surd_vs_rational_decided_by_intervals(self):
         # sqrt(12) - sqrt(6) > 1, decided well below the ceiling
-        lhs = value_sum([ExactValue.from_sqrt(12), ExactValue.from_sqrt(6).neg()])
+        lhs = value_sum([ExactValue.from_sqrt(12), ExactValue.from_sqrt(6).scale(-1)])
         ordering = compare(lhs, ExactValue.from_rational(1))
         assert ordering.relation is Relation.GREATER
         assert ordering.bits is not None and ordering.bits >= 64
@@ -61,6 +61,57 @@ class TestExactTiers:
         rhs = value_sum([ExactValue.from_log(2), ExactValue.from_rational(Fraction(1, 2))])
         assert rel(lhs, rhs) is Relation.EQUAL
         assert rel(lhs, ExactValue.from_log(2)) is Relation.GREATER
+
+
+_coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_log_arguments = st.fractions(min_value=Fraction(1, 12), max_value=50, max_denominator=12)
+exact_values = st.builds(
+    ExactValue,
+    _coefficients,
+    st.dictionaries(_log_arguments, _coefficients, max_size=3),
+    st.dictionaries(st.integers(1, 50), _coefficients, max_size=3),
+)
+
+
+class TestNormalization:
+    def test_the_log_part_drops_zero_weights_and_log_one(self):
+        v = ExactValue(logs={Fraction(2): 0, Fraction(1): Fraction(3), Fraction(3, 2): Fraction(1, 2)})
+        assert v.logs == {Fraction(3, 2): Fraction(1, 2)}
+
+    @pytest.mark.parametrize("q", [0, -1, Fraction(-1, 2)])
+    def test_a_nonpositive_log_argument_is_rejected(self, q):
+        with pytest.raises(ValueError, match="log argument must be positive"):
+            ExactValue(logs={Fraction(q): Fraction(1)})
+        with pytest.raises(ValueError, match="log argument must be positive"):
+            ExactValue.from_log(q)
+
+    @pytest.mark.parametrize("q", [0, -1, Fraction(-1, 2)])
+    def test_a_nonpositive_log_argument_with_zero_weight_is_dropped(self, q):
+        v = ExactValue(logs={Fraction(q): Fraction(0), Fraction(2): Fraction(1)})
+        assert v.logs == {Fraction(2): Fraction(1)}
+
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_add_and_sub_construct_one_value(self, op, monkeypatch):
+        a = ExactValue(Fraction(1, 3), {Fraction(2): Fraction(1)}, {2: Fraction(1)})
+        b = ExactValue(Fraction(5), {Fraction(3): Fraction(-2)}, {8: Fraction(1, 2)})
+        init, calls = ExactValue.__init__, []
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExactValue, "__init__", counting_init)
+        getattr(a, op)(b)
+        assert len(calls) == 1
+
+    @given(exact_values, exact_values)
+    def test_sub_is_add_of_the_negation(self, a, b):
+        assert a.sub(b) == a.add(b.scale(-1))
+        assert a.add(b).sub(b) == a
+        assert a.sub(a).is_zero()
+        got, ea, eb = (evaluate_interval(v, 200) for v in (a.sub(b), a, b))
+        assert got.lo <= mpmath.fsub(ea.hi, eb.lo, exact=True)
+        assert mpmath.fsub(ea.lo, eb.hi, exact=True) <= got.hi
 
 
 class TestInfinities:
@@ -205,7 +256,7 @@ class TestFloatBounds:
             ExactValue.from_log(Fraction(7, 3)),
             ExactValue.from_log(Fraction(1, 10**12)),
             ExactValue.from_sqrt(2),
-            ExactValue.from_sqrt(Fraction(10**20 + 1, 3)).neg(),
+            ExactValue.from_sqrt(Fraction(10**20 + 1, 3)).scale(-1),
             value_sum([ExactValue.from_log(5), ExactValue.from_sqrt(3), ExactValue.from_rational(Fraction(-22, 7))]),
             # surds cancelling to a tiny difference
             value_sum([ExactValue.from_sqrt(10**6 + 1), ExactValue.from_rational(-1000)]),
