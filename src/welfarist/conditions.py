@@ -9,9 +9,10 @@ certified violating tuple or "no violation within bounds".
 Each condition has a suspect generator.  It walks the box in the condition's
 lexicographic tuple order and yields every tuple its prescreen cannot clear.
 ``check_condition`` settles each suspect with the exact comparator
-(``violates``) and returns at the first confirmed violation, so a Violated
-verdict always carries an exactly re-verified witness: the first violating
-suspect in tuple order.  Every prescreen but C1a's reads f through the
+(``violates``), which evaluates and compares it once, and returns at the
+first confirmed violation, so a Violated verdict always carries an exactly
+verified witness, the first violating suspect in tuple order, with the pair
+that failed.  Every prescreen but C1a's reads f through the
 family's one float model, ``approx_array``, and clears a tuple only when the
 float difference passes one margin, ``max(1e-9, 16 * table_error_bound(upto))``,
 where upto bounds the arguments the scan reads.  A cleared tuple is not
@@ -36,7 +37,6 @@ tables and harmonic shifts c < -1/2.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -174,21 +174,8 @@ def condition_inequalities(
     fn: WelfareFunction, cond: ConditionId, witness: dict
 ) -> list[tuple[ExtendedValue, ExtendedValue]]:
     """The (lhs, rhs) pairs the condition relates at one tuple: lhs > rhs for
-    every condition but C1a, whose one pair must be equal.
-
-    The result is memoized for the last (fn, cond, witness) asked for, with
-    fn matched by its label, so ``check_condition`` reads the failing pair of
-    a witness that ``violates`` has just confirmed without evaluating it
-    again.  ``check_condition`` empties the memo when it starts.  A direct
-    call reads the memo too, so one made after fn's evaluation has changed
-    (under a monkeypatch, say) can return the pairs of the earlier one.
-    """
-    return list(_inequalities(fn, cond, tuple(witness.items())))
-
-
-@functools.lru_cache(maxsize=1)
-def _inequalities(fn, cond, items):
-    w = dict(items)
+    every condition but C1a, whose one pair must be equal."""
+    w = witness
     if cond in _BLOCK_PAIR_CONDITIONS:
         # Delta_l(b) > Delta_k(a), with k = l + 1 except in C3a, and a = b = 1 in C4
         l, k = (w["l"], w["k"]) if cond is ConditionId.C3A else (w["k"], w["k"] + 1)
@@ -226,14 +213,23 @@ def _inequalities(fn, cond, items):
     raise ValueError(cond)
 
 
-def _relations(fn, cond, witness, policy):
-    """(lhs, rhs, holds) for each pair of ``condition_inequalities`` in turn;
-    holds is None where the comparison hit the precision ceiling.  Equal
-    infinities compare EQUAL, so +inf > +inf does not hold."""
+def _verdict(fn, cond, witness, policy):
+    """(what ``violates`` returns, the failing (lhs, rhs) pair or None) at one
+    tuple.  Equal infinities compare EQUAL, so +inf > +inf does not hold."""
     required = Relation.EQUAL if cond is ConditionId.C1A else Relation.GREATER
+    undecided = False
     for lhs, rhs in condition_inequalities(fn, cond, witness):
         relation = compare(lhs, rhs, policy).relation
-        yield lhs, rhs, None if relation is Relation.INCONCLUSIVE else relation is required
+        if relation is Relation.INCONCLUSIVE:
+            undecided = True
+        elif relation is not required:
+            return True, (lhs, rhs)
+    return (None if undecided else False), None
+
+
+# The failing pair of the last tuple ``violates`` found violated.  Only
+# ``check_condition`` reads it, right after ``violates`` returned True.
+_failing_pair = None
 
 
 def violates(
@@ -247,12 +243,9 @@ def violates(
     True: the tuple violates the condition.  False: it satisfies it.
     None: the comparison hit the precision ceiling.
     """
-    undecided = False
-    for _, _, holds in _relations(fn, cond, witness, policy or PrecisionPolicy()):
-        if holds is False:
-            return True
-        undecided = undecided or holds is None
-    return None if undecided else False
+    global _failing_pair
+    outcome, _failing_pair = _verdict(fn, cond, witness, policy or PrecisionPolicy())
+    return outcome
 
 
 # -- suspect generators, one per condition; tuple order noted above each -----------
@@ -664,24 +657,20 @@ def check_condition(
 
     Returns the lexicographically smallest violating tuple when one exists
     within bounds (tuple orders are documented per condition above).  Each
-    suspect is settled by ``violates``; a confirmed witness is evaluated
-    exactly once, since the report's lhs and rhs are the failing pair of
-    that evaluation, read back from the memo of ``condition_inequalities``.
+    suspect is settled by ``violates``, so it is evaluated and compared once:
+    the report's lhs and rhs are the failing pair that call found.
     """
     bounds = bounds or Bounds()
     if cond in REAL_CONDITIONS and not bounds.real_grid:
         raise ValueError("real-quantified conditions need a non-empty grid")
-    _inequalities.cache_clear()
     inconclusive = False
     for witness in _SUSPECTS[cond](fn, bounds):
         outcome = violates(fn, cond, witness, bounds.policy)
         if outcome is None:
             inconclusive = True
         elif outcome:
-            for lhs, rhs, holds in _relations(fn, cond, witness, bounds.policy):
-                if holds is False:
-                    return ConditionReport(cond, VIOLATED, bounds, witness, lhs, rhs)
-            raise AssertionError("witness did not re-verify")
+            lhs, rhs = _failing_pair
+            return ConditionReport(cond, VIOLATED, bounds, witness, lhs, rhs)
     return ConditionReport(cond, INCONCLUSIVE if inconclusive else NO_VIOLATION, bounds)
 
 

@@ -432,10 +432,14 @@ class PiecewiseTable(WelfareFunction):
 
 
 def _scale_interval(v: IntervalValue, w: Fraction) -> IntervalValue:
-    wf = mpmath.mpf(w.numerator) / mpmath.mpf(w.denominator)
-    lo, hi = v.lo * wf, v.hi * wf
-    pad = mpmath.ldexp(max(1, abs(lo), abs(hi)), -(v.bits - 2))
-    return IntervalValue(lo - pad, hi + pad, v.bits)
+    """w * [lo, hi] for w > 0.  Each end is formed as (end * p) / q, w = p/q,
+    rounded down (lo) or up (hi) at every step, so w is never rounded and the
+    result encloses the exact product."""
+    p, q = w.numerator, w.denominator
+    with mpmath.workprec(v.bits + 16):
+        lo = mpmath.fdiv(mpmath.fmul(v.lo, p, rounding="f"), q, rounding="f")
+        hi = mpmath.fdiv(mpmath.fmul(v.hi, p, rounding="c"), q, rounding="c")
+    return IntervalValue(lo, hi, v.bits)
 
 
 def increment(fn: WelfareFunction, lo, hi) -> ExtendedValue:

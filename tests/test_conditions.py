@@ -533,6 +533,53 @@ def test_a_c3b_witness_sums_its_middle_term_once(monkeypatch):
     assert windows.count(((k + 1) * a + 1, (k + 2) * a)) == 1
 
 
+def _counted_compare(monkeypatch):
+    """Replace the comparator conditions uses by one that logs its operands."""
+    calls = []
+
+    def counted(lhs, rhs, policy=None):
+        calls.append((lhs, rhs))
+        return compare(lhs, rhs, policy)
+
+    monkeypatch.setattr(conditions, "compare", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec, cond, bounds",
+    [
+        ("modlog:2", ConditionId.C3B, Bounds()),
+        ("harmonic:-3/4", ConditionId.C6A, Bounds()),
+        ("harmonic:907/2048", ConditionId.C3B, Bounds(k_max=3, a_max=51_200)),
+    ],
+)
+def test_a_confirmed_witness_is_compared_once(spec, cond, bounds, monkeypatch):
+    """The verdict of violates and the report's failing pair come from one comparison."""
+    calls = _counted_compare(monkeypatch)
+    report = check_condition(parse_welfare(spec), cond, bounds)
+    assert report.verdict == VIOLATED
+    assert sum(l is report.lhs and r is report.rhs for l, r in calls) == 1
+
+
+def test_condition_inequalities_reads_the_current_evaluation(monkeypatch):
+    fn, witness = parse_welfare("modlog:2"), {"k": 1, "a": 2, "b": 3}
+    before = conditions.condition_inequalities(fn, ConditionId.C3, witness)
+    monkeypatch.setattr(conditions, "delta", lambda fn, k, x: (k, x))
+    after = conditions.condition_inequalities(fn, ConditionId.C3, witness)
+    assert before != after == [((1, 3), (2, 2))]
+
+
+def test_violates_evaluates_every_call(monkeypatch):
+    """No verdict outlives its call: a direct violates after check_condition,
+    or twice on one tuple, compares again."""
+    fn = parse_welfare("modlog:2")
+    report = check_condition(fn, ConditionId.C3B)
+    calls = _counted_compare(monkeypatch)
+    assert violates(fn, ConditionId.C3B, report.witness, Bounds().policy) is True
+    assert violates(fn, ConditionId.C3B, report.witness, Bounds().policy) is True
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("cond", list(ConditionId))
 def test_log_and_zero_shift_log_agree(cond):
     # Log is ModLog(0) under another label: same reports, same closed forms

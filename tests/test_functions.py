@@ -1,5 +1,6 @@
 """Welfare-function family: exact values, block increments, grammar."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from welfarist import functions
 from welfarist.functions import (
     LinearCombo,
     Log,
@@ -266,25 +268,28 @@ def _reference(fn, x: Fraction):
     "spec",
     ["log"]
     + [f"modlog:{c}" for c in ["0", "1/2", "1", "2"]]
-    + [f"harmonic:{c}" for c in ["-1", "-3/4", "-1/2", "0", "2/5", "1"]]
-    + [f"pmean:{p}" for p in ["-1", "0", "1/2", "1"]],
+    + [f"harmonic:{c}" for c in ["-1", "-3/4", "-1/2", "0", "2/5", "1", "3"]]
+    + [f"pmean:{p}" for p in ["-2", "-1", "0", "1/3", "1/2", "1", "2"]],
 )
 def test_float_model_within_its_error_bound(spec):
     """approx_array stays within table_error_bound of a 120-bit reference at
-    integer, quarter-integer and large arguments, with -inf where f diverges."""
+    integer, quarter-integer and large arguments, with -inf where f diverges.
+    The large arguments reach past the (k_max + 3) * a_max the C3b routes
+    read: 6 * 2^26 at a_max 2^26 and 6 * 2^30 at a_max 2^30 (k_max 3)."""
     fn = parse_welfare(spec)
     xs = [Fraction(j, 4) for j in range(0, 41)]
-    xs += [n + Fraction(j, 4) for n in (999_983, 4_194_304, 9_999_991) for j in range(4)]
-    xs.append(Fraction(10**7))
+    large = (999_983, 4_194_304, 9_999_991, 5 * 2**26 - 1, 6 * 2**30 - 3, 2**33 - 1)
+    xs += [n + Fraction(j, 4) for n in large for j in range(4)]
+    xs.append(Fraction(2**33))
     with np.errstate(divide="ignore"):
         got = fn.approx_array(np.array(xs, dtype=float))
-    bound = fn.table_error_bound(10**7)
     for x, approx in zip(xs, got):
         want = _reference(fn, x)
         if want is None:
             assert approx == -np.inf, x
         else:
-            assert abs(mpmath.mpf(float(approx)) - want) <= bound, x
+            # the bound at the argument itself, so it is tight for x^p, p > 0
+            assert abs(mpmath.mpf(float(approx)) - want) <= fn.table_error_bound(math.ceil(x)), x
 
 
 _SHIFTS = ["-1", "-3/4", "0", "1/2", "3"]
@@ -415,3 +420,33 @@ def test_harmonic_batch_restarts_after_y_below_one():
     for x, v in zip(xs, batched):
         assert _same_value(v, fn.value_at(x, bits)), x
         assert _same_value(v, reference(x)), x
+
+
+def _exact(m) -> Fraction:
+    """The value of an mpf as an exact fraction."""
+    sign, man, exp, _ = m._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _intervals(bits):
+    """Enclosures at ``bits``: power-mean values of either sign, and wider
+    intervals around sqrt(x) - 2, one of them [-eps, 0]."""
+    out = [PMean(p).value_at(x, bits) for p in (Fraction(1, 3), Fraction(-1, 3)) for x in range(2, 15)]
+    with mpmath.workprec(bits):
+        for x in range(2, 15):
+            c = mpmath.sqrt(x) - 2
+            out.append(IntervalValue(c - mpmath.ldexp(1, -(bits // 2)), c, bits))
+    return out
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+@pytest.mark.parametrize("w", [Fraction(1, 3), Fraction(40), Fraction(7, 5)])
+def test_scaled_interval_encloses_the_exact_product(bits, w):
+    """A combination's weight times an interval term encloses w * [lo, hi]
+    exactly and is at most about 2^-bits (relative) wider."""
+    for v in _intervals(bits):
+        scaled = functions._scale_interval(v, w)
+        lo, hi = w * _exact(v.lo), w * _exact(v.hi)
+        assert _exact(scaled.lo) <= lo and hi <= _exact(scaled.hi), v
+        slack = (_exact(scaled.hi) - _exact(scaled.lo)) - (hi - lo)
+        assert slack <= Fraction(max(1, abs(lo), abs(hi)), 2**bits), v
