@@ -325,10 +325,15 @@ def _grid_cells(lhs, rhs, margin: float, admitted=None):
 def _multiples(xs, top: int) -> np.ndarray:
     """float(j*x) for j = 0..top (rows) and x in xs (columns), flattened.
 
-    While top*max(|num|, den) < 2**53 the float product j*num is exact, so
-    the one division rounds j*x once, as float(j*x) does, and no Python list
-    of floats is built.
+    For a range of integers below 2**53 in magnitude, float(j) * float(x)
+    rounds j*x once, as float(j*x) does.  Otherwise, while
+    top*max(|num|, den) < 2**53 the float product j*num is exact, so the one
+    division rounds j*x once.  Only past both bounds is float(j*x) taken
+    one product at a time.
     """
+    if isinstance(xs, range) and max(abs(xs.start), abs(xs.stop)) <= 2**53:
+        ints = np.arange(xs.start, xs.stop, xs.step, dtype=np.int64)
+        return (np.arange(top + 1.0)[:, None] * ints.astype(float)).ravel()
     nums, dens = zip(*(x.as_integer_ratio() for x in xs))
     if top * max(max(map(abs, nums)), max(dens)) >= 2**53:
         return np.array([float(j * x) for j in range(top + 1) for x in xs])

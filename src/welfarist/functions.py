@@ -137,9 +137,8 @@ class ModLog(WelfareFunction):
         x = Fraction(x)
         if x < 0:
             raise ValueError("negative argument")
-        if x + self.c == 0:
-            return NEG_INF
-        return ExactValue.from_log(x + self.c)
+        q = x + self.c
+        return NEG_INF if q == 0 else ExactValue(logs={q: 1})
 
     def label(self):
         return f"modlog:{self.c}"
@@ -318,13 +317,14 @@ class PMean(WelfareFunction):
         if p == 0:
             return NEG_INF if x == 0 else ExactValue.from_log(x)
         if x == 0:
-            return ExactValue.from_rational(0) if p > 0 else NEG_INF
+            return ExactValue() if p > 0 else NEG_INF
         sign = 1 if p > 0 else -1
         if p.denominator == 1:
-            return ExactValue.from_rational(sign * x ** p.numerator)
+            return ExactValue(sign * x**p.numerator)
         if p.denominator == 2:
             whole = (p.numerator - 1) // 2  # numerator is odd
-            return ExactValue.from_sqrt(x).scale(sign * x**whole)
+            # sqrt(x) = sqrt(num*den)/den, scaled by sign * x**whole
+            return ExactValue(surds={x.numerator * x.denominator: sign * x**whole / x.denominator})
         with mpmath.workprec(bits + 16):
             xf = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
             pf = mpmath.mpf(p.numerator) / mpmath.mpf(p.denominator)

@@ -30,7 +30,10 @@ scored by bounds ``lo <= sum_i f(u_i/d) <= hi``.
   then compare integers only.
 - Otherwise (surds, intervals, mixed log and rational values) they are
   certified float bounds: the sums of the outward-rounded bounds of
-  :func:`~welfarist.values.float_bounds`, rounded outward once more.
+  :func:`~welfarist.values.float_bounds`, rounded outward once more.  A
+  value with no log part is bounded there in integer arithmetic (surds from
+  ``isqrt``), without mpmath; a log or interval value from a ``SCAN_BITS``
+  enclosure.
 
 A vector holding f = -inf scores the point ``(-inf, -inf)``.  One scan drops
 each vector whose ``hi`` is below another's ``lo``; a drop on bounds that are

@@ -17,7 +17,9 @@ intervals with precision doubling up to a hard ceiling, which is always tried;
 an undecided comparison at the ceiling is reported as inconclusive, never
 silently resolved.  :func:`float_bounds` encloses any of these values in two
 outward-rounded doubles, for scans that decide most comparisons in floats
-and leave the rest to :func:`compare`.
+and leave the rest to :func:`compare`.  It bounds a value with no log part
+in integer arithmetic (one ``isqrt`` per radicand, no error term), and logs
+and intervals through mpmath.
 """
 
 from __future__ import annotations
@@ -333,24 +335,54 @@ def evaluate_interval(value: ExactValue, bits: int) -> IntervalValue:
 def float_bounds(value: ExtendedValue) -> tuple[float, float]:
     """Doubles ``lo <= value <= hi``, each rounded outward by one ulp.
 
-    Rationals round from the exact fraction, logs and surds from a
-    ``SCAN_BITS`` :func:`evaluate_interval`, intervals from their own ends.  A rational
-    beyond the double range rounds to an infinity, which the widening turns
-    into the largest finite double on the inner side.  A true infinity maps
-    to itself on both sides: ``nextafter(-inf, inf)`` is a finite number.
+    A value with no log part is bounded in integers (:func:`_algebraic_bounds`),
+    logs from a ``SCAN_BITS`` :func:`evaluate_interval`, intervals from their
+    own ends.  An end beyond the double range rounds to an infinity, which the
+    widening turns into the largest finite double on the inner side.  A true
+    infinity maps to itself on both sides: ``nextafter(-inf, inf)`` is a
+    finite number.
     """
     if isinstance(value, Infinite):
         end = math.inf if value.sign > 0 else -math.inf
         return end, end
-    if isinstance(value, ExactValue) and value.is_rational:
-        try:
-            lo = hi = float(value.rational)
-        except OverflowError:
-            lo = hi = math.inf if value.rational > 0 else -math.inf
+    if isinstance(value, ExactValue) and not value.logs:
+        lo, hi = _algebraic_bounds(value)
     else:
         enclosure = _enclose(value, SCAN_BITS)
         lo, hi = float(enclosure.lo), float(enclosure.hi)
     return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+
+
+def _algebraic_bounds(value: ExactValue) -> tuple[float, float]:
+    """Doubles nearest to two rationals ``lo <= value <= hi``, for a value
+    with no log part.
+
+    Over a common denominator den * 2**SCAN_BITS, the rational part is exact
+    and each c*sqrt(d), c = p/q, lies between p*r and p*(r+1) over
+    q * 2**SCAN_BITS, r = isqrt(d * 4**SCAN_BITS), the two ends swapped when
+    p < 0.  Each end is one int/int true division, which CPython rounds
+    correctly and which overflows past the double range.
+    """
+    num, den = value.rational.as_integer_ratio()
+    lo = hi = num << SCAN_BITS
+    for d, c in value.surds.items():
+        p, q = c.as_integer_ratio()
+        common = math.lcm(den, q)
+        lo, hi = lo * (common // den), hi * (common // den)
+        p, den = p * (common // q), common
+        r = math.isqrt(d << 2 * SCAN_BITS)
+        lo += p * (r + (p < 0))
+        hi += p * (r + (p > 0))
+    den <<= SCAN_BITS
+    return _nearest_float(lo, den), _nearest_float(hi, den)
+
+
+def _nearest_float(num: int, den: int) -> float:
+    """num/den for den > 0, rounded to the nearest double; an infinity past the range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _mpf_of_fraction(x: Fraction):

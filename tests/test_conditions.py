@@ -378,10 +378,15 @@ def test_block_pair_table_builds_no_argument_list(cond):
         # past the exact-product bound: the list form itself
         NON_DYADIC_GRID + (Fraction(1, 3**40),),
         [1, 2**60 + 1],
+        # the integer route of C3 and C3a, and a range past it
+        range(1, 300),
+        range(1, 2**20, 4099),
+        range(2**53 - 3, 2**53 + 3),
     ],
 )
 def test_block_pair_arguments_are_the_rounded_products(xs):
-    xs = sorted(set(xs))
+    if not isinstance(xs, range):
+        xs = sorted(set(xs))
     top = 65
     want = [float(j * x) for j in range(top + 1) for x in xs]
     assert conditions._multiples(xs, top).tolist() == want

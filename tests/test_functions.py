@@ -450,3 +450,65 @@ def test_scaled_interval_encloses_the_exact_product(bits, w):
         assert _exact(scaled.lo) <= lo and hi <= _exact(scaled.hi), v
         slack = (_exact(scaled.hi) - _exact(scaled.lo)) - (hi - lo)
         assert slack <= Fraction(max(1, abs(lo), abs(hi)), 2**bits), v
+
+
+def _count_constructions(monkeypatch) -> list:
+    init, calls = ExactValue.__init__, []
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExactValue, "__init__", counting_init)
+    return calls
+
+
+def _parts(v: ExactValue):
+    return v.rational, v.surds, v.logs
+
+
+_POINTS = [Fraction(1), Fraction(2), Fraction(9), Fraction(9, 4), Fraction(8, 3), Fraction(50, 7), Fraction(10**20 + 1, 3)]
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2), Fraction(5, 2)])
+@pytest.mark.parametrize("x", _POINTS)
+def test_half_integer_power_is_one_construction(p, x, monkeypatch):
+    """x**p, p = s/2, builds its surd once, with the parts of sqrt(x) scaled by
+    sign * x**whole; perfect squares fold into the rational part."""
+    sign, whole = (1 if p > 0 else -1), (p.numerator - 1) // 2
+    want = _parts(ExactValue.from_sqrt(x).scale(sign * x**whole))
+    calls = _count_constructions(monkeypatch)
+    got = PMean(p).value_at(x)
+    assert len(calls) == 1
+    assert _parts(got) == want
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 2)])
+def test_half_integer_power_at_zero(p, monkeypatch):
+    calls = _count_constructions(monkeypatch)
+    assert _parts(PMean(p).value_at(0)) == (0, {}, {})
+    assert len(calls) == 1
+    assert PMean(-p).value_at(0) is NEG_INF
+
+
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3)])
+@pytest.mark.parametrize("x", [Fraction(0)] + _POINTS)
+def test_shifted_log_is_one_construction(c, x, monkeypatch):
+    """log(x + c) adds x + c once and builds one value, log(x + c) with weight 1."""
+    fn = ModLog(c)
+    if x + c == 0:
+        assert fn.value_at(x) is NEG_INF
+        return
+    want = _parts(ExactValue.from_log(x + c))
+    calls = _count_constructions(monkeypatch)
+    add, sums = Fraction.__add__, []
+
+    def counting_add(a, b):
+        sums.append((a, b))
+        return add(a, b)
+
+    monkeypatch.setattr(Fraction, "__add__", counting_add)
+    got = fn.value_at(x)
+    monkeypatch.undo()
+    assert len(calls) == 1 and len(sums) == 1
+    assert _parts(got) == want

@@ -1,5 +1,6 @@
 """Exact/interval value arithmetic and the three-tier comparator."""
 
+import math
 import os
 from fractions import Fraction
 from unittest import mock
@@ -8,6 +9,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from welfarist import values
 from welfarist.values import (
     NEG_INF,
     POS_INF,
@@ -246,6 +248,32 @@ class TestIntervals:
         assert all(a < b <= 2 * a for a, b in zip(steps, steps[1:]))
 
 
+_ALGEBRAIC_CASES = [
+    ExactValue.from_sqrt(2),
+    ExactValue.from_sqrt(Fraction(10**20 + 1, 3)).scale(-1),
+    # cancellation: sqrt(10**6 + 1) - 1000 is about 5e-4
+    value_sum([ExactValue.from_sqrt(10**6 + 1), ExactValue.from_rational(-1000)]),
+    ExactValue(Fraction(-22, 7), None, {3: Fraction(5, 2), 7: Fraction(-1, 3), 10: Fraction(1, 10**6)}),
+    ExactValue(Fraction(1, 10**300), None, {2: Fraction(3, 10**300)}),
+    ExactValue(Fraction(-(10**300)), None, {6: Fraction(10**299, 7)}),
+    ExactValue(surds={2**61 - 1: Fraction(-1, 3**600)}),
+]
+# one radicand per class up to a square factor, so folding is exercised too
+_radicands = st.sampled_from([2, 3, 5, 6, 7, 8, 12, 97, 10**6 + 1, 10**6 + 3, 2**61 - 1])
+_signed = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+_exponents = st.one_of(st.integers(-300, -290), st.integers(-20, 20), st.integers(280, 290))
+algebraic_values = st.one_of(
+    st.builds(
+        lambda rational, surds, e: ExactValue(rational, None, surds).scale(Fraction(10) ** e),
+        _signed,
+        st.dictionaries(_radicands, _signed.filter(bool), min_size=1, max_size=3),
+        _exponents,
+    ),
+    # sqrt(s*s + 1) - s, about 1/(2s): cancellation
+    st.builds(lambda s, e: ExactValue(-s, None, {s * s + 1: 1}).scale(Fraction(10) ** e), st.integers(1, 10**6), _exponents),
+)
+
+
 class TestFloatBounds:
     @pytest.mark.parametrize(
         "value",
@@ -285,6 +313,49 @@ class TestFloatBounds:
         assert lo == 1.7976931348623157e308 and hi == float("inf")
         lo, hi = float_bounds(ExactValue.from_rational(-(10**400)))
         assert lo == float("-inf") and hi == -1.7976931348623157e308
+
+    @pytest.mark.parametrize("big", [ExactValue(surds={2: Fraction(10**400)}), ExactValue(10**400, None, {3: -1})])
+    def test_surds_beyond_the_double_range(self, big):
+        lo, hi = float_bounds(big)
+        assert lo == 1.7976931348623157e308 and hi == float("inf")
+        lo, hi = float_bounds(big.scale(-1))
+        assert lo == float("-inf") and hi == -1.7976931348623157e308
+
+    def test_rational_and_surd_values_use_no_mpmath(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("evaluate_interval called")
+
+        monkeypatch.setattr(values, "evaluate_interval", refuse)
+        for v in _ALGEBRAIC_CASES:
+            float_bounds(v)
+        float_bounds(ExactValue.from_rational(Fraction(1, 3)))
+        with pytest.raises(AssertionError):
+            float_bounds(ExactValue.from_log(2))
+
+    @pytest.mark.parametrize("value", _ALGEBRAIC_CASES)
+    def test_algebraic_bounds_are_within_four_ulps(self, value):
+        _assert_tight_bounds(value)
+
+    @given(algebraic_values)
+    def test_algebraic_bounds_contain_a_400_bit_reference(self, value):
+        _assert_tight_bounds(value)
+
+
+def _assert_tight_bounds(value: ExactValue):
+    """float_bounds contain a 400-bit reference, and each end lies within 4
+    ulps of it wherever the 2**-SCAN_BITS error of each integer square root,
+    times its coefficient, is below an ulp (|value| >= 2**-11 * sum |c|)."""
+    lo, hi = float_bounds(value)
+    with mpmath.workprec(400):
+        ref = _mpf(value.rational) + mpmath.fsum(_mpf(c) * mpmath.sqrt(d) for d, c in value.surds.items())
+        assert lo < ref < hi
+        if abs(ref) >= mpmath.ldexp(sum(abs(c) for c in value.surds.values()), -11):
+            ulp = math.ulp(float(ref))
+            assert ref - lo <= 4 * ulp and hi - ref <= 4 * ulp
+
+
+def _mpf(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
 
 
 def test_precision_ceiling_env_override(monkeypatch):
