@@ -8,6 +8,7 @@ Exit codes are a stable contract: 0 pass/optimum, 1 violation/counterexample,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -197,7 +198,13 @@ def _cmd_lemmas(_args) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call.
+
+    Parsing leaves the parser unchanged, so one build serves every ``main``
+    call in a process; it is not built at import.
+    """
     parser = argparse.ArgumentParser(
         prog="welfarist",
         description="Exact additive welfarist allocation rules and EF1 verification.",
@@ -216,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("kind", choices=["ef1", "ef", "po"])
     check.add_argument("instance")
     check.add_argument("allocation")
-    check.add_argument("--budget", type=int, default=DEFAULT_PARETO_BUDGET)
+    check.add_argument(
+        "--budget", type=int, default=DEFAULT_PARETO_BUDGET, help="search states a po check may enter"
+    )
     check.set_defaults(handler=_cmd_check)
 
     cls = sub.add_parser("classify", help="evaluate instance-class predicates")
@@ -259,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ParseError, ValueError, ZeroDivisionError, OSError, EnumerationCapExceeded) as exc:

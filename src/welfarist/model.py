@@ -93,13 +93,12 @@ class Instance:
         """Every assignment vector with its utility vector, in lexicographic order.
 
         The one walk of the n**m assignment space, in the order of
-        ``itertools.product(range(n), repeat=m)``: the kernel of the Pareto
-        scan, and enumeration's route where its layers of distinct vectors
-        would hold too many states.  Utilities are integers in
-        units of 1/``scale`` (rows of ``scaled``), which preserves every order
-        and equality.  Each step moves only the suffix of goods whose agent
-        changed, updating one list in place: a caller that keeps the
-        utilities must copy them.
+        ``itertools.product(range(n), repeat=m)``: enumeration's fallback
+        where its layers of distinct vectors would hold too many states.
+        Utilities are integers in units of 1/``scale`` (rows of ``scaled``),
+        which preserves every order and equality.  Each step moves only the
+        suffix of goods whose agent changed, updating one list in place: a
+        caller that keeps the utilities must copy them.
         """
         n, m, rows = self.n, self.m, self.scaled
         assignment = [0] * m

@@ -211,6 +211,21 @@ def test_parser_defaults_are_the_library_defaults():
         assert getattr(campaign, name) == getattr(spec, name), name
 
 
+def test_one_parser_serves_every_call(chain_file, tmp_path, capsys):
+    alloc = tmp_path / "diagonal.json"
+    alloc.write_text('{"bundles":[[0],[1],[2],[3]]}')
+    commands = [
+        ("solve", chain_file, "--welfare", "log", "--all"),
+        ("check", "ef1", chain_file, str(alloc)),
+        ("check", "po", chain_file, str(alloc)),
+    ]
+    first = [run(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in first] == [0, 0, 0]
+    assert json.loads(first[2][1]) == {"property": "po", "verdict": "PO"}
+    assert [run(capsys, *argv) for argv in commands] == first
+    assert build_parser() is build_parser()
+
+
 def test_campaign_roundtrip(capsys, tmp_path):
     code, out, _ = run(
         capsys,

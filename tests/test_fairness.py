@@ -5,10 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from welfarist.constructions import chain_instance, chain_shifted_allocation
-from welfarist.fairness import Ef1Report, is_ef, is_ef1, is_pareto_optimal
-from welfarist.model import Allocation, Instance, random_instance
+from welfarist.fairness import Ef1Report, ParetoResult, is_ef, is_ef1, is_pareto_optimal
+from welfarist.functions import parse_welfare
+from welfarist.model import Allocation, InfeasibleConstraintError, Instance, random_instance
+from welfarist.solver import enumerate_maximizers
 
 
 def ef1_existential(inst, alloc):
@@ -130,9 +133,15 @@ class TestPareto:
         assert result.dominator.assignment == (0,)
 
     def test_budget_exceeded(self):
+        # Budgets count search states entered, the root included.  With a and b goods
+        # given to agents 0 and 1, the slacks are (10 - b, 10 - a), so a state is kept
+        # iff a, b <= 10: one state per (a, b) in [0, 10]**2, each entered once, the
+        # memo skipping its repeats.  The only complete one, (10, 10), is the base: PO
+        # after 121 states.
         inst = Instance.from_rows([[1] * 20, [1] * 20])
         balanced = Allocation(tuple(g % 2 for g in range(20)))
-        assert is_pareto_optimal(inst, balanced, budget=1000).verdict == "BudgetExceeded"
+        assert is_pareto_optimal(inst, balanced, budget=120).verdict == "BudgetExceeded"
+        assert is_pareto_optimal(inst, balanced, budget=121).verdict == "PO"
 
     def test_dominator_is_lexicographically_least(self):
         inst = Instance.from_rows([[1, 1], [0, 0]])
@@ -141,16 +150,24 @@ class TestPareto:
         assert result.dominator.assignment == (0, 0)
 
     def test_budget_boundary(self):
-        inst = Instance.from_rows([[1, 2], [2, 1]])  # 2**2 = 4 assignments
+        # Row sums are 3, so the root's slacks are 3 - base.  Giving a good to one agent
+        # lowers the other's slack by the other's value for it; a negative slack drops
+        # the state, and a complete state with a positive slack is a dominator.
+        inst = Instance.from_rows([[1, 2], [2, 1]])
+        # (1, 0) gives (2, 2), root slacks (1, 1).  Good 0 to agent 0 drops s1 to -1; to
+        # agent 1 it leaves (0, 1), state 2.  There good 1 to agent 0 reaches (0, 0),
+        # state 3, the base again; to agent 1 it drops s0 to -2.  PO after 3 states.
         po = Allocation((1, 0))
-        assert is_pareto_optimal(inst, po, budget=4).verdict == "PO"
-        assert is_pareto_optimal(inst, po, budget=3).verdict == "BudgetExceeded"
-        # (0, 1) gives (1, 1); its first dominator (1, 0) sits at scan index 2
+        assert is_pareto_optimal(inst, po, budget=3).verdict == "PO"
+        assert is_pareto_optimal(inst, po, budget=2).verdict == "BudgetExceeded"
+        # (0, 1) gives (1, 1), root slacks (2, 2).  Good 0 to agent 0 gives (2, 0), state
+        # 2, whose one kept child is (0, 0), state 3.  Good 0 to agent 1 gives (1, 2),
+        # state 4, and then good 1 to agent 0 gives (1, 1), state 5: the dominator (1, 0).
         dominated = Allocation((0, 1))
-        result = is_pareto_optimal(inst, dominated, budget=3)
+        result = is_pareto_optimal(inst, dominated, budget=5)
         assert result.verdict == "Dominated"
         assert result.dominator.assignment == (1, 0)
-        assert is_pareto_optimal(inst, dominated, budget=2).verdict == "BudgetExceeded"
+        assert is_pareto_optimal(inst, dominated, budget=4).verdict == "BudgetExceeded"
 
     def test_budget_below_one_is_refused(self):
         inst = Instance.from_rows([[1, 2], [2, 1]])
@@ -158,3 +175,49 @@ class TestPareto:
         for budget in (0, -5):
             with pytest.raises(ValueError):
                 is_pareto_optimal(inst, Allocation((1, 0)), budget=budget)
+
+    def test_deep_search_is_iterative(self):
+        # 1,200 goods put 1,201 states on the search path, past the default recursion limit
+        inst = Instance.from_rows([[1] * 1200, [1] * 1200])
+        balanced = Allocation(tuple(g % 2 for g in range(1200)))
+        assert is_pareto_optimal(inst, balanced) == ParetoResult("PO")
+
+
+def walk_dominator(inst, alloc):
+    """The first dominator in the walk of :meth:`Instance.utility_vectors`, or None."""
+    base = [0] * inst.n
+    for g, agent in enumerate(alloc.assignment):
+        base[agent] += inst.scaled[agent][g]
+    for assignment, utilities in inst.utility_vectors():
+        if all(u >= b for u, b in zip(utilities, base)) and utilities != base:
+            return assignment
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 4),
+    m=st.integers(0, 8),
+    cls=st.sampled_from(["unrestricted", "integer", "binary", "two_value", "identical_good", "normalized"]),
+    max_value=st.sampled_from([1, 3, 1000]),
+    seed=st.integers(0, 2**30),
+    zero_row=st.none() | st.integers(0, 3),
+    rule=st.sampled_from(["log", "pmean:1", "pmean:-1"]),
+)
+def test_search_matches_the_walk(n, m, cls, max_value, seed, zero_row, rule):
+    """Verdict and dominator equal the walk's, for maximizers, all-to-agent-0 and random bases."""
+    try:
+        inst = random_instance(n, m, cls, max_value, seed=seed)
+    except InfeasibleConstraintError:
+        assume(False)
+    if zero_row is not None and zero_row < n:
+        rows = [(0,) * m if i == zero_row else row for i, row in enumerate(inst.utilities)]
+        inst = Instance.from_rows(rows)
+    rng = random.Random(seed)
+    maxima = enumerate_maximizers(inst, parse_welfare(rule)).allocations
+    probes = [maxima[0], maxima[-1], Allocation((0,) * m)]
+    probes.append(Allocation(tuple(rng.randrange(n) for _ in range(m))))
+    for alloc in probes:
+        expected = walk_dominator(inst, alloc)
+        want = ParetoResult("PO") if expected is None else ParetoResult("Dominated", Allocation(expected))
+        assert is_pareto_optimal(inst, alloc) == want
