@@ -76,8 +76,7 @@ def is_pareto_optimal(inst: Instance, alloc: Allocation, budget: int = DEFAULT_P
 
     Goods are given out in order 0..m-1, each to agents 0..n-1 in turn, so
     complete assignments are reached in lexicographic order and the
-    dominator returned is the lexicographically smallest one, as a walk of
-    :meth:`Instance.utility_vectors` would find it.
+    dominator returned is the lexicographically smallest one.
 
     A search state is the vector of slacks s_j = u_j + (what j values among
     the goods not yet given) - base_j, integers in units of 1/``inst.scale``,

@@ -14,7 +14,7 @@ import re
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class ParseError(ValueError):
@@ -88,32 +88,6 @@ class Instance:
         for g, agent in enumerate(assignment):
             utilities[agent] += self.utilities[agent][g]
         return utilities
-
-    def utility_vectors(self) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-        """Every assignment vector with its utility vector, in lexicographic order.
-
-        The one walk of the n**m assignment space, in the order of
-        ``itertools.product(range(n), repeat=m)``: enumeration's fallback
-        where its layers of distinct vectors would hold too many states.
-        Utilities are integers in units of 1/``scale`` (rows of ``scaled``),
-        which preserves every order and equality.  Each step moves only the
-        suffix of goods whose agent changed, updating one list in place: a
-        caller that keeps the utilities must copy them.
-        """
-        n, m, rows = self.n, self.m, self.scaled
-        assignment = [0] * m
-        utilities = [sum(rows[0])] + [0] * (n - 1)
-        while True:
-            yield tuple(assignment), utilities
-            for g in range(m - 1, -1, -1):
-                agent = assignment[g]
-                utilities[agent] -= rows[agent][g]
-                agent = assignment[g] = (agent + 1) % n
-                utilities[agent] += rows[agent][g]
-                if agent:
-                    break
-            else:
-                return
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,9 @@ because the rule breaks ties arbitrarily, so a guarantee about "the chosen
 allocation" must hold for every member.
 
 Enumeration scores each distinct reachable utility vector once, since many
-assignments share one: it builds them good by good, each packed into one
-integer, and recovers the survivors' assignments in lexicographic order
-(:func:`_distinct_survivors`).  Where its layers could hold more than
-``_STATE_CAP`` vectors, it walks the n**m assignments of
-:meth:`Instance.utility_vectors` instead, with the same result.
+assignments share one (:func:`_distinct_survivors`): it builds them good by
+good, each packed into one integer, and keeps a partial vector only while its
+optimistic completion can still reach the best welfare found.
 
 Enumeration and the depth-first search add integer utilities in units of
 1/d, d the instance's least common denominator (``Instance.scaled``): scaling
@@ -36,11 +34,10 @@ scored by bounds ``lo <= sum_i f(u_i/d) <= hi``.
   enclosure.
 
 A vector holding f = -inf scores the point ``(-inf, -inf)``.  One scan drops
-each vector whose ``hi`` is below another's ``lo``; a drop on bounds that are
-not a point is an interval decision.  Equal points are equal welfare, so a
-survivor set of points is the argmax set as it stands; any other goes through
-the exact/interval comparator, one candidate per multiset of utilities, which
-confirms every maximizer and every tie.
+each final vector whose ``hi`` is below another's ``lo``.  Equal points are
+equal welfare, so a survivor set of points is the argmax set as it stands; any
+other goes through the exact/interval comparator, one candidate per multiset
+of utilities, which confirms every maximizer and every tie.
 
 The scan reads f at double precision (``SCAN_BITS``, what the float bounds
 need), in one :meth:`~welfarist.functions.WelfareFunction.values_at` batch.
@@ -76,17 +73,19 @@ from .values import (
 )
 
 _ENUMERATION_CAP = 50_000_000  # the largest n**m that enumeration scans
-# the most distinct partial utility vectors enumeration keeps, summed over
-# its layers; where they could pass it, enumeration walks the n**m
-# assignments instead, which keeps none
-_STATE_CAP = 1 << 18
+# the most partial utility vectors enumeration keeps, over all its layers; at
+# up to 115 bytes each (CPython 3.11, 64-bit) this bounds it to about 0.5 GB
+_STATE_CAP = 1 << 22
+# a smaller layer is kept whole, and no greedy assignment is scored for it:
+# on campaign-sized instances scoring it costs more than pruning saves
+_PRUNE_FROM = 64
 # float bounds are used only while every finite one lies inside +-2**1000, so
 # that no sum of n of them can overflow
 _FLOAT_RANGE = 2.0**1000
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """The assignment space n**m is larger than the enumeration cap."""
+    """The assignment space n**m, or the states enumeration keeps, would pass a cap."""
 
 
 @dataclass(frozen=True)
@@ -162,24 +161,36 @@ def _argmax(
 
     Comparisons run through the exact/interval comparator; an inconclusive
     comparison keeps the candidate (the set may then be a superset of the true
-    argmax) and is reported through the exactness label.
+    argmax) and is reported through the exactness label.  A candidate kept so
+    is compared again with each later, greater best, and stays unless it is
+    then shown below it.
     """
     candidates = iter(candidates)
     first, best_value = next(candidates)
     best = [first]
+    undecided = []  # (key, welfare) of the candidates kept on an inconclusive comparison
     max_bits = 0
     inconclusive = False
-    for key, welfare in candidates:
+
+    def relation(welfare) -> Relation:
+        nonlocal max_bits
         ordering = compare(welfare, best_value, policy)
         if ordering.bits:
             max_bits = max(max_bits, ordering.bits)
-        if ordering.relation is Relation.GREATER:
-            best_value, best = welfare, [key]
-        elif ordering.relation is Relation.EQUAL:
+        return ordering.relation
+
+    for key, welfare in candidates:
+        ordering = relation(welfare)
+        if ordering is Relation.GREATER:
+            best_value = welfare
+            undecided = [(k, w) for k, w in undecided if relation(w) is not Relation.LESS]
+            best = [k for k, _ in undecided] + [key]
+        elif ordering is Relation.EQUAL:
             best.append(key)
-        elif ordering.relation is Relation.INCONCLUSIVE:
+        elif ordering is Relation.INCONCLUSIVE:
             inconclusive = True
             best.append(key)
+            undecided.append((key, welfare))
     if inconclusive:
         return best, best_value, Exactness("Inconclusive", max_bits or None)
     if max_bits:
@@ -231,9 +242,10 @@ def _scoring(inst: Instance, value: _ValueCache) -> Callable:
     """Score f at every reachable bundle utility; returns ``score``.
 
     Utilities are integers in units of 1/d.  Every subset of a scaled row is
-    that agent's bundle in some assignment, and every branch-and-bound vector
-    ``u + suffix`` is such a subset for each agent, so these are exactly the
-    utilities either scan looks up, and f is read there at ``SCAN_BITS``.
+    that agent's bundle in some assignment, and so is each agent's field of
+    every optimistic bound (u + the goods left) either search scores, so
+    these are exactly the utilities looked up; f is read there at
+    ``SCAN_BITS``.
     ``score(u)`` gives ``(lo, hi)`` with ``lo <= sum_i f(u_i/d) <= hi``: the
     ``_order_keys`` key twice where one exists, else outward-rounded doubles;
     ``(-inf, -inf)`` exactly when u holds -inf.  A finite value outside
@@ -271,22 +283,22 @@ def _scoring(inst: Instance, value: _ValueCache) -> Callable:
     return score
 
 
-def _bounded_survivors(walk, score) -> tuple[list[tuple[tuple[int, ...], tuple]], bool, bool]:
-    """(key, utility vector) pairs of ``walk`` whose ``hi`` reaches the maximum ``lo``.
+def _bounded_survivors(vectors, score) -> tuple[list[tuple[object, tuple]], bool, bool]:
+    """(key, utility vector) pairs of ``vectors`` whose ``hi`` reaches the maximum ``lo``.
 
-    A key is an assignment, or a packed vector of ``_distinct_survivors``.
-    A vector is dropped once its ``hi`` falls below the running maximum
-    ``lo``, and the rest are filtered by the final one.  No maximizer is ever
-    dropped: its ``hi`` is at least the maximum welfare, which is at least
-    every ``lo``.  Also returns whether every survivor's bounds are a point,
-    and whether a vector was dropped on bounds that are not a point (an
-    interval decision).  Survivors that are points all equal the maximum
-    ``lo``, and equal points are equal welfare, so they are the argmax set.
+    A key is a packed vector of ``_distinct_survivors``.  A vector is dropped
+    once its ``hi`` falls below the running maximum ``lo``, and the rest are
+    filtered by the final one.  No maximizer is ever dropped: its ``hi`` is at
+    least the maximum welfare, which is at least every ``lo``.  Also returns
+    whether every survivor's bounds are a point, and whether a vector was
+    dropped on bounds that are not a point (an interval decision).  Survivors
+    that are points all equal the maximum ``lo``, and equal points are equal
+    welfare, so they are the argmax set.
     """
     best_lo = -inf
     kept = []
     interval_drop = False
-    for a, u in walk:
+    for a, u in vectors:
         lo, hi = score(u)
         if hi >= best_lo:
             kept.append((a, lo, hi, tuple(u)))
@@ -305,41 +317,96 @@ def _bounded_survivors(walk, score) -> tuple[list[tuple[tuple[int, ...], tuple]]
     return survivors, points, interval_drop
 
 
-def _distinct_survivors(inst: Instance, score) -> tuple[list[tuple[tuple[int, ...], tuple]], bool, bool] | None:
-    """What ``_bounded_survivors`` gives on the walk, scoring each distinct vector once.
+def _placement(inst: Instance) -> tuple[list[int], list[list[int]]]:
+    """The order both searches place the goods in, and each agent's value for the goods left.
 
-    A utility vector is one int with a field of ``width`` bits per agent,
-    wide enough that no field carries, and layer g holds the distinct vectors
-    of the first g goods.  Which vectors survive, and the two flags, depend
-    only on the set of final vectors, so the flags are the walk's.  The
-    survivors' assignments come back in lexicographic order: each layer keeps
-    only the vectors one step below a kept vector of the next (a difference
-    that borrows across fields is no vector of the layer), and the forward
-    pass extends each kept prefix in agent order.  Returns ``None``, having
-    built no layer that could take the states past ``_STATE_CAP``.
+    Largest value (to any agent) first: their optimistic bound gives every
+    good not yet placed to every agent, so placing the large ones first
+    tightens it soonest.  ``suffix[pos][i]`` is agent i's scaled value for
+    the goods from position ``pos`` on.
     """
     rows = inst.scaled
+    order = sorted(range(inst.m), key=list(map(max, zip(*rows))).__getitem__, reverse=True)
+    suffix = [[0] * inst.n]
+    for g in reversed(order):
+        suffix.append([s + row[g] for s, row in zip(suffix[-1], rows)])
+    return order, suffix[::-1]
+
+
+def _distinct_survivors(inst: Instance, score) -> tuple[list[tuple[tuple[int, ...], tuple]], bool, bool]:
+    """(assignment, utility vector) of each survivor of ``_bounded_survivors``, and its two flags.
+
+    A utility vector is one int with a field of ``width`` bits per agent, wide
+    enough that no field carries.  Layer g holds distinct vectors of the first
+    g goods in ``_placement`` order.  A layer of ``_PRUNE_FROM`` vectors or
+    more keeps v only if the ``hi`` of v + rest (every good left given to
+    every agent) reaches the ``lo`` of a greedy assignment, which gives each
+    good to the agent whose bound then scores highest.  f is non-decreasing,
+    so v + rest bounds every completion of v, and no prefix of a maximizer
+    goes.  A drop on bounds that are not a point is an interval decision;
+    none is made while an agent is at f(0) = -inf, where every completion
+    may hold -inf, which the final scan drops exactly.  The survivors'
+    assignments come back in lexicographic order: each layer keeps only the
+    vectors one step below a kept vector of the next (a difference that
+    borrows across fields is no vector of the layer), the forward pass
+    extends each kept prefix, and the assignments are mapped back to good
+    order and sorted.  Raises ``EnumerationCapExceeded`` before building a
+    layer that could take the kept states past ``_STATE_CAP``.
+    """
+    rows = inst.scaled
+    n, m = inst.n, inst.m
+    order, suffix = _placement(inst)
     width = max(map(sum, rows)).bit_length() + 1
-    steps = [[row[g] << (i * width) for i, row in enumerate(rows)] for g in range(inst.m)]
+    shifts = range(0, n * width, width)
+    mask = (1 << width) - 1
+    steps = [[row[g] << shift for row, shift in zip(rows, shifts)] for g in order]
+
+    def fields(v: int) -> list[int]:
+        return [v >> shift & mask for shift in shifts]
+
+    rests = [sum(x << shift for x, shift in zip(s, shifts)) for s in suffix]
+
+    def greedy_lo() -> float | int:
+        """The ``lo`` of giving each good to the agent whose bound then scores highest."""
+        lo, v = -inf, 0
+        for step, rest in zip(steps, rests[1:]):
+            lo, v = max((score(fields(v + s + rest))[0], v + s) for s in step)
+        return lo
+
     layers = [{0}]
     states = 1
-    for step in steps:
-        if states + inst.n * len(layers[-1]) > _STATE_CAP:  # the most the next layer can add
-            return None
-        layers.append({v + s for v in layers[-1] for s in step})
-        states += len(layers[-1])
+    best_lo = None
+    interval_drop = False
+    for step, rest in zip(steps, rests[1:]):
+        if states + n * len(layers[-1]) > _STATE_CAP:  # the most the next layer can add
+            raise EnumerationCapExceeded(f"enumeration would keep more than {_STATE_CAP} states")
+        layer = {v + s for v in layers[-1] for s in step}
+        if len(layer) >= _PRUNE_FROM:
+            if best_lo is None:
+                best_lo, zero_is_finite = greedy_lo(), score([0] * n)[1] > -inf
+            pruned = set()
+            for v in layer:
+                lo, hi = score(fields(v + rest))
+                if hi >= best_lo or lo < hi and not zero_is_finite and 0 in fields(v):
+                    pruned.add(v)
+                elif lo < hi:
+                    interval_drop = True
+            layer = pruned  # frees the unpruned layer before the next is built
+        layers.append(layer)
+        states += len(layer)
     final = list(layers[-1])
-    mask = (1 << width) - 1
-    columns = [[v >> (i * width) & mask for v in final] for i in range(inst.n)]
-    kept, points, interval_drop = _bounded_survivors(zip(final, zip(*columns)), score)
+    columns = ([v >> shift & mask for v in final] for shift in shifts)
+    kept, points, final_drop = _bounded_survivors(zip(final, zip(*columns)), score)
     vectors = dict(kept)
     layers[-1] = set(vectors)
-    for g in range(inst.m - 1, -1, -1):
+    for g in range(m - 1, -1, -1):
         layers[g] = {t - s for t in layers[g + 1] for s in steps[g]} & layers[g]
     prefixes = [((), 0)]
     for step, reachable in zip(steps, layers[1:]):
         prefixes = [(a + (i,), v + s) for a, v in prefixes for i, s in enumerate(step) if v + s in reachable]
-    return [(a, vectors[v]) for a, v in prefixes], points, interval_drop
+    position = sorted(range(m), key=order.__getitem__)  # position[g]: where good g was placed
+    assignments = sorted((tuple(a[p] for p in position), vectors[v]) for a, v in prefixes)
+    return assignments, points, interval_drop or final_drop
 
 
 def enumerate_maximizers(
@@ -348,32 +415,22 @@ def enumerate_maximizers(
     *,
     policy: PrecisionPolicy | None = None,
 ) -> MaximizerSet:
-    """The full argmax set, from each distinct utility vector scored once.
+    """The full argmax set, in lexicographic assignment order, each distinct utility vector scored once.
 
-    The maximizers come out in lexicographic assignment order.  The distinct
-    vectors come from layers built good by good; where those could pass
-    ``_STATE_CAP`` states, the walk of :meth:`Instance.utility_vectors`
-    scores every assignment instead, with the same result.  One scan drops
-    every vector whose bounds (see the module docstring) fall below the
-    best lower bound.  A survivor set of points (integer keys, or -inf) is the
-    argmax set as it stands; any other goes through the exact/interval
-    comparator once per distinct multiset of utilities (equal multisets are
-    equal welfare), which confirms every member and the welfare.  A drop on
-    bounds that are not a point counts as an interval decision at
-    ``policy.start()`` (the label is then at least ``IntervalCertified``);
-    a drop on a point counts as exact.  When no assignment is finite, every
-    one scores ``(-inf, -inf)`` and the set is all n**m of them.  After an
-    inconclusive comparison the set may be a superset of the true argmax,
-    which the exactness flag reports.
+    The survivors of :func:`_distinct_survivors` are decided as the module
+    docstring says.  A drop on bounds that are not a point counts as an
+    interval decision at ``policy.start()``.  When no assignment is finite,
+    the set is all n**m of them.  After an inconclusive comparison the set
+    may be a superset of the true argmax, which the exactness label reports.
+    Raises ``EnumerationCapExceeded`` when n**m passes ``_ENUMERATION_CAP``
+    or the kept vectors could pass ``_STATE_CAP``.
     """
     policy = policy or PrecisionPolicy()
     if inst.n**inst.m > _ENUMERATION_CAP:
         raise EnumerationCapExceeded(f"{inst.n}**{inst.m} exceeds cap {_ENUMERATION_CAP}")
     value = _ValueCache(fn, policy.start(), inst.scale)
     score = _scoring(inst, value)
-    survivors, points, interval_drop = _distinct_survivors(inst, score) or _bounded_survivors(
-        inst.utility_vectors(), score
-    )
+    survivors, points, interval_drop = _distinct_survivors(inst, score)
     if points:
         best, best_value = [a for a, _ in survivors], value.welfare(survivors[0][1])
         exactness = Exactness("Exact")
@@ -399,7 +456,8 @@ def solve_branch_bound(inst: Instance, fn: WelfareFunction) -> tuple[Allocation,
     incumbent is safe: no completion beats the incumbent, and one that ties
     it is not needed.  Bounds and incumbent are scored like enumeration's
     vectors: bounds that do not overlap decide outright, as do overlapping
-    points (equal keys); the exact/interval comparator decides the rest, at
+    points (equal keys) and equal multisets of utilities (equal welfare, so
+    no gain); the exact/interval comparator decides the rest, at
     the default ``PrecisionPolicy``.  A bound holding -inf is pruned, as it
     equals or falls below any incumbent.  The incumbent starts at "all goods
     to agent 0".
@@ -408,13 +466,7 @@ def solve_branch_bound(inst: Instance, fn: WelfareFunction) -> tuple[Allocation,
     value = _ValueCache(fn, policy.start(), inst.scale)
     score = _scoring(inst, value)
     rows = inst.scaled
-    order = sorted(range(inst.m), key=lambda g: max(row[g] for row in rows), reverse=True)
-    suffix = [[0] * inst.n for _ in range(inst.m + 1)]
-    for pos in range(inst.m - 1, -1, -1):
-        g = order[pos]
-        for i in range(inst.n):
-            suffix[pos][i] = suffix[pos + 1][i] + rows[i][g]
-
+    order, suffix = _placement(inst)
     incumbent_assignment = tuple([0] * inst.m)
     incumbent_vector = [sum(rows[0])] + [0] * (inst.n - 1)
     incumbent_lo, incumbent_hi = score(incumbent_vector)
@@ -430,7 +482,8 @@ def solve_branch_bound(inst: Instance, fn: WelfareFunction) -> tuple[Allocation,
             return
         greater = lo > incumbent_hi
         if not greater:
-            if lo == hi == incumbent_lo == incumbent_hi:  # equal keys
+            # equal keys or equal multisets: the bound has the incumbent's welfare, so nothing below it beats it
+            if lo == hi == incumbent_lo == incumbent_hi or sorted(bound) == sorted(incumbent_vector):
                 return
             relation = compare(value.welfare(bound), value.welfare(incumbent_vector), policy).relation
             if relation in (Relation.LESS, Relation.EQUAL):

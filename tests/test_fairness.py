@@ -183,12 +183,19 @@ class TestPareto:
         assert is_pareto_optimal(inst, balanced) == ParetoResult("PO")
 
 
+def scaled_utilities(inst, assignment):
+    """Each agent's utility for its bundle, in units of 1/``inst.scale``."""
+    utilities = [0] * inst.n
+    for g, agent in enumerate(assignment):
+        utilities[agent] += inst.scaled[agent][g]
+    return utilities
+
+
 def walk_dominator(inst, alloc):
-    """The first dominator in the walk of :meth:`Instance.utility_vectors`, or None."""
-    base = [0] * inst.n
-    for g, agent in enumerate(alloc.assignment):
-        base[agent] += inst.scaled[agent][g]
-    for assignment, utilities in inst.utility_vectors():
+    """The first dominator in a walk of the n**m assignments in lexicographic order, or None."""
+    base = scaled_utilities(inst, alloc.assignment)
+    for assignment in itertools.product(range(inst.n), repeat=inst.m):
+        utilities = scaled_utilities(inst, assignment)
         if all(u >= b for u, b in zip(utilities, base)) and utilities != base:
             return assignment
     return None

@@ -122,20 +122,20 @@ class TestUtilityVectors:
     @pytest.mark.parametrize("m", [0, 1, 5])
     @pytest.mark.parametrize("kind", ["integer", "unrestricted"])
     def test_walk_matches_product_rebuild(self, n, m, kind):
-        # the walk yields integer vectors in units of 1/d, d the least common denominator
+        # over every assignment, sums of the scaled rows are d times the exact
+        # utilities, d the least common denominator, and so are utility_vector's
         inst = random_instance(n, m, kind, 5, seed=10 * n + m)
         d = inst.scale
         assert d == lcm(*(u.denominator for row in inst.utilities for u in row))
-        walk = [(a, list(u)) for a, u in inst.utility_vectors()]
-        assert all(type(x) is int for _, u in walk for x in u)
-        rebuilt = []
+        assert all(type(x) is int for row in inst.scaled for x in row)
         for assignment in itertools.product(range(n), repeat=m):
             utilities = [Fraction(0)] * n
+            scaled = [0] * n
             for g, agent in enumerate(assignment):
                 utilities[agent] += inst.utilities[agent][g]
-            rebuilt.append((assignment, utilities))
-        assert walk == [(a, [d * x for x in u]) for a, u in rebuilt]
-        assert all(inst.utility_vector(a) == u for a, u in rebuilt)
+                scaled[agent] += inst.scaled[agent][g]
+            assert scaled == [d * u for u in utilities]
+            assert inst.utility_vector(assignment) == utilities
 
 
 class TestClassify:

@@ -99,6 +99,25 @@ class TestEnumerate:
                     assert is_pareto_optimal(inst, alloc).verdict == "PO"
 
 
+class TestArgmax:
+    @staticmethod
+    def interval(lo, hi):
+        return IntervalValue(mpmath.mpf(lo), mpmath.mpf(hi), bits=DEFAULT_PRECISION_BITS)
+
+    def test_an_undecided_candidate_survives_a_greater_best(self):
+        # b is undecided against a; c beats a but may still be below b
+        candidates = [("a", self.interval(4, 5)), ("b", self.interval(0, 10)), ("c", self.interval(6, 7))]
+        best, best_value, exactness = solver._argmax(candidates, PrecisionPolicy())
+        assert best == ["b", "c"]
+        assert best_value is candidates[2][1]
+        assert exactness.kind == "Inconclusive"
+
+    def test_an_undecided_candidate_below_a_greater_best_goes(self):
+        candidates = [("a", self.interval(4, 5)), ("b", self.interval(3, 6)), ("c", self.interval(7, 8))]
+        best, _, _ = solver._argmax(candidates, PrecisionPolicy())
+        assert best == ["c"]
+
+
 class TestBruteForceOracle:
     """Full argmax sets and first dominators, rebuilt without the assignment walk."""
 
@@ -373,6 +392,27 @@ class TestBranchBound:
         alloc, _ = solve_branch_bound(inst, MHW)
         assert alloc.assignment == (1,)
 
+    def test_equal_multisets_are_not_compared(self, monkeypatch):
+        # a bound with the incumbent's multiset of utilities has its welfare, so no gain:
+        # the search must settle it without the comparator (harmonic:0 intervals never compare equal)
+        reads, pairs = [], []
+        welfare, real_compare = solver._ValueCache.welfare, solver.compare
+
+        def read(cache, utilities):
+            reads.append(sorted(utilities))
+            return welfare(cache, utilities)
+
+        def compared(a, b, *args):
+            pairs.append(reads[-2:])
+            return real_compare(a, b, *args)
+
+        monkeypatch.setattr(solver._ValueCache, "welfare", read)
+        monkeypatch.setattr(solver, "compare", compared)
+        for seed in range(16):
+            inst = random_instance(3, 7, "unrestricted", 5, seed=seed, require_positive_admitting=True)
+            solve_branch_bound(inst, MHW)
+        assert all(bound != incumbent for bound, incumbent in pairs)
+
     @staticmethod
     def assert_matches_enumeration(inst, fn):
         maxima = enumerate_maximizers(inst, fn)
@@ -406,10 +446,20 @@ class TestBranchBound:
         self.assert_matches_enumeration(inst, fn)
 
 
-class TestDistinctLayers:
-    """Enumeration over layers of distinct utility vectors gives what the n**m walk gives."""
+def walk(inst):
+    """Every assignment with its utility vector in units of 1/``inst.scale``, in lexicographic order."""
+    for assignment in itertools.product(range(inst.n), repeat=inst.m):
+        utilities = [0] * inst.n
+        for g, agent in enumerate(assignment):
+            utilities[agent] += inst.scaled[agent][g]
+        yield assignment, utilities
 
-    RULES = ["log", "pmean:2", "pmean:1/2", "pmean:1/3", "harmonic:0", "harmonic:-3/4", "modlog:2"]
+
+class TestDistinctLayers:
+    """Enumeration over pruned layers of distinct utility vectors gives what a walk of the n**m assignments gives."""
+
+    RULES = ["log", "pmean:2", "pmean:1/2", "pmean:1/3", "harmonic:0", "harmonic:-3/4", "modlog:2",
+             "harmonic:-1", "pmean:-1", "combo:1*pmean:0+40*pmean:-1"]
     CLASSES = {"binary": 1, "two_value": 5, "integer+identical_good": 4, "integer": 4, "unrestricted": 4}
 
     @staticmethod
@@ -417,27 +467,35 @@ class TestDistinctLayers:
         return [a.assignment for a in maxima.allocations], maxima.exactness, render_value(maxima.welfare)
 
     def assert_routes_agree(self, inst, fn):
+        """The layers, as they prune by default and pruning every layer, against the walk's survivors."""
         layered = enumerate_maximizers(inst, fn)
-        # m = 0 builds no layer, so no cap forces the walk there: take the layer route out
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "_distinct_survivors", lambda inst, score: None)
+            patch.setattr(solver, "_PRUNE_FROM", 0)
+            pruned = enumerate_maximizers(inst, fn)
+            patch.setattr(solver, "_distinct_survivors", lambda i, score: solver._bounded_survivors(walk(i), score))
             walked = enumerate_maximizers(inst, fn)
-        assert self.summary(layered) == self.summary(walked)
+        assert self.summary(layered) == self.summary(pruned) == self.summary(walked)
         return layered
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         cls=st.sampled_from(sorted(CLASSES)),
         spec=st.sampled_from(RULES),
         n=st.integers(2, 3),
         m=st.integers(1, 6),
         seed=st.integers(0, 2**20),
+        shape=st.sampled_from(["drawn", "identical rows", "ascending goods"]),
     )
-    def test_layers_match_the_walk(self, cls, spec, n, m, seed):
+    def test_layers_match_the_walk(self, cls, spec, n, m, seed, shape):
         inst = random_instance(n, m, cls, self.CLASSES[cls], seed=seed)
+        if shape == "identical rows":
+            inst = Instance.from_rows([inst.utilities[0]] * n)
+        elif shape == "ascending goods":  # largest value last, so placed out of index order
+            columns = sorted(zip(*inst.utilities), key=max)
+            inst = Instance.from_rows(list(zip(*columns)))
         self.assert_routes_agree(inst, parse_welfare(spec))
 
-    @pytest.mark.parametrize("spec", RULES)
+    @pytest.mark.parametrize("spec", RULES[:7])
     @pytest.mark.parametrize(
         "rows, members",
         [
@@ -452,31 +510,58 @@ class TestDistinctLayers:
         if spec == "log":  # -inf everywhere in the two middle cases
             assert len(maxima.allocations) == members
 
+    @pytest.mark.parametrize(
+        "rows, spec",
+        [
+            # good 1 to agent 1 leaves both agents at 0 and one good: a finite bound, no finite completion
+            ([[2, 4], [1, 0]], "combo:1*pmean:0+40*pmean:-1"),
+            # identical rows: two agents at 0 and one good left, so one of them stays at 0
+            ([[Fraction(36, 17), Fraction(12, 17), Fraction(3, 17)]] * 3, "harmonic:-1"),
+            ([[Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)]] * 3, "harmonic:-1"),
+        ],
+    )
+    def test_no_interval_drop_where_an_agent_is_at_minus_infinity(self, rows, spec):
+        # a vector with an agent at f(0) = -inf may have only -inf completions, which
+        # the walk drops as points: pruning it on bounds that are not a point would
+        # turn the walk's Exact label into IntervalCertified
+        maxima = self.assert_routes_agree(Instance.from_rows(rows), parse_welfare(spec))
+        assert maxima.exactness.kind == "Exact"
+
     @staticmethod
     def most_states(inst) -> int:
-        """The largest count the cap is checked against, by brute force: before
-        each layer is built, the layers kept plus n times the last one."""
+        """The largest count the cap is checked against when no layer is pruned, by
+        brute force: before each layer is built, the layers kept plus n times the last one."""
+        order, _ = solver._placement(inst)
         sizes = []
         for g in range(inst.m + 1):
-            prefixes = itertools.product(range(inst.n), repeat=g)
-            sizes.append(len({tuple(inst.utility_vector(a)) for a in prefixes}))
+            vectors = set()
+            for agents in itertools.product(range(inst.n), repeat=g):
+                utilities = [0] * inst.n
+                for good, agent in zip(order, agents):
+                    utilities[agent] += inst.scaled[agent][good]
+                vectors.add(tuple(utilities))
+            sizes.append(len(vectors))
         return max(sum(sizes[: g + 1]) + inst.n * sizes[g] for g in range(inst.m))
 
-    @pytest.mark.parametrize(
-        "rows", [[[1, 2, 3, 4], [2, 1, 4, 3], [1, 1, 1, 1]], [[1] * 5] * 2, [[3, 5, 7], [2, 2, 2]]]
-    )
-    def test_the_walk_runs_exactly_past_the_cap(self, monkeypatch, rows):
-        inst = Instance.from_rows(rows)
-        walks = []
-        walk = Instance.utility_vectors
-        monkeypatch.setattr(Instance, "utility_vectors", lambda self: walks.append(1) or walk(self))
-        expected = self.summary(enumerate_maximizers(inst, LOG))
+    @pytest.mark.parametrize("rows", [[[1, 2, 3, 4]] * 3, [[1] * 5] * 2, [[3, 5, 7]] * 2])
+    def test_state_cap_raises(self, monkeypatch, rows):
+        # identical rows under pmean:1: every assignment has one welfare, so no layer is pruned
+        inst, fn = Instance.from_rows(rows), parse_welfare("pmean:1")
+        expected = self.summary(enumerate_maximizers(inst, fn))
         cap = self.most_states(inst)
-        for cap, walked in ((cap, False), (cap - 1, True)):
-            walks.clear()
-            monkeypatch.setattr(solver, "_STATE_CAP", cap)
-            assert self.summary(enumerate_maximizers(inst, LOG)) == expected
-            assert bool(walks) is walked
+        monkeypatch.setattr(solver, "_STATE_CAP", cap)
+        assert self.summary(enumerate_maximizers(inst, fn)) == expected
+        monkeypatch.setattr(solver, "_STATE_CAP", cap - 1)
+        with pytest.raises(EnumerationCapExceeded):
+            enumerate_maximizers(inst, fn)
+
+    def test_pruning_keeps_a_fraction_of_the_states(self, monkeypatch):
+        # 3 x 11 with near-distinct vectors: the layers unpruned pass 2**18 states
+        inst = random_instance(3, 11, "integer", 1000, seed=0)
+        monkeypatch.setattr(solver, "_STATE_CAP", 1 << 15)
+        maxima = enumerate_maximizers(inst, LOG)
+        assert maxima.exactness.kind == "Exact"
+        assert [a.assignment for a in maxima.allocations] == [solve_branch_bound(inst, LOG)[0].assignment]
 
 
 class TestLazyPrecision:
@@ -518,7 +603,7 @@ class TestLazyPrecision:
 
     def test_enumeration(self, monkeypatch):
         score = solver._scoring(self.INST, solver._ValueCache(MHW, DEFAULT_PRECISION_BITS, self.INST.scale))
-        survivors, _, _ = solver._bounded_survivors(self.INST.utility_vectors(), score)
+        survivors, _, _ = solver._bounded_survivors(walk(self.INST), score)
         read = self.residues(x for _, u in survivors for x in u)
         calls = self.digamma_calls(monkeypatch)
         enumerate_maximizers(self.INST, MHW)
