@@ -10,7 +10,8 @@ allocation" must hold for every member.
 Enumeration scores each distinct reachable utility vector once, since many
 assignments share one (:func:`_distinct_survivors`): it builds them good by
 good, each packed into one integer, and keeps a partial vector only while its
-optimistic completion can still reach the best welfare found.
+optimistic completion can still reach the best welfare found.  It refuses
+before its states, the argmax set counted in, could pass ``_STATE_CAP``.
 
 Enumeration and the depth-first search add integer utilities in units of
 1/d, d the instance's least common denominator (``Instance.scaled``): scaling
@@ -53,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, fsum, inf, lcm, nextafter, prod
-from operator import add
+from operator import sub
 from typing import Callable, Iterable
 
 from .fairness import is_ef1
@@ -72,9 +73,10 @@ from .values import (
     value_sum,
 )
 
-_ENUMERATION_CAP = 50_000_000  # the largest n**m that enumeration scans
-# the most partial utility vectors enumeration keeps, over all its layers; at
-# up to 115 bytes each (CPython 3.11, 64-bit) this bounds it to about 0.5 GB
+# the most states enumeration keeps: a partial utility vector of its layers
+# counts one (at most 115 bytes, CPython 3.11, 64-bit), and an assignment of
+# the argmax set (its prefix, its tuple in good order and its Allocation: at
+# most 450 + 16m bytes) ceil((450 + 16m) / 115); this bounds it to about 0.5 GB
 _STATE_CAP = 1 << 22
 # a smaller layer is kept whole, and no greedy assignment is scored for it:
 # on campaign-sized instances scoring it costs more than pruning saves
@@ -85,7 +87,7 @@ _FLOAT_RANGE = 2.0**1000
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """The assignment space n**m, or the states enumeration keeps, would pass a cap."""
+    """The states enumeration keeps, its answer included, would pass ``_STATE_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -283,40 +285,6 @@ def _scoring(inst: Instance, value: _ValueCache) -> Callable:
     return score
 
 
-def _bounded_survivors(vectors, score) -> tuple[list[tuple[object, tuple]], bool, bool]:
-    """(key, utility vector) pairs of ``vectors`` whose ``hi`` reaches the maximum ``lo``.
-
-    A key is a packed vector of ``_distinct_survivors``.  A vector is dropped
-    once its ``hi`` falls below the running maximum ``lo``, and the rest are
-    filtered by the final one.  No maximizer is ever dropped: its ``hi`` is at
-    least the maximum welfare, which is at least every ``lo``.  Also returns
-    whether every survivor's bounds are a point, and whether a vector was
-    dropped on bounds that are not a point (an interval decision).  Survivors
-    that are points all equal the maximum ``lo``, and equal points are equal
-    welfare, so they are the argmax set.
-    """
-    best_lo = -inf
-    kept = []
-    interval_drop = False
-    for a, u in vectors:
-        lo, hi = score(u)
-        if hi >= best_lo:
-            kept.append((a, lo, hi, tuple(u)))
-            if lo > best_lo:
-                best_lo = lo
-        elif lo < hi:
-            interval_drop = True
-    survivors = []
-    points = True
-    for a, lo, hi, u in kept:
-        if hi >= best_lo:
-            survivors.append((a, u))
-            points = points and lo == hi
-        elif lo < hi:
-            interval_drop = True
-    return survivors, points, interval_drop
-
-
 def _placement(inst: Instance) -> tuple[list[int], list[list[int]]]:
     """The order both searches place the goods in, and each agent's value for the goods left.
 
@@ -334,24 +302,32 @@ def _placement(inst: Instance) -> tuple[list[int], list[list[int]]]:
 
 
 def _distinct_survivors(inst: Instance, score) -> tuple[list[tuple[tuple[int, ...], tuple]], bool, bool]:
-    """(assignment, utility vector) of each survivor of ``_bounded_survivors``, and its two flags.
+    """(assignment, utility vector) of each final vector still in the running, and two flags.
 
     A utility vector is one int with a field of ``width`` bits per agent, wide
     enough that no field carries.  Layer g holds distinct vectors of the first
-    g goods in ``_placement`` order.  A layer of ``_PRUNE_FROM`` vectors or
-    more keeps v only if the ``hi`` of v + rest (every good left given to
-    every agent) reaches the ``lo`` of a greedy assignment, which gives each
-    good to the agent whose bound then scores highest.  f is non-decreasing,
-    so v + rest bounds every completion of v, and no prefix of a maximizer
-    goes.  A drop on bounds that are not a point is an interval decision;
-    none is made while an agent is at f(0) = -inf, where every completion
-    may hold -inf, which the final scan drops exactly.  The survivors'
-    assignments come back in lexicographic order: each layer keeps only the
-    vectors one step below a kept vector of the next (a difference that
-    borrows across fields is no vector of the layer), the forward pass
-    extends each kept prefix, and the assignments are mapped back to good
-    order and sorted.  Raises ``EnumerationCapExceeded`` before building a
-    layer that could take the kept states past ``_STATE_CAP``.
+    g goods in ``_placement`` order.  A layer below the last, of
+    ``_PRUNE_FROM`` vectors or more, keeps v only if the ``hi`` of v + rest
+    (every good left given to every agent) reaches the ``lo`` of a greedy
+    assignment, which gives each good to the agent whose bound then scores
+    highest.  f is non-decreasing, so v + rest bounds every completion of v,
+    and no prefix of a maximizer goes.  A drop on bounds that are not a point
+    is an interval decision; none is made while an agent is at f(0) = -inf,
+    where every completion may hold -inf, which the final scan drops exactly.
+
+    The final scan scores each vector of the last layer once and drops it if
+    its ``hi`` is below the running maximum ``lo`` (from the greedy ``lo``, if
+    one was scored) or the final one: a maximizer's ``hi`` is at least every
+    ``lo``.  The flags: whether every survivor is a point (then all equal the
+    maximum ``lo``, so they are the argmax set), and whether a drop was made
+    on bounds that are not a point.
+
+    The survivors' assignments come back in lexicographic order: each layer
+    keeps only the vectors one step below a kept vector of the next (a
+    difference that borrows across fields is no vector of the layer), the
+    forward pass extends each kept prefix, and the assignments are mapped back
+    to good order and sorted.  Raises ``EnumerationCapExceeded`` before a
+    layer or a forward step could take the states past ``_STATE_CAP``.
     """
     rows = inst.scaled
     n, m = inst.n, inst.m
@@ -375,14 +351,14 @@ def _distinct_survivors(inst: Instance, score) -> tuple[list[tuple[tuple[int, ..
 
     layers = [{0}]
     states = 1
-    best_lo = None
+    best_lo, zero_is_finite = -inf, None  # None until the greedy lo is scored
     interval_drop = False
     for step, rest in zip(steps, rests[1:]):
         if states + n * len(layers[-1]) > _STATE_CAP:  # the most the next layer can add
-            raise EnumerationCapExceeded(f"enumeration would keep more than {_STATE_CAP} states")
+            raise EnumerationCapExceeded(f"enumeration exceeds cap {_STATE_CAP} states")
         layer = {v + s for v in layers[-1] for s in step}
-        if len(layer) >= _PRUNE_FROM:
-            if best_lo is None:
+        if len(layers) < m and len(layer) >= _PRUNE_FROM:
+            if zero_is_finite is None:
                 best_lo, zero_is_finite = greedy_lo(), score([0] * n)[1] > -inf
             pruned = set()
             for v in layer:
@@ -395,18 +371,37 @@ def _distinct_survivors(inst: Instance, score) -> tuple[list[tuple[tuple[int, ..
         layers.append(layer)
         states += len(layer)
     final = list(layers[-1])
-    columns = ([v >> shift & mask for v in final] for shift in shifts)
-    kept, points, final_drop = _bounded_survivors(zip(final, zip(*columns)), score)
-    vectors = dict(kept)
-    layers[-1] = set(vectors)
+    kept = []
+    for start in range(0, len(final), 4096):  # a block at a time: the last layer is not pruned, so may be large
+        block = final[start : start + 4096]
+        for v, u in zip(block, zip(*([x >> shift & mask for x in block] for shift in shifts))):
+            lo, hi = score(u)
+            if hi >= best_lo:
+                kept.append((v, lo, hi, u))
+                if lo > best_lo:
+                    best_lo = lo
+            elif lo < hi:
+                interval_drop = True
+    vectors = {}
+    points = True
+    for v, lo, hi, u in kept:
+        if hi >= best_lo:
+            vectors[v] = u
+            points = points and lo == hi
+        elif lo < hi:
+            interval_drop = True
+    layers[-1] = vectors.keys()
     for g in range(m - 1, -1, -1):
         layers[g] = {t - s for t in layers[g + 1] for s in steps[g]} & layers[g]
+    cost = ceil((450 + 16 * m) / 115)  # the states an assignment counts as
     prefixes = [((), 0)]
     for step, reachable in zip(steps, layers[1:]):
+        if states + cost * n * len(prefixes) > _STATE_CAP:  # the most the next step can produce
+            raise EnumerationCapExceeded(f"enumeration exceeds cap {_STATE_CAP} states")
         prefixes = [(a + (i,), v + s) for a, v in prefixes for i, s in enumerate(step) if v + s in reachable]
     position = sorted(range(m), key=order.__getitem__)  # position[g]: where good g was placed
     assignments = sorted((tuple(a[p] for p in position), vectors[v]) for a, v in prefixes)
-    return assignments, points, interval_drop or final_drop
+    return assignments, points, interval_drop
 
 
 def enumerate_maximizers(
@@ -422,12 +417,10 @@ def enumerate_maximizers(
     interval decision at ``policy.start()``.  When no assignment is finite,
     the set is all n**m of them.  After an inconclusive comparison the set
     may be a superset of the true argmax, which the exactness label reports.
-    Raises ``EnumerationCapExceeded`` when n**m passes ``_ENUMERATION_CAP``
-    or the kept vectors could pass ``_STATE_CAP``.
+    Raises ``EnumerationCapExceeded`` when the kept vectors and the set
+    itself could pass ``_STATE_CAP``.
     """
     policy = policy or PrecisionPolicy()
-    if inst.n**inst.m > _ENUMERATION_CAP:
-        raise EnumerationCapExceeded(f"{inst.n}**{inst.m} exceeds cap {_ENUMERATION_CAP}")
     value = _ValueCache(fn, policy.start(), inst.scale)
     score = _scoring(inst, value)
     survivors, points, interval_drop = _distinct_survivors(inst, score)
@@ -460,48 +453,50 @@ def solve_branch_bound(inst: Instance, fn: WelfareFunction) -> tuple[Allocation,
     no gain); the exact/interval comparator decides the rest, at
     the default ``PrecisionPolicy``.  A bound holding -inf is pruned, as it
     equals or falls below any incumbent.  The incumbent starts at "all goods
-    to agent 0".
+    to agent 0".  The root is not scored: no leaf beats an incumbent that its
+    bound does not.  The path is a stack, so m may pass the recursion limit.
     """
     policy = PrecisionPolicy()
     value = _ValueCache(fn, policy.start(), inst.scale)
     score = _scoring(inst, value)
     rows = inst.scaled
+    n, m = inst.n, inst.m
     order, suffix = _placement(inst)
-    incumbent_assignment = tuple([0] * inst.m)
-    incumbent_vector = [sum(rows[0])] + [0] * (inst.n - 1)
+    incumbent_assignment = tuple([0] * m)
+    incumbent_vector = [sum(rows[0])] + [0] * (n - 1)
     incumbent_lo, incumbent_hi = score(incumbent_vector)
-    utilities = [0] * inst.n
-    assignment = [0] * inst.m
-
-    def descend(pos: int):
-        nonlocal incumbent_assignment, incumbent_vector, incumbent_lo, incumbent_hi
-        # the suffix of a leaf is empty, so its bound is its welfare
-        bound = list(map(add, utilities, suffix[pos]))
-        lo, hi = score(bound)
-        if hi == -inf or hi < incumbent_lo:
-            return
-        greater = lo > incumbent_hi
-        if not greater:
-            # equal keys or equal multisets: the bound has the incumbent's welfare, so nothing below it beats it
-            if lo == hi == incumbent_lo == incumbent_hi or sorted(bound) == sorted(incumbent_vector):
-                return
-            relation = compare(value.welfare(bound), value.welfare(incumbent_vector), policy).relation
-            if relation in (Relation.LESS, Relation.EQUAL):
-                return
-            greater = relation is Relation.GREATER
-        if pos == inst.m:
+    assignment = [0] * m
+    columns = [[row[g] for row in rows] for g in order]  # columns[pos][i]: agent i's value for the good at pos
+    path = [(suffix[0], iter(range(n)))] if m else []  # per node on the path, its bound and the agents left to try
+    while path:
+        pos = len(path) - 1
+        above, untried = path[-1]
+        g, column = order[pos], columns[pos]
+        for agent in untried:
+            # the other agents lose the good from their bound; a leaf's bound is its welfare
+            bound = list(map(sub, above, column))
+            bound[agent] = above[agent]
+            lo, hi = score(bound)
+            if hi == -inf or hi < incumbent_lo:
+                continue
+            greater = lo > incumbent_hi
+            if not greater:
+                # equal keys or equal multisets: the bound has the incumbent's welfare, so nothing below it beats it
+                if lo == hi == incumbent_lo == incumbent_hi or sorted(bound) == sorted(incumbent_vector):
+                    continue
+                relation = compare(value.welfare(bound), value.welfare(incumbent_vector), policy).relation
+                if relation in (Relation.LESS, Relation.EQUAL):
+                    continue
+                greater = relation is Relation.GREATER
+            assignment[g] = agent
+            if pos + 1 < m:
+                path.append((bound, iter(range(n))))
+                break
             if greater:
                 incumbent_assignment, incumbent_vector = tuple(assignment), bound
                 incumbent_lo, incumbent_hi = lo, hi
-            return
-        g = order[pos]
-        for agent in range(inst.n):
-            utilities[agent] += rows[agent][g]
-            assignment[g] = agent
-            descend(pos + 1)
-            utilities[agent] -= rows[agent][g]
-
-    descend(0)
+        else:
+            path.pop()
     return Allocation(incumbent_assignment), value.welfare(incumbent_vector)
 
 

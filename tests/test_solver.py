@@ -67,7 +67,7 @@ class TestEnumerate:
         assert {a.assignment for a in maxima.allocations} == {(0, 1), (1, 0)}
 
     def test_cap(self):
-        # 3**17 > 5 * 10**7 assignments: refused before any work
+        # every 6-6-5 split is a maximizer: the 3 * 17!/(6!6!5!) assignments would pass the cap, so they are refused
         inst = Instance.from_rows([[1] * 17] * 3)
         with pytest.raises(EnumerationCapExceeded):
             enumerate_maximizers(inst, LOG)
@@ -413,6 +413,12 @@ class TestBranchBound:
             solve_branch_bound(inst, MHW)
         assert all(bound != incumbent for bound, incumbent in pairs)
 
+    def test_deep_search_is_iterative(self):
+        # 1,100 goods put 1,101 nodes on the search path, past the default recursion limit
+        alloc, welfare = solve_branch_bound(Instance.from_rows([[1] * 1100, [0] * 1099 + [1]]), LOG)
+        assert alloc.assignment == (0,) * 1099 + (1,)
+        assert welfare == LOG.value_at(1099)
+
     @staticmethod
     def assert_matches_enumeration(inst, fn):
         maxima = enumerate_maximizers(inst, fn)
@@ -455,6 +461,36 @@ def walk(inst):
         yield assignment, utilities
 
 
+def bounded_survivors(vectors, score):
+    """(key, utility vector) pairs of ``vectors`` whose ``hi`` reaches the maximum ``lo``, and two flags.
+
+    The final scan of enumeration over the walk: a vector goes once its ``hi``
+    falls below the running maximum ``lo``, and the rest are filtered by the
+    final one.  Also returns whether every survivor's bounds are a point, and
+    whether a vector was dropped on bounds that are not a point.
+    """
+    best_lo = -float("inf")
+    kept = []
+    interval_drop = False
+    for a, u in vectors:
+        lo, hi = score(u)
+        if hi >= best_lo:
+            kept.append((a, lo, hi, tuple(u)))
+            if lo > best_lo:
+                best_lo = lo
+        elif lo < hi:
+            interval_drop = True
+    survivors = []
+    points = True
+    for a, lo, hi, u in kept:
+        if hi >= best_lo:
+            survivors.append((a, u))
+            points = points and lo == hi
+        elif lo < hi:
+            interval_drop = True
+    return survivors, points, interval_drop
+
+
 class TestDistinctLayers:
     """Enumeration over pruned layers of distinct utility vectors gives what a walk of the n**m assignments gives."""
 
@@ -472,7 +508,7 @@ class TestDistinctLayers:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "_PRUNE_FROM", 0)
             pruned = enumerate_maximizers(inst, fn)
-            patch.setattr(solver, "_distinct_survivors", lambda i, score: solver._bounded_survivors(walk(i), score))
+            patch.setattr(solver, "_distinct_survivors", lambda i, score: bounded_survivors(walk(i), score))
             walked = enumerate_maximizers(inst, fn)
         assert self.summary(layered) == self.summary(pruned) == self.summary(walked)
         return layered
@@ -529,19 +565,24 @@ class TestDistinctLayers:
 
     @staticmethod
     def most_states(inst) -> int:
-        """The largest count the cap is checked against when no layer is pruned, by
-        brute force: before each layer is built, the layers kept plus n times the last one."""
+        """The largest count the cap is checked against when every assignment is a maximizer,
+        by brute force: before each layer is built, the layers kept plus n times the last
+        one; before each step of the recovery, the layers plus n times the prefixes, each
+        charged as ceil((450 + 16m) / 115) states."""
         order, _ = solver._placement(inst)
+        n, m = inst.n, inst.m
         sizes = []
-        for g in range(inst.m + 1):
+        for g in range(m + 1):
             vectors = set()
-            for agents in itertools.product(range(inst.n), repeat=g):
-                utilities = [0] * inst.n
+            for agents in itertools.product(range(n), repeat=g):
+                utilities = [0] * n
                 for good, agent in zip(order, agents):
                     utilities[agent] += inst.scaled[agent][good]
                 vectors.add(tuple(utilities))
             sizes.append(len(vectors))
-        return max(sum(sizes[: g + 1]) + inst.n * sizes[g] for g in range(inst.m))
+        layers = max(sum(sizes[: g + 1]) + n * sizes[g] for g in range(m))
+        answer = sum(sizes) + -(-(450 + 16 * m) // 115) * n**m  # the last step, from n**(m-1) prefixes
+        return max(layers, answer)
 
     @pytest.mark.parametrize("rows", [[[1, 2, 3, 4]] * 3, [[1] * 5] * 2, [[3, 5, 7]] * 2])
     def test_state_cap_raises(self, monkeypatch, rows):
@@ -554,6 +595,24 @@ class TestDistinctLayers:
         monkeypatch.setattr(solver, "_STATE_CAP", cap - 1)
         with pytest.raises(EnumerationCapExceeded):
             enumerate_maximizers(inst, fn)
+
+    def test_the_answer_counts_against_the_cap(self, monkeypatch):
+        # agent 0 values nothing, so under log all 2**10 assignments tie at -inf: the
+        # layers keep 66 states, but the answer holds 1,024 assignments
+        monkeypatch.setattr(solver, "_STATE_CAP", 1000)
+        with pytest.raises(EnumerationCapExceeded, match="exceeds cap"):
+            enumerate_maximizers(Instance.from_rows([[0] * 10, [1] * 10]), LOG)
+        # layers as small with one maximizer pass
+        maxima = enumerate_maximizers(Instance.from_rows([[1] * 10, [0] * 9 + [1]]), LOG)
+        assert [a.assignment for a in maxima.allocations] == [(0,) * 9 + (1,)]
+
+    def test_a_long_row_is_answered(self):
+        # 2**1100 assignments, but the pruned layers stay small and the set has one member
+        inst = Instance.from_rows([[1] * 1100, [0] * 1099 + [1]])
+        maxima = enumerate_maximizers(inst, LOG)
+        alloc, welfare = solve_branch_bound(inst, LOG)
+        assert maxima.allocations == (alloc,)
+        assert compare(welfare, maxima.welfare).relation is Relation.EQUAL
 
     def test_pruning_keeps_a_fraction_of_the_states(self, monkeypatch):
         # 3 x 11 with near-distinct vectors: the layers unpruned pass 2**18 states
@@ -603,7 +662,7 @@ class TestLazyPrecision:
 
     def test_enumeration(self, monkeypatch):
         score = solver._scoring(self.INST, solver._ValueCache(MHW, DEFAULT_PRECISION_BITS, self.INST.scale))
-        survivors, _, _ = solver._bounded_survivors(walk(self.INST), score)
+        survivors, _, _ = bounded_survivors(walk(self.INST), score)
         read = self.residues(x for _, u in survivors for x in u)
         calls = self.digamma_calls(monkeypatch)
         enumerate_maximizers(self.INST, MHW)
