@@ -19,10 +19,9 @@ from .constructions import (
     offset_good_instance,
     uniform_goods_instance,
 )
-from .fairness import is_ef1
 from .functions import WelfareFunction, parse_welfare
 from .model import Allocation, Instance, random_instance, serialize_instance
-from .solver import chosen_all_ef1, enumerate_maximizers
+from .solver import chosen_all_ef1
 
 
 @dataclass(frozen=True)
@@ -154,11 +153,8 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
             seed=rng.randint(0, 2**30),
             require_positive_admitting=True,
         )
-        maxima = enumerate_maximizers(inst, fn)
-        if maxima.exactness.kind == "Inconclusive":
-            inconclusive = True
-            continue
-        bad = next((a for a in maxima.allocations if not is_ef1(inst, a).holds), None)
+        ok, bad = chosen_all_ef1(inst, fn)
+        inconclusive |= ok is None
         if bad is not None:
             violations += 1
             if counterexample is None:
@@ -173,8 +169,10 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
             inst = theorem.fallback(fn)
         except ValueError as exc:
             notes.append(f"construction unavailable: {exc}")
-            inst = None
-        bad = None if inst is None else chosen_all_ef1(inst, fn)[1]
+            bad = None
+        else:
+            ok, bad = chosen_all_ef1(inst, fn)
+            inconclusive |= ok is None
         passed = bad is not None
         if passed:
             violations += 1

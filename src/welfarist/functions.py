@@ -370,7 +370,7 @@ class LinearCombo(WelfareFunction):
             v = fn.value_at(x, bits)
             if isinstance(v, Infinite):
                 return v  # weights are positive
-            parts.append(v.scale(w) if isinstance(v, ExactValue) else _scale_interval(v, w))
+            parts.append(v.scale(w))
         return value_sum(parts)
 
     def label(self):
@@ -431,17 +431,6 @@ class PiecewiseTable(WelfareFunction):
         return np.array([float(self.value_at(Fraction(x)).as_fraction()) for x in xs])
 
 
-def _scale_interval(v: IntervalValue, w: Fraction) -> IntervalValue:
-    """w * [lo, hi] for w > 0.  Each end is formed as (end * p) / q, w = p/q,
-    rounded down (lo) or up (hi) at every step, so w is never rounded and the
-    result encloses the exact product."""
-    p, q = w.numerator, w.denominator
-    with mpmath.workprec(v.bits + 16):
-        lo = mpmath.fdiv(mpmath.fmul(v.lo, p, rounding="f"), q, rounding="f")
-        hi = mpmath.fdiv(mpmath.fmul(v.hi, p, rounding="c"), q, rounding="c")
-    return IntervalValue(lo, hi, v.bits)
-
-
 def increment(fn: WelfareFunction, lo, hi) -> ExtendedValue:
     """f(hi) - f(lo) for 0 <= lo <= hi at f's default precision; +inf exactly when f(lo) = -inf < f(hi)."""
     lo, hi = Fraction(lo), Fraction(hi)
@@ -460,8 +449,7 @@ def increment(fn: WelfareFunction, lo, hi) -> ExtendedValue:
     upper = fn.value_at(hi)
     if isinstance(upper, ExactValue) and isinstance(lower, ExactValue):
         return upper.sub(lower)
-    neg = lower.scale(-1) if isinstance(lower, ExactValue) else IntervalValue(-lower.hi, -lower.lo, lower.bits)
-    return value_sum([upper, neg])
+    return value_sum([upper, lower.scale(-1)])
 
 
 def delta(fn: WelfareFunction, k: int, x) -> ExtendedValue:

@@ -500,9 +500,13 @@ def solve_branch_bound(inst: Instance, fn: WelfareFunction) -> tuple[Allocation,
     return Allocation(incumbent_assignment), value.welfare(incumbent_vector)
 
 
-def chosen_all_ef1(inst: Instance, fn: WelfareFunction) -> tuple[bool, Allocation | None]:
-    """Is every welfare-maximizing allocation EF1?  Returns a violating maximizer if not."""
+def chosen_all_ef1(inst: Instance, fn: WelfareFunction) -> tuple[bool | None, Allocation | None]:
+    """Is every welfare-maximizing allocation EF1?  Returns a violating maximizer
+    if not, and ``(None, None)`` when the argmax set is undecided: an
+    ``Inconclusive`` set may hold allocations that are not maximizers."""
     maxima = enumerate_maximizers(inst, fn)
+    if maxima.exactness.kind == "Inconclusive":
+        return None, None
     bad = next((a for a in maxima.allocations if not is_ef1(inst, a).holds), None)
     return bad is None, bad
 

@@ -12,14 +12,15 @@ Square roots of such radicands are linearly independent over the rationals
 (Besicovitch 1940), so a sum with a nonzero surd coefficient is never zero.
 This covers logarithms (Nash-style welfare), modified-harmonic values at
 integer arguments, integer and half-integer power means, and positive linear
-combinations of all of these.  Everything else is handled by high-precision
-intervals with precision doubling up to a hard ceiling, which is always tried;
-an undecided comparison at the ceiling is reported as inconclusive, never
-silently resolved.  :func:`float_bounds` encloses any of these values in two
-outward-rounded doubles, for scans that decide most comparisons in floats
-and leave the rest to :func:`compare`.  It bounds a value with no log part
-in integer arithmetic (one ``isqrt`` per radicand, no error term), and logs
-and intervals through mpmath.
+combinations of all of these.  Everything else is decided on enclosures,
+with precision doubling up to a hard ceiling, which is always tried; an
+undecided comparison at the ceiling is reported as inconclusive, never
+silently resolved.  An exact value is enclosed in ``mpmath.iv`` interval
+arithmetic (:func:`evaluate_interval`), so no error term is estimated by hand.
+:func:`float_bounds` encloses any of these values in two outward-rounded
+doubles, for scans that decide most comparisons in floats and leave the rest
+to :func:`compare`.  It bounds a value with no log part in integer arithmetic
+(one ``isqrt`` per radicand), and logs and intervals through their enclosures.
 """
 
 from __future__ import annotations
@@ -261,6 +262,17 @@ class IntervalValue:
     def midpoint(self):
         return (self.lo + self.hi) / 2
 
+    def scale(self, w) -> "IntervalValue":
+        """w * [lo, hi] for a rational w = p/q, the ends swapped when w < 0: each
+        end is (end * p) / q, rounded down (lo) or up (hi) at every step, so w
+        is never rounded and the result encloses the exact product."""
+        p, q = w.numerator, w.denominator
+        lo, hi = (self.lo, self.hi) if p >= 0 else (self.hi, self.lo)
+        with mpmath.workprec(self.bits + 16):
+            lo = mpmath.fdiv(mpmath.fmul(lo, p, rounding="f"), q, rounding="f")
+            hi = mpmath.fdiv(mpmath.fmul(hi, p, rounding="c"), q, rounding="c")
+        return IntervalValue(lo, hi, self.bits)
+
     def __repr__(self) -> str:
         return f"IntervalValue({self.lo!r}, {self.hi!r}, bits={self.bits})"
 
@@ -289,10 +301,10 @@ def value_sum(values: Iterable[ExtendedValue]) -> ExtendedValue:
         return POS_INF if sign > 0 else NEG_INF
     if not intervals:
         return exact
-    bits = min(iv.bits for iv in intervals)
-    enclosure = evaluate_interval(exact, bits)
-    lo = enclosure.lo + mpmath.fsum(iv.lo for iv in intervals)
-    hi = enclosure.hi + mpmath.fsum(iv.hi for iv in intervals)
+    bits = min(part.bits for part in intervals)
+    enclosure = _ZERO if exact.is_zero() else evaluate_interval(exact, bits)
+    lo = enclosure.lo + mpmath.fsum(part.lo for part in intervals)
+    hi = enclosure.hi + mpmath.fsum(part.hi for part in intervals)
     # one directed-rounding pad per addition
     pad = mpmath.ldexp(max(1, abs(lo), abs(hi)), -(bits - 4))
     return IntervalValue(lo - pad, hi + pad, bits)
@@ -308,28 +320,32 @@ def _log_part_product(logs: dict[Fraction, Fraction]) -> Fraction:
 
 
 def evaluate_interval(value: ExactValue, bits: int) -> IntervalValue:
-    """Enclose an exact value in an interval at roughly ``bits`` of precision."""
-    with mpmath.workprec(bits + _GUARD_BITS):
-        total = mpmath.mpf(0)
-        magnitude = mpmath.mpf(0)
-        terms = 1
-        if value.rational:
-            t = _mpf_of_fraction(value.rational)
-            total += t
-            magnitude += abs(t)
-            terms += 1
+    """Enclose an exact value in ``mpmath.iv`` interval arithmetic at ``bits +
+    _GUARD_BITS`` bits, certified by construction: each log argument is one
+    interval quotient num/den, so log(num) and log(den) never cancel."""
+    iv, prec = mpmath.iv, mpmath.iv.prec
+    iv.prec = work = bits + _GUARD_BITS
+    try:
+        total = _iv_fraction(value.rational)
         for q, w in value.logs.items():
-            t = _mpf_of_fraction(w) * _log_of_fraction(q)
-            total += t
-            magnitude += abs(t)
-            terms += 2
+            total += _iv_fraction(w) * iv.log(_iv_fraction(q))
         for d, c in value.surds.items():
-            t = _mpf_of_fraction(c) * mpmath.sqrt(d)
-            total += t
-            magnitude += abs(t)
-            terms += 2
-        err = mpmath.ldexp(magnitude + 1, -(bits + _GUARD_BITS)) * (8 * terms)
-        return IntervalValue(total - err, total + err, bits)
+            total += _iv_fraction(c) * iv.sqrt(d)
+    finally:
+        iv.prec = prec
+    with mpmath.workprec(work):
+        lo, hi = mpmath.mpf(total.a), mpmath.mpf(total.b)
+        # One more ulp outward on each nonzero end: value_sum still adds these
+        # ends at 53 bits and rounds to nearest (ROADMAP item 1), and without
+        # the step some of its lower ends land above the value.
+        lo = mpmath.fsub(lo, mpmath.ldexp(abs(lo), -work), rounding="f")
+        hi = mpmath.fadd(hi, mpmath.ldexp(abs(hi), -work), rounding="c")
+    return IntervalValue(lo, hi, bits)
+
+
+def _iv_fraction(x: Fraction):
+    """An ``mpmath.iv`` enclosure of a rational at the current ``iv.prec``."""
+    return mpmath.iv.mpf(x.numerator) / x.denominator
 
 
 def float_bounds(value: ExtendedValue) -> tuple[float, float]:
@@ -383,14 +399,6 @@ def _nearest_float(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         return math.inf if num > 0 else -math.inf
-
-
-def _mpf_of_fraction(x: Fraction):
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-
-
-def _log_of_fraction(q: Fraction):
-    return mpmath.log(mpmath.mpf(q.numerator)) - mpmath.log(mpmath.mpf(q.denominator))
 
 
 def _exact_sign(value: ExactValue, policy: PrecisionPolicy) -> ValueOrdering:

@@ -5,12 +5,14 @@ from math import ceil
 
 import pytest
 
+from welfarist import solver
 from welfarist.campaigns import THEOREMS, CampaignSpec, _chain_gadget, run_campaign
 from welfarist.constructions import uniform_goods_instance
 from welfarist.fairness import is_ef1
 from welfarist.functions import ModLog, parse_welfare
-from welfarist.model import parse_allocation, parse_instance
-from welfarist.solver import enumerate_maximizers
+from welfarist.model import Allocation, parse_allocation, parse_instance
+from welfarist.solver import Exactness, MaximizerSet, enumerate_maximizers
+from welfarist.values import ExactValue
 
 
 def test_unknown_theorem():
@@ -61,6 +63,20 @@ def test_expectation_mismatch_reported():
     result = run_campaign(spec)
     assert not result.passed and result.violations == 0
     assert any("construction unavailable" in note for note in result.notes)
+
+
+def test_an_undecided_argmax_set_gives_no_counterexample(monkeypatch):
+    """An Inconclusive argmax set, in a trial or on the fallback gadget, sets
+    the flag and never yields a counterexample, even with a non-EF1 member."""
+
+    def undecided(inst, fn):
+        lopsided = Allocation((0,) * inst.m)
+        return MaximizerSet((lopsided,), ExactValue(), Exactness("Inconclusive", 256))
+
+    monkeypatch.setattr(solver, "enumerate_maximizers", undecided)
+    result = run_campaign(CampaignSpec(theorem="modlog-integer-fails", trials=3, seed=5))
+    assert result.inconclusive and not result.passed
+    assert result.violations == 0 and result.counterexample is None
 
 
 @pytest.mark.parametrize("c", ["21/20", "3/2", "2", "7/3", "5"])

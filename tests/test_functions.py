@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from welfarist import functions
 from welfarist.functions import (
     LinearCombo,
     Log,
@@ -244,9 +243,9 @@ def test_increment_matches_value_difference():
     assert got == want
 
 
-def _reference(fn, x: Fraction):
-    """f(x) at 120 bits straight from the family's definition; None for -inf."""
-    with mpmath.workprec(120):
+def _reference(fn, x: Fraction, bits: int = 120):
+    """f(x) at ``bits`` straight from the family's definition; None for -inf."""
+    with mpmath.workprec(bits):
         xf = mpmath.mpf(x.numerator) / x.denominator
         if isinstance(fn, Log):
             return None if x == 0 else mpmath.log(xf)
@@ -440,16 +439,31 @@ def _intervals(bits):
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])
-@pytest.mark.parametrize("w", [Fraction(1, 3), Fraction(40), Fraction(7, 5)])
+@pytest.mark.parametrize("w", [Fraction(1, 3), Fraction(40), Fraction(7, 5), Fraction(-1), Fraction(-7, 5)])
 def test_scaled_interval_encloses_the_exact_product(bits, w):
-    """A combination's weight times an interval term encloses w * [lo, hi]
-    exactly and is at most about 2^-bits (relative) wider."""
+    """A weight times an interval term encloses w * [lo, hi] exactly, the
+    ends swapped for w < 0, and is at most about 2^-bits (relative) wider."""
     for v in _intervals(bits):
-        scaled = functions._scale_interval(v, w)
-        lo, hi = w * _exact(v.lo), w * _exact(v.hi)
+        scaled = v.scale(w)
+        lo, hi = sorted((w * _exact(v.lo), w * _exact(v.hi)))
         assert _exact(scaled.lo) <= lo and hi <= _exact(scaled.hi), v
         slack = (_exact(scaled.hi) - _exact(scaled.lo)) - (hi - lo)
         assert slack <= Fraction(max(1, abs(lo), abs(hi)), 2**bits), v
+
+
+@pytest.mark.parametrize(
+    "spec, c, d",
+    [("harmonic:-1/2", Fraction(1, 2), Fraction(1)), ("harmonic:0", Fraction(7, 5), Fraction(2))],
+)
+def test_value_sum_of_the_c2_dump_witnesses_stays_below_the_value(spec, c, d):
+    """The C2 lhs f(c) + f(d) of the pinned condition dump's five harmonic
+    witness lines: value_sum adds the 256-bit enclosure of the rational f(d)
+    to an interval end at 53 bits, and its lo stays at or below the 400-bit
+    value."""
+    fn = parse_welfare(spec)
+    lhs = value_sum([fn.value_at(c), fn.value_at(d)])
+    with mpmath.workprec(400):
+        assert lhs.lo <= _reference(fn, c, 400) + _reference(fn, d, 400)
 
 
 def _count_constructions(monkeypatch) -> list:

@@ -23,6 +23,8 @@ from welfarist.functions import PiecewiseTable, parse_welfare
 from welfarist.model import Allocation, Instance, random_instance
 from welfarist.solver import (
     EnumerationCapExceeded,
+    Exactness,
+    MaximizerSet,
     chosen_all_ef1,
     enumerate_maximizers,
     solve_branch_bound,
@@ -33,6 +35,7 @@ from welfarist.values import (
     DEFAULT_PRECISION_BITS,
     NEG_INF,
     SCAN_BITS,
+    ExactValue,
     IntervalValue,
     PrecisionPolicy,
     Relation,
@@ -713,6 +716,17 @@ class TestChosenAllEf1:
         inst, _balanced, _lopsided = flat_tie_gadget(2, 1, 2)
         ok, witness = chosen_all_ef1(inst, fn)
         assert not ok and witness is not None
+
+    def test_an_undecided_set_is_not_read_as_decided(self, monkeypatch):
+        # an Inconclusive set may be a superset, so its non-EF1 member need not be a maximizer
+        from welfarist.constructions import uniform_goods_instance
+
+        inst = uniform_goods_instance(2, 0, 6, 1)
+        lopsided = Allocation((0, 0))
+        assert not is_ef1(inst, lopsided).holds
+        undecided = MaximizerSet((lopsided,), ExactValue(), Exactness("Inconclusive", 256))
+        monkeypatch.setattr(solver, "enumerate_maximizers", lambda inst, fn: undecided)
+        assert chosen_all_ef1(inst, LOG) == (None, None)
 
 
 class TestSplitFamily:

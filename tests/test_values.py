@@ -7,10 +7,11 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from welfarist import values
 from welfarist.values import (
+    DEFAULT_PRECISION_BITS,
     NEG_INF,
     POS_INF,
     PRECISION_CEILING_ENV,
@@ -246,6 +247,61 @@ class TestIntervals:
             steps = list(PrecisionPolicy(start_bits=start).schedule())
         assert steps[0] == min(start, ceiling) and steps[-1] == ceiling
         assert all(a < b <= 2 * a for a, b in zip(steps, steps[1:]))
+
+
+# log((N+k)/(N-k)) with N up to 10**300: num and den have logs near 690
+# that cancel to about 2k/N, so an enclosure of log num - log den misses
+_weights = st.builds(
+    lambda m, sign: m * sign,
+    st.sampled_from([Fraction(1, 7), Fraction(3, 7), Fraction(1), Fraction(40), Fraction(1000)]),
+    st.sampled_from([1, -1]),
+)
+near_one_logs = st.builds(
+    lambda e, k, w, r, c: (Fraction(10) ** e, k, w, r, c),
+    st.integers(2, 300),  # N > k
+    st.integers(1, 79),
+    _weights,
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+)
+
+
+class TestCertifiedEnclosures:
+    @settings(deadline=None)
+    @given(near_one_logs, st.integers(53, 1024))
+    def test_evaluate_interval_and_float_bounds_contain_a_6000_bit_value(self, case, bits):
+        n, k, w, r, c = case
+        value = ExactValue(r, {(n + k) / (n - k): w}, {2: c / n})
+        enclosure = evaluate_interval(value, bits)
+        lo, hi = float_bounds(value)
+        with mpmath.workprec(6000):
+            ref = _mpf(r) + _mpf(w) * mpmath.log(_mpf((n + k) / (n - k))) + _mpf(c / n) * mpmath.sqrt(2)
+            assert enclosure.lo <= ref <= enclosure.hi
+            assert lo <= ref <= hi
+
+    @pytest.mark.parametrize("n, k", [(10**30, 13), (10**60, 1)])
+    def test_near_ties_of_a_log_near_one(self, n, k):
+        # log((1+x)/(1-x)) = 2x + 2x^3/3 + ..., x = k/n: above 2x and below 2x + x^3
+        x = Fraction(k, n)
+        value = ExactValue.from_log((n + k) / Fraction(n - k))
+        assert rel(value, 2 * x) is Relation.GREATER
+        assert rel(value, 2 * x + x**3) is Relation.LESS
+        assert rel(2 * x, value) is Relation.LESS
+
+    @pytest.mark.parametrize(
+        "value, other",
+        [
+            # sqrt(2)*10^-300 + 10^-300 against 2*10^-300
+            (value_sum([ExactValue.from_sqrt(Fraction(2, 10**600)), ExactValue.from_rational(Fraction(1, 10**300))]),
+             Fraction(2, 10**300)),
+            # (log(3/2) + 1)*10^-300 against 1.4*10^-300
+            (value_sum([ExactValue.from_log(Fraction(3, 2)), ExactValue.from_rational(1)]).scale(Fraction(1, 10**300)),
+             Fraction(14, 10**301)),
+        ],
+    )
+    def test_tiny_values_decide_at_the_start_precision(self, value, other):
+        ordering = compare(value, other)
+        assert (ordering.relation, ordering.bits) == (Relation.GREATER, DEFAULT_PRECISION_BITS)
 
 
 _ALGEBRAIC_CASES = [
