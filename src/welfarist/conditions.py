@@ -23,7 +23,8 @@ ever built.  C2 finds its suspect rows the same way, from the least sum
 f(c) + f(d) each row (a, b) admits, but its admitted pairs are not a prefix of
 one vector, so it keeps that scan beside ``_grid_cells``.  C1a demands
 equality, and a float difference can prove two values unequal but never prove
-them equal, so C1a is the one exact prescreen.  C5 keeps its own loop over
+them equal, so C1a is the one exact prescreen, except the closed form for
+shifted logs and pmean:0, which reads no value.  C5 keeps its own loop over
 chained increments.  C3b takes one of three routes by family.  For shifted
 logs (and pmean:0, which is log) it reduces to one rational inequality in a,
 the same in every row, so no float is read: the first violating tuple, if
@@ -262,6 +263,13 @@ def _margin(fn: WelfareFunction, upto: int) -> float:
     return max(1e-9, 16.0 * fn.table_error_bound(upto))
 
 
+def _log_shift(fn: WelfareFunction) -> Fraction | None:
+    """c where f(x) = log(x + c) (shifted logs; pmean:0 is log, c = 0), else None."""
+    if isinstance(fn, ModLog):
+        return fn.c
+    return Fraction(0) if isinstance(fn, PMean) and fn.p == 0 else None
+
+
 def _table(fn: WelfareFunction, upto: int) -> tuple[np.ndarray, float]:
     """Float f(0..upto) and its margin."""
     return _approx(fn, np.arange(upto + 1)), _margin(fn, upto)
@@ -373,8 +381,20 @@ def _suspects_c1(fn, bounds):
 # tuple order (k, x, y) with x < y: constancy of Delta_k on the grid, k >= 1.
 # Exact equality is transitive, so comparing each Delta_k(y) with the value at
 # the smallest grid point finds the first unequal pair.
+# For f(x) = log(x + c), c >= 0, Delta_k(x) = log(1 + x / (kx + c)), whose
+# derivative in x has the sign of c / (kx + c)^2: constant at c = 0, so nothing
+# violates, and strictly increasing for c > 0, so every x < y violates and the
+# first tuple, k = 1 at the two least distinct grid points, is the only suspect.
 def _suspects_c1a(fn, bounds):
     grid = sorted(bounds.real_grid)
+    c = _log_shift(fn)
+    if c is not None:
+        if grid[0] <= 0:
+            raise ValueError("argument must be positive")
+        y = next((y for y in grid if y > grid[0]), None)
+        if c > 0 and y is not None:
+            yield {"k": 1, "x": grid[0], "y": y}
+        return
     for k in range(1, bounds.k_max + 1):
         first = delta(fn, k, grid[0])
         for y in grid[1:]:
@@ -442,7 +462,7 @@ _C3B_CHUNK = 1 << 16
 #   turn, and harmonic shifts c < -1/2, whose mid_k is decreasing at c = -1
 #   but not monotone at c = -0.55, where mid_0 rises up to a = 3 and then falls.
 def _suspects_c3b(fn, bounds):
-    if isinstance(fn, ModLog) or isinstance(fn, PMean) and fn.p == 0:
+    if _log_shift(fn) is not None:
         return _shifted_log_c3b(fn, bounds)
     if isinstance(fn, PMean):
         return _monotone_c3b(fn, bounds, increasing=fn.p > 0)
@@ -462,7 +482,7 @@ def _suspects_c3b(fn, bounds):
 # from a = c / (c - 1) on, in every row.
 # So the first violating tuple is k = 0 at the least such a, the only suspect.
 def _shifted_log_c3b(fn, bounds):
-    c = fn.c if isinstance(fn, ModLog) else 0
+    c = _log_shift(fn)
     if c > 1:
         a = math.ceil(c / (c - 1))
         if a <= bounds.a_max:
@@ -476,12 +496,12 @@ def _shifted_log_c3b(fn, bounds):
 # each row the prefix failures lie in the leading run of uncleared a, and the
 # suffix failures lie past every a where the suffix inequality is cleared.
 # Each row yields that run; then, unless the suffix inequality is cleared at
-# a_max, it bisects for a cleared lo next to an uncleared hi = lo + 1 and
+# a_max, it searches for a cleared lo next to an uncleared hi = lo + 1 and
 # yields the a >= hi where the suffix inequality is not cleared.  That is a
 # subset of the scan's suspects which holds every violating tuple, in tuple
-# order, so the first confirmed witness is the scan's.  A row costs at most
-# one bisection, O(log a_max) float evaluations, until it yields, and no
-# chunk-sized table is built.
+# order, so the first confirmed witness is the scan's.  The search splits
+# [lo, hi] 65 ways per float call, so a row costs about log(a_max) / log(65)
+# calls until it yields (3 at a_max = 2^17), and no chunk-sized table is built.
 #
 # Power means: Delta_t(x) = +-x^p((t+1)^p - t^p), so mid_k(a) =
 # a^p |(k+2)^p - (k+1)^p|, increasing for p > 0 and decreasing for p < 0.
@@ -535,16 +555,22 @@ def _monotone_c3b(fn, bounds, increasing):
                     break
         if lo is None or not suffix[rows + k]:
             continue
-        hi = a_max
-        while hi - lo > 1:
-            probe = (lo + hi) // 2
-            if uncleared(k, np.array([probe]))[1][0]:
-                hi = probe
-            else:
-                lo = probe
+        hi = _boundary(lambda a: uncleared(k, a)[1], lo, a_max)
         for start, stop in _doubling(hi, a_max + 1):
             for (i,) in _cells(uncleared(k, np.arange(start, stop))[1]):
                 yield {"k": k, "a": start + i}
+
+
+def _boundary(uncleared, lo: int, hi: int) -> int:
+    """An a in (lo, hi] where ``uncleared`` (on int arrays) holds and fails at
+    a - 1, given it fails at lo and holds at hi.  Each call reads up to 64 evenly
+    spaced points between them; the first uncleared one (else hi) and the point
+    before it are the next hi and lo."""
+    while hi - lo > 1:
+        points = np.append(np.arange(lo, hi, -(-(hi - lo) // 65)), hi)
+        i = 1 + int(np.append(uncleared(points[1:-1]), True).argmax())
+        lo, hi = int(points[i - 1]), int(points[i])
+    return hi
 
 
 def _doubling(start: int, stop: int):

@@ -231,7 +231,9 @@ def _direct_tuples(cond, bounds):
 
 
 @pytest.mark.parametrize(
-    "spec", ["harmonic:1", "harmonic:0", "pmean:1/2", "pmean:-1", "modlog:2", "log"]
+    "spec",
+    ["harmonic:1", "harmonic:0", "pmean:1/2", "pmean:-1", "modlog:2", "modlog:1/3", "modlog:1",
+     "log", "pmean:0"],
 )
 @pytest.mark.parametrize(
     "cond",
@@ -505,6 +507,87 @@ def test_the_harmonic_route_polygamma_bounds_hold():
             assert -mpmath.psi(2, y) < 1 / y**2 + 1 / y**3 + 1 / (2 * y**4)
 
 
+def _bisection(uncleared, lo, hi):
+    """The one-point bisection that ``conditions._boundary`` replaced."""
+    while hi - lo > 1:
+        probe = (lo + hi) // 2
+        if uncleared(np.array([probe]))[0]:
+            hi = probe
+        else:
+            lo = probe
+    return hi
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 2**17), st.data())
+def test_boundary_search_matches_the_bisection(hi, data):
+    """On a predicate that fails below a threshold t and holds from t on, the
+    k-ary search and the bisection both return t, the search in at most 3
+    calls for hi - lo < 65^3."""
+    lo = data.draw(st.integers(0, hi - 1))
+    t = data.draw(st.integers(lo + 1, hi))
+    calls = []
+
+    def uncleared(a):
+        calls.append(len(a))
+        assert len(a) <= 64 and np.all((lo < a) & (a < hi))
+        return a >= t
+
+    assert conditions._boundary(uncleared, lo, hi) == t
+    assert len(calls) <= 3
+    assert _bisection(lambda a: a >= t, lo, hi) == t
+
+
+# the monotone C3b route's families: harmonic c in [-1/2, 3], pmean p in +-(0, 3]
+_MONOTONE_FAMILIES = st.one_of(
+    st.builds(ModHarmonic, _HARMONIC_SHIFTS),
+    st.builds(
+        lambda p, sign: functions.PMean(sign * p),
+        st.fractions(min_value=0, max_value=3, max_denominator=8).filter(bool),
+        st.sampled_from([1, -1]),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    _MONOTONE_FAMILIES,
+    st.integers(2, 6),
+    st.one_of(st.integers(0, 17).flatmap(lambda e: st.integers(1, 2**e)), st.just(2**17)),
+)
+@example(ModHarmonic(Fraction(907, 2048)), 3, 2**17)
+@example(ModHarmonic(Fraction(1813, 4096)), 6, 2**17)
+@example(functions.PMean(-3), 6, 2**17)
+def test_monotone_c3b_suspects_match_the_bisection(fn, k_max, a_max):
+    """The k-ary search yields the suspects the one-point bisection yields (the
+    first 20,000 of them), and a row not cleared at a_max makes at most 4
+    float calls from its search to its first suffix suspect."""
+    bounds = Bounds(k_max=k_max, a_max=a_max)
+    calls, started, per_row = [0], [], []
+    approx_array, search = type(fn).approx_array, conditions._boundary
+
+    def counted(self, xs):
+        calls[0] += 1
+        return approx_array(self, xs)
+
+    def searching(uncleared, lo, hi):
+        started.append(calls[0])
+        return search(uncleared, lo, hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(fn), "approx_array", counted)
+        patch.setattr(conditions, "_boundary", searching)
+        searched = []
+        for witness in itertools.islice(conditions._suspects_c3b(fn, bounds), 20_000):
+            searched.append(witness)
+            if len(started) > len(per_row):  # the first suspect after a search
+                per_row.append(calls[0] - started[-1])
+        patch.setattr(conditions, "_boundary", _bisection)
+        bisected = list(itertools.islice(conditions._suspects_c3b(fn, bounds), 20_000))
+    assert searched == bisected
+    assert all(n <= 4 for n in per_row), per_row
+
+
 def test_a_violated_check_evaluates_its_witness_once(monkeypatch):
     """harmonic:-3/4 violates C6a at its first suspect: two increments, one
     per side, serve both the confirmation and the report."""
@@ -583,6 +666,59 @@ def test_violates_evaluates_every_call(monkeypatch):
     assert violates(fn, ConditionId.C3B, report.witness, Bounds().policy) is True
     assert violates(fn, ConditionId.C3B, report.witness, Bounds().policy) is True
     assert len(calls) == 2
+
+
+def _c1a_exact_loop(fn, bounds):
+    """C1a's exact prescreen for every family: each Delta_k(y) against Delta_k
+    at the least grid point."""
+    grid = sorted(bounds.real_grid)
+    for k in range(1, bounds.k_max + 1):
+        first = conditions.delta(fn, k, grid[0])
+        for y in grid[1:]:
+            if compare(first, conditions.delta(fn, k, y), bounds.policy).relation is not Relation.EQUAL:
+                yield {"k": k, "x": grid[0], "y": y}
+
+
+_GRID_POINTS = st.one_of(
+    st.integers(1, 12).map(lambda j: Fraction(j, 4)),  # repeats often
+    st.fractions(min_value=Fraction(1, 16), max_value=10, max_denominator=16),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=5, max_denominator=12).filter(bool)),
+    st.lists(_GRID_POINTS, min_size=1, max_size=12),
+    st.integers(2, 12),
+)
+@example(Fraction(1, 3), [Fraction(2), Fraction(2), Fraction(1, 2), Fraction(1, 2)], 2)
+def test_c1a_closed_form_matches_the_exact_loop(c, grid, k_max):
+    """For shifted logs and pmean:0 the closed form reports what the exact loop
+    reports, and on two or more distinct points agrees with analytic_verdict."""
+    bounds = Bounds(k_max=k_max, real_grid=tuple(grid))
+    for fn in [ModLog(c)] + ([Log(), functions.PMean(0)] if c == 0 else []):
+        closed = check_condition(fn, ConditionId.C1A, bounds).to_json_dict()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(conditions._SUSPECTS, ConditionId.C1A, _c1a_exact_loop)
+            assert check_condition(fn, ConditionId.C1A, bounds).to_json_dict() == closed
+        if len(set(grid)) >= 2:
+            assert (closed["verdict"] == NO_VIOLATION) is analytic_verdict(fn, ConditionId.C1A)
+
+
+@pytest.mark.parametrize("spec", ["log", "pmean:0", "modlog:1/3", "harmonic:0"])
+@pytest.mark.parametrize("grid", [(Fraction(0),), (Fraction(1), Fraction(0), Fraction(1, 2))])
+def test_c1a_on_a_grid_holding_zero_raises(spec, grid):
+    with pytest.raises(ValueError, match="argument must be positive"):
+        check_condition(parse_welfare(spec), ConditionId.C1A, Bounds(real_grid=grid))
+
+
+@pytest.mark.parametrize("spec", ["log", "pmean:0"])
+def test_log_c1a_reads_no_value(spec, monkeypatch):
+    """Delta_k is constant for log: C1a builds and compares no increment."""
+    monkeypatch.setattr(conditions, "delta", None)
+    monkeypatch.setattr(conditions, "compare", None)
+    grid = tuple(Fraction(j, 8) for j in range(1, 401))
+    assert check_condition(parse_welfare(spec), ConditionId.C1A, Bounds(real_grid=grid)).verdict == NO_VIOLATION
 
 
 @pytest.mark.parametrize("cond", list(ConditionId))
