@@ -23,8 +23,9 @@ ever built.  C2 finds its suspect rows the same way, from the least sum
 f(c) + f(d) each row (a, b) admits, but its admitted pairs are not a prefix of
 one vector, so it keeps that scan beside ``_grid_cells``.  C1a demands
 equality, and a float difference can prove two values unequal but never prove
-them equal, so C1a is the one exact prescreen, except the closed form for
-shifted logs and pmean:0, which reads no value.  C5 keeps its own loop over
+them equal, so C1a has no prescreen: each of its tuples goes to ``violates``,
+except under the closed form for shifted logs and pmean:0, which reads no
+value.  C5 keeps its own loop over
 chained increments.  C3b takes one of three routes by family.  For shifted
 logs (and pmean:0, which is log) it reduces to one rational inequality in a,
 the same in every row, so no float is read: the first violating tuple, if
@@ -380,26 +381,26 @@ def _suspects_c1(fn, bounds):
 
 # tuple order (k, x, y) with x < y: constancy of Delta_k on the grid, k >= 1.
 # Exact equality is transitive, so comparing each Delta_k(y) with the value at
-# the smallest grid point finds the first unequal pair.
+# the smallest grid point finds the first unequal pair.  No float difference
+# proves two values equal, so each such tuple is a suspect, and ``violates``
+# builds its two increments once.
 # For f(x) = log(x + c), c >= 0, Delta_k(x) = log(1 + x / (kx + c)), whose
 # derivative in x has the sign of c / (kx + c)^2: constant at c = 0, so nothing
 # violates, and strictly increasing for c > 0, so every x < y violates and the
 # first tuple, k = 1 at the two least distinct grid points, is the only suspect.
 def _suspects_c1a(fn, bounds):
     grid = sorted(bounds.real_grid)
+    if grid[0] <= 0:
+        raise ValueError("argument must be positive")
     c = _log_shift(fn)
     if c is not None:
-        if grid[0] <= 0:
-            raise ValueError("argument must be positive")
         y = next((y for y in grid if y > grid[0]), None)
         if c > 0 and y is not None:
             yield {"k": 1, "x": grid[0], "y": y}
         return
     for k in range(1, bounds.k_max + 1):
-        first = delta(fn, k, grid[0])
         for y in grid[1:]:
-            if compare(first, delta(fn, k, y), bounds.policy).relation is not Relation.EQUAL:
-                yield {"k": k, "x": grid[0], "y": y}
+            yield {"k": k, "x": grid[0], "y": y}
 
 
 # tuple order (a, b, c, d) over the grid, guard min(a,b) <= min(c,d) and ab < cd.

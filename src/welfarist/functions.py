@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from typing import Sequence
+from math import gcd, inf, isqrt, lcm, nextafter, prod
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import mpmath
 import numpy as np
@@ -21,10 +22,13 @@ from .values import (
     DEFAULT_PRECISION_BITS,
     NEG_INF,
     POS_INF,
+    SCAN_BITS,
     ExactValue,
     ExtendedValue,
     Infinite,
     IntervalValue,
+    _nearest_float,
+    float_bounds,
     value_sum,
 )
 
@@ -82,6 +86,57 @@ def _reciprocal_sum(qs: Sequence[int], i: int, j: int) -> tuple[int, int]:
     return p1 * q2 + p2 * q1, q1 * q2
 
 
+class OrderTerms(NamedTuple):
+    """Integer terms at scaled utilities whose reduction orders sums of f exactly.
+
+    ``reduce`` (``sum`` or ``math.prod``) of the terms of a utility vector is
+    a strictly increasing function of sum_i f(u_i) over the vectors at or
+    above ``floor``; a vector holding f = -inf reduces below ``floor``.
+    """
+
+    terms: dict[int, int]
+    reduce: Callable
+    floor: int
+
+
+def _order_keys(values: dict[int, ExtendedValue], n: int) -> OrderTerms | None:
+    """``OrderTerms`` read from the values of f, or ``None``.
+
+    ``values`` maps every reachable scaled utility to f there, and so do the
+    terms.  Returns ``None`` unless the finite values are all rational (sum
+    of terms) or all ``w*log(q)`` with one common w > 0, log 1 = 0 included
+    (product of terms).  A -inf value gets a term that puts every vector of n
+    utilities containing it below the floor, which every finite vector
+    reaches.
+    """
+    rationals: dict[int, Fraction] = {}
+    logs: dict[int, tuple[Fraction, Fraction]] = {}
+    for x, v in values.items():
+        if isinstance(v, Infinite):
+            if v.sign > 0:
+                return None
+        elif not isinstance(v, ExactValue) or v.surds:
+            return None
+        elif not v.logs:
+            rationals[x] = v.rational
+        elif v.rational == 0 and len(v.logs) == 1:
+            logs[x] = next(iter(v.logs.items()))
+        else:
+            return None
+    if not logs:
+        den = lcm(*(r.denominator for r in rationals.values()))
+        terms = {x: r.numerator * (den // r.denominator) for x, r in rationals.items()}
+        lo, hi = min(terms.values(), default=0), max(terms.values(), default=0)
+        below = n * lo - (n - 1) * hi - 1  # any vector holding it sums below n*lo
+        return OrderTerms({x: terms.get(x, below) for x in values}, sum, n * lo)
+    weights = {w for _, w in logs.values()}
+    if any(rationals.values()) or len(weights) > 1 or weights.pop() < 0:
+        return None
+    den = lcm(*(q.denominator for q, _ in logs.values()))
+    terms = {x: q.numerator * (den // q.denominator) for x, (q, _) in logs.items()}
+    return OrderTerms({x: terms.get(x, den if x in rationals else 0) for x in values}, prod, 1)
+
+
 class WelfareFunction(ABC):
     """A function f: R>=0 -> R u {-inf} applied to each agent's bundle utility."""
 
@@ -111,6 +166,21 @@ class WelfareFunction(ABC):
         """
         return [self.value_at(x, bits) for x in xs]
 
+    def scan(
+        self, xs: Iterable[int], scale: int, n: int
+    ) -> OrderTerms | dict[int, tuple[float, float]]:
+        """How an argmax scan orders sums of n values of f at the utilities x/scale.
+
+        Either ``OrderTerms``, or each x mapped to
+        ``float_bounds(value_at(x/scale, SCAN_BITS))``.  This default reads
+        ``values_at`` at ``SCAN_BITS`` and returns the ``_order_keys`` of
+        those values where they exist; a family overrides it to compute
+        either straight from the integers, without building a value.
+        """
+        xs = list(xs)
+        values = dict(zip(xs, self.values_at([Fraction(x, scale) for x in xs], SCAN_BITS)))
+        return _order_keys(values, n) or {x: float_bounds(v) for x, v in values.items()}
+
     def table_error_bound(self, upto: int) -> float:
         """Absolute error bound of ``approx_array`` at arguments up to ``upto``."""
         return 1e-12
@@ -139,6 +209,12 @@ class ModLog(WelfareFunction):
             raise ValueError("negative argument")
         q = x + self.c
         return NEG_INF if q == 0 else ExactValue(logs={q: 1})
+
+    def scan(self, xs, scale, n):
+        """Product terms x*d + m*scale for c = m/d: scale*d times x/scale + c,
+        so 0 exactly where f = -inf."""
+        m, d = self.c.numerator, self.c.denominator
+        return OrderTerms({x: x * d + m * scale for x in xs}, prod, 1)
 
     def label(self):
         return f"modlog:{self.c}"
@@ -272,6 +348,27 @@ class ModHarmonic(WelfareFunction):
             out[i] = IntervalValue(val - err, val + err, bits)
         return out
 
+    def scan(self, xs, scale, n):
+        """Sum terms at integer utilities: h_c(x) = sum_{first < t <= x} d/(t*d + m)
+        for c = m/d, first = 1 when c = -1 and 0 otherwise, scaled by L/d, L the
+        lcm of those denominators, is a prefix sum of the integers L/(t*d + m).
+        h_{-1}(0) = -inf gets a term that puts any vector holding it below 0.
+        Off the integers, the default route."""
+        xs = list(xs)
+        if any(x % scale for x in xs):
+            return super().scan(xs, scale, n)
+        m, d = self.c.numerator, self.c.denominator
+        first = 1 if self.c == -1 else 0
+        ints = {x // scale for x in xs}
+        qs = [t * d + m for t in range(first + 1, max(ints) + 1)]
+        common, total, prefix = lcm(*qs), 0, {first: 0}
+        for t, q in enumerate(qs, first + 1):
+            total += common // q
+            if t in ints:
+                prefix[t] = total
+        below = -(n - 1) * total - 1
+        return OrderTerms({x: prefix.get(x // scale, below) for x in xs}, sum, 0)
+
     def _digamma_arg(self, x: Fraction):
         """y = x+c+1 (x when c = -1) at the working precision."""
         xf = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
@@ -331,6 +428,37 @@ class PMean(WelfareFunction):
             val = sign * xf**pf
             err = mpmath.ldexp(abs(val) + 1, -(bits + 4))
         return IntervalValue(val - err, val + err, bits)
+
+    def scan(self, xs, scale, n):
+        """p = 0: the product terms of ``Log``.  Integer p > 0: sum terms x**p.
+        Half-integer p > 0, x/scale = a/b reduced, f = a**w * sqrt(a*b) / b**(w+1)
+        for w = p - 1/2: sum terms x**w * g * sqrt(a*b), g = scale/b, when every
+        a*b is a perfect square; else the bounds ``float_bounds`` gives the
+        value, from the integer square root that ``_algebraic_bounds`` takes.
+        Other p take the default route."""
+        p = self.p
+        if p == 0:
+            return Log().scan(xs, scale, n)
+        if p < 0 or p.denominator > 2:
+            return super().scan(xs, scale, n)
+        if p.denominator == 1:
+            return OrderTerms({x: x**p.numerator for x in xs}, sum, 0)
+        w, shift = p.numerator // 2, 2 * SCAN_BITS
+        roots = {}
+        for x in xs:
+            g = gcd(x, scale)
+            a, b = x // g, scale // g
+            r = isqrt(a * b << shift)
+            roots[x] = a, b, r, r * r == a * b << shift
+        if all(square for *_, square in roots.values()):
+            return OrderTerms({x: x**w * (scale // b) * (r >> SCAN_BITS) for x, (_, b, r, _) in roots.items()}, sum, 0)
+        bounds = {}
+        for x, (a, b, r, square) in roots.items():
+            num, den = a**w, b ** (w + 1) << SCAN_BITS
+            lo = _nearest_float(num * r, den)
+            hi = lo if square else _nearest_float(num * (r + 1), den)
+            bounds[x] = nextafter(lo, -inf), nextafter(hi, inf)
+        return bounds
 
     def label(self):
         return f"pmean:{self.p}"

@@ -15,24 +15,23 @@ before its states, the argmax set counted in, could pass ``_STATE_CAP``.
 
 Enumeration and the depth-first search add integer utilities in units of
 1/d, d the instance's least common denominator (``Instance.scaled``): scaling
-by d > 0 keeps every order and equality, and f sees the rational k/d only
-when its value at k is first looked up.  They share one scoring setup
-(:func:`_scoring`): f is evaluated once at every reachable bundle utility
-(the subset sums of each agent's scaled row), and each utility vector u is
-scored by bounds ``lo <= sum_i f(u_i/d) <= hi``.
+by d > 0 keeps every order and equality.  They share one scoring setup
+(:func:`_scoring`): f's scan (:meth:`~welfarist.functions.WelfareFunction.scan`)
+at every reachable bundle utility (the subset sums of each agent's scaled
+row) scores each utility vector u by bounds ``lo <= sum_i f(u_i/d) <= hi``.
 
-- Where the finite values allow an exact integer order key, the bounds are
-  the point ``(key, key)``.  The key is the sum of all-rational values, or
-  the product of the q of all-``w*log(q)`` values with one weight w > 0,
-  scaled by their common denominator.  The common rules -- log, shifted log,
-  harmonic at integer utilities, integer power means, piecewise tables --
-  then compare integers only.
+- Where the scan gives integer order terms, the bounds are the point
+  ``(key, key)``, the key the sum or product of u's terms.  Shifted logs,
+  harmonic numbers at integer utilities, and power means with p = 0, integer
+  p > 0 or half-integer p > 0 at perfect squares derive the terms from the
+  integers; other families from their values, when these are all rational
+  or all ``w*log(q)`` with one w > 0 (piecewise tables, p < 0).  The common
+  rules then compare integers only.
 - Otherwise (surds, intervals, mixed log and rational values) they are
   certified float bounds: the sums of the outward-rounded bounds of
-  :func:`~welfarist.values.float_bounds`, rounded outward once more.  A
-  value with no log part is bounded there in integer arithmetic (surds from
-  ``isqrt``), without mpmath; a log or interval value from a ``SCAN_BITS``
-  enclosure.
+  :func:`~welfarist.values.float_bounds`, rounded outward once more.
+  Half-integer power means take them from integer square roots, without a
+  value; other families from values read at ``SCAN_BITS``.
 
 A vector holding f = -inf scores the point ``(-inf, -inf)``.  One scan drops
 each final vector whose ``hi`` is below another's ``lo``.  Equal points are
@@ -40,38 +39,24 @@ equal welfare, so a survivor set of points is the argmax set as it stands; any
 other goes through the exact/interval comparator, one candidate per multiset
 of utilities, which confirms every maximizer and every tie.
 
-The scan reads f at double precision (``SCAN_BITS``, what the float bounds
-need), in one :meth:`~welfarist.functions.WelfareFunction.values_at` batch.
-Exact values hold at every precision; an interval value is evaluated again at
-the comparator's start precision (enumeration's ``policy.start()``, the
-default for branch-and-bound) only for the welfare the comparator reads --
-the survivors', and the two sides of a branch-and-bound comparison -- so a
-high ``start_bits`` costs only there.
+Values of f are built, at the comparator's start precision (enumeration's
+``policy.start()``, the default for branch-and-bound), only for the welfare
+the comparator reads -- the survivors', and the two sides of a
+branch-and-bound comparison -- so a high ``start_bits`` costs only there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, fsum, inf, lcm, nextafter, prod
+from math import ceil, fsum, inf, nextafter
 from operator import sub
 from typing import Callable, Iterable
 
 from .fairness import is_ef1
-from .functions import WelfareFunction
+from .functions import OrderTerms, WelfareFunction
 from .model import Allocation, Instance
-from .values import (
-    ExactValue,
-    ExtendedValue,
-    Infinite,
-    IntervalValue,
-    PrecisionPolicy,
-    Relation,
-    SCAN_BITS,
-    compare,
-    float_bounds,
-    value_sum,
-)
+from .values import ExtendedValue, PrecisionPolicy, Relation, compare, value_sum
 
 # the most states enumeration keeps: a partial utility vector of its layers
 # counts one (at most 115 bytes, CPython 3.11, 64-bit), and an assignment of
@@ -109,13 +94,10 @@ class MaximizerSet:
 
 
 class _ValueCache:
-    """f at integer utilities x in units of 1/scale, at ``bits`` once per x.
+    """f at integer utilities x in units of 1/scale, at ``bits``, once per x.
 
-    ``scan`` evaluates a batch at ``SCAN_BITS``, enough for the float
-    bounds.  Exact and infinite values hold at every precision and are kept
-    for ``bits`` too; an interval is evaluated again at ``bits`` only when a
-    welfare sum reads it (``fill``, one batch per read).  ``_cache`` holds
-    the values at ``bits``.
+    Only the utilities a welfare sum reads are evaluated (``fill``, one batch
+    per read); the scan builds no value here.  ``_cache`` holds the values.
     """
 
     def __init__(self, fn: WelfareFunction, bits: int, scale: int):
@@ -124,24 +106,15 @@ class _ValueCache:
         self.scale = scale
         self._cache: dict[int, ExtendedValue] = {}
 
-    def _values_at(self, xs: list[int], bits: int) -> list[ExtendedValue]:
-        return self.fn.values_at([Fraction(x, self.scale) for x in xs], bits)
-
-    def scan(self, xs: Iterable[int]) -> dict[int, ExtendedValue]:
-        """f at every x at ``SCAN_BITS``."""
-        xs = list(xs)
-        values = dict(zip(xs, self._values_at(xs, SCAN_BITS)))
-        self._cache.update((x, v) for x, v in values.items() if not isinstance(v, IntervalValue))
-        return values
-
     def fill(self, xs: Iterable[int]) -> None:
         """Evaluate, in one batch at ``bits``, every x not held yet."""
         missing = list({x for x in xs if x not in self._cache})
         if missing:
-            self._cache.update(zip(missing, self._values_at(missing, self.bits)))
+            values = self.fn.values_at([Fraction(x, self.scale) for x in missing], self.bits)
+            self._cache.update(zip(missing, values))
 
     def __call__(self, x: int) -> ExtendedValue:
-        """f(x/scale) at ``bits``, once ``scan`` or ``fill`` has evaluated it."""
+        """f(x/scale) at ``bits``, once ``fill`` has evaluated it."""
         return self._cache[x]
 
     def welfare(self, utilities: list[int]) -> ExtendedValue:
@@ -200,59 +173,18 @@ def _argmax(
     return best, best_value, Exactness("Exact")
 
 
-def _order_keys(
-    values: dict[int, ExtendedValue], n: int
-) -> tuple[dict[int, int], Callable, int] | None:
-    """Integer terms, their reduction (sum or product) and a floor, ordering f-sums exactly.
-
-    ``values`` maps every reachable scaled utility to f there, and so do the
-    terms.  Returns ``None`` unless the finite values are all rational (sum
-    of terms) or all ``w*log(q)`` with one common w > 0, log 1 = 0 included
-    (product of terms).  A -inf value gets a term that puts every vector
-    containing it below the floor, which every finite vector reaches; ties
-    among such vectors are the caller's.
-    """
-    rationals: dict[int, Fraction] = {}
-    logs: dict[int, tuple[Fraction, Fraction]] = {}
-    for x, v in values.items():
-        if isinstance(v, Infinite):
-            if v.sign > 0:
-                return None
-        elif not isinstance(v, ExactValue) or v.surds:
-            return None
-        elif not v.logs:
-            rationals[x] = v.rational
-        elif v.rational == 0 and len(v.logs) == 1:
-            logs[x] = next(iter(v.logs.items()))
-        else:
-            return None
-    if not logs:
-        den = lcm(*(r.denominator for r in rationals.values()))
-        terms = {x: r.numerator * (den // r.denominator) for x, r in rationals.items()}
-        lo, hi = min(terms.values(), default=0), max(terms.values(), default=0)
-        below = n * lo - (n - 1) * hi - 1  # any vector holding it sums below n*lo
-        return {x: terms.get(x, below) for x in values}, sum, n * lo
-    weights = {w for _, w in logs.values()}
-    if any(rationals.values()) or len(weights) > 1 or weights.pop() < 0:
-        return None
-    den = lcm(*(q.denominator for q, _ in logs.values()))
-    terms = {x: q.numerator * (den // q.denominator) for x, (q, _) in logs.items()}
-    return {x: terms.get(x, den if x in rationals else 0) for x in values}, prod, 1
-
-
-def _scoring(inst: Instance, value: _ValueCache) -> Callable:
-    """Score f at every reachable bundle utility; returns ``score``.
+def _scoring(inst: Instance, fn: WelfareFunction) -> Callable:
+    """Scan f at every reachable bundle utility; returns ``score``.
 
     Utilities are integers in units of 1/d.  Every subset of a scaled row is
     that agent's bundle in some assignment, and so is each agent's field of
     every optimistic bound (u + the goods left) either search scores, so
-    these are exactly the utilities looked up; f is read there at
-    ``SCAN_BITS``.
+    these are exactly the utilities ``fn.scan`` reads.
     ``score(u)`` gives ``(lo, hi)`` with ``lo <= sum_i f(u_i/d) <= hi``: the
-    ``_order_keys`` key twice where one exists, else outward-rounded doubles;
-    ``(-inf, -inf)`` exactly when u holds -inf.  A finite value outside
-    +-2**1000 makes every float bound ``(-inf, inf)``, so every decision
-    falls to the exact comparator.
+    reduced order terms twice where the scan gives them, else outward-rounded
+    doubles; ``(-inf, -inf)`` exactly when u holds -inf.  A finite bound
+    outside +-2**1000 makes every float bound ``(-inf, inf)``, so every
+    decision falls to the exact comparator.
     """
     reachable = set()
     for row in inst.scaled:
@@ -260,20 +192,18 @@ def _scoring(inst: Instance, value: _ValueCache) -> Callable:
         for u in row:
             sums |= {s + u for s in sums}
         reachable |= sums
-    values = value.scan(reachable)
-    keys = _order_keys(values, inst.n)
-    if keys is not None:
-        terms, reduce, floor = keys
+    scan = fn.scan(reachable, inst.scale, inst.n)
+    if isinstance(scan, OrderTerms):
+        terms, reduce, floor = scan
 
         def score(u):
             key = reduce(map(terms.__getitem__, u))
             return (key, key) if key >= floor else (-inf, -inf)
 
         return score
-    bounds = {x: float_bounds(v) for x, v in values.items()}
-    if any(hi > -inf and max(-lo, hi) >= _FLOAT_RANGE for lo, hi in bounds.values()):
-        bounds = dict.fromkeys(values, (-inf, inf))
-    bound = bounds.__getitem__
+    if any(hi > -inf and max(-lo, hi) >= _FLOAT_RANGE for lo, hi in scan.values()):
+        scan = dict.fromkeys(scan, (-inf, inf))
+    bound = scan.__getitem__
 
     def score(u):
         lows, highs = zip(*map(bound, u))
@@ -324,10 +254,13 @@ def _distinct_survivors(inst: Instance, score) -> tuple[list[tuple[tuple[int, ..
 
     The survivors' assignments come back in lexicographic order: each layer
     keeps only the vectors one step below a kept vector of the next (a
-    difference that borrows across fields is no vector of the layer), the
-    forward pass extends each kept prefix, and the assignments are mapped back
-    to good order and sorted.  Raises ``EnumerationCapExceeded`` before a
-    layer or a forward step could take the states past ``_STATE_CAP``.
+    difference that borrows across fields is no vector of the layer), each
+    with its number of paths into the survivors, the forward pass extends each
+    kept prefix, and the assignments are mapped back to good order and
+    sorted.  Raises ``EnumerationCapExceeded`` before a layer could take the
+    states past ``_STATE_CAP``, before the forward pass when the paths from
+    the empty vector (the survivors' assignments) would, and before each
+    forward step that could.
     """
     rows = inst.scaled
     n, m = inst.n, inst.m
@@ -390,10 +323,18 @@ def _distinct_survivors(inst: Instance, score) -> tuple[list[tuple[tuple[int, ..
             points = points and lo == hi
         elif lo < hi:
             interval_drop = True
-    layers[-1] = vectors.keys()
+    paths = dict.fromkeys(vectors, 1)  # per vector of a layer, its paths into the survivors
+    layers[-1] = paths
     for g in range(m - 1, -1, -1):
-        layers[g] = {t - s for t in layers[g + 1] for s in steps[g]} & layers[g]
+        before = {}
+        for t, count in paths.items():
+            for s in steps[g]:
+                if t - s in layers[g]:
+                    before[t - s] = before.get(t - s, 0) + count
+        layers[g] = paths = before
     cost = ceil((450 + 16 * m) / 115)  # the states an assignment counts as
+    if states + cost * paths[0] > _STATE_CAP:  # the whole answer, before any prefix is built
+        raise EnumerationCapExceeded(f"enumeration exceeds cap {_STATE_CAP} states: {paths[0]} surviving assignments")
     prefixes = [((), 0)]
     for step, reachable in zip(steps, layers[1:]):
         if states + cost * n * len(prefixes) > _STATE_CAP:  # the most the next step can produce
@@ -422,7 +363,7 @@ def enumerate_maximizers(
     """
     policy = policy or PrecisionPolicy()
     value = _ValueCache(fn, policy.start(), inst.scale)
-    score = _scoring(inst, value)
+    score = _scoring(inst, fn)
     survivors, points, interval_drop = _distinct_survivors(inst, score)
     if points:
         best, best_value = [a for a, _ in survivors], value.welfare(survivors[0][1])
@@ -458,7 +399,7 @@ def solve_branch_bound(inst: Instance, fn: WelfareFunction) -> tuple[Allocation,
     """
     policy = PrecisionPolicy()
     value = _ValueCache(fn, policy.start(), inst.scale)
-    score = _scoring(inst, value)
+    score = _scoring(inst, fn)
     rows = inst.scaled
     n, m = inst.n, inst.m
     order, suffix = _placement(inst)

@@ -712,6 +712,23 @@ def test_c1a_on_a_grid_holding_zero_raises(spec, grid):
         check_condition(parse_welfare(spec), ConditionId.C1A, Bounds(real_grid=grid))
 
 
+@pytest.mark.parametrize("spec", ["harmonic:0", "harmonic:-3/4"])
+def test_c1a_builds_each_increment_once(spec, monkeypatch):
+    """Violated at (1, 1/4, 1/2): one values_at call per end of Delta_1(1/4) and
+    Delta_1(1/2), so neither increment is built twice."""
+    calls = []
+    values_at = ModHarmonic.values_at
+
+    def counted(fn, xs, *bits):
+        calls.append(list(xs))
+        return values_at(fn, xs, *bits)
+
+    monkeypatch.setattr(ModHarmonic, "values_at", counted)
+    report = check_condition(parse_welfare(spec), ConditionId.C1A, Bounds())
+    assert report.witness == {"k": 1, "x": Fraction(1, 4), "y": Fraction(1, 2)}
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("spec", ["log", "pmean:0"])
 def test_log_c1a_reads_no_value(spec, monkeypatch):
     """Delta_k is constant for log: C1a builds and compares no increment."""

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, inf, lcm
 
 import mpmath
 import pytest
@@ -19,7 +19,7 @@ from welfarist.constructions import (
     flat_tie_gadget,
 )
 from welfarist.fairness import is_ef1, is_pareto_optimal
-from welfarist.functions import PiecewiseTable, parse_welfare
+from welfarist.functions import OrderTerms, PiecewiseTable, WelfareFunction, parse_welfare
 from welfarist.model import Allocation, Instance, random_instance
 from welfarist.solver import (
     EnumerationCapExceeded,
@@ -72,7 +72,7 @@ class TestEnumerate:
     def test_cap(self):
         # every 6-6-5 split is a maximizer: the 3 * 17!/(6!6!5!) assignments would pass the cap, so they are refused
         inst = Instance.from_rows([[1] * 17] * 3)
-        with pytest.raises(EnumerationCapExceeded):
+        with pytest.raises(EnumerationCapExceeded, match=": 17153136 surviving assignments"):
             enumerate_maximizers(inst, LOG)
         with pytest.raises(EnumerationCapExceeded):
             chosen_all_ef1(inst, LOG)
@@ -321,6 +321,84 @@ class TestFloatBoundsScan:
         assert (maxima.exactness.kind, maxima.exactness.bits) == (kind, bits)
         alloc, _ = solve_branch_bound(inst, fn)
         assert alloc.assignment == best[0]
+
+
+class TestDeclaredScans:
+    """A family's own scan orders and bounds like the values it stands for."""
+
+    SPECS = ["log", "modlog:1/3", "modlog:2", "pmean:0", "pmean:1", "pmean:2", "pmean:3", "pmean:1/2",
+             "pmean:3/2", "pmean:5/2", "harmonic:0", "harmonic:-1", "harmonic:1/2", "harmonic:-3/4"]
+
+    @staticmethod
+    def reachable(inst) -> set[int]:
+        sums = set()
+        for row in inst.scaled:
+            subset_sums = {0}
+            for u in row:
+                subset_sums |= {s + u for s in subset_sums}
+            sums |= subset_sums
+        return sums
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spec=st.sampled_from(SPECS),
+        rows=st.integers(2, 3).flatmap(
+            lambda n: st.integers(0, 4).flatmap(
+                lambda m: st.lists(
+                    st.lists(
+                        st.one_of(
+                            st.integers(0, 9),
+                            st.sampled_from([0, 1, 4, 9, 16, 36, 49, 100]),  # squares keep surds rational
+                            st.fractions(min_value=0, max_value=6, max_denominator=9),
+                        ),
+                        min_size=m,
+                        max_size=m,
+                    ),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        ),
+    )
+    def test_declared_scan_matches_the_values(self, spec, rows):
+        """Same order and floor side as ``_order_keys`` over ``values_at`` on every
+        pair of vectors, or the same ``float_bounds`` bit for bit."""
+        fn, inst = parse_welfare(spec), Instance.from_rows(rows)
+        reachable = self.reachable(inst)
+        declared = fn.scan(reachable, inst.scale, inst.n)
+        generic = WelfareFunction.scan(fn, reachable, inst.scale, inst.n)
+        assert type(declared) is type(generic)
+        if isinstance(generic, dict):
+            assert {x: (lo.hex(), hi.hex()) for x, (lo, hi) in declared.items()} == {
+                x: (lo.hex(), hi.hex()) for x, (lo, hi) in generic.items()
+            }
+            return
+        vectors = list(itertools.product(sorted(reachable), repeat=inst.n))[:400]
+
+        def keys(scan):
+            terms, reduce, floor_ = scan
+            return [(reduce(terms[x] for x in v), reduce(terms[x] for x in v) >= floor_) for v in vectors]
+
+        mine, theirs = keys(declared), keys(generic)
+        assert [above for _, above in mine] == [above for _, above in theirs]
+        finite = [(a, b) for (a, above), (b, _) in zip(mine, theirs) if above]
+        for (a1, b1), (a2, b2) in itertools.combinations(finite, 2):
+            assert (a1 > a2) - (a1 < a2) == (b1 > b2) - (b1 < b2)
+
+    @pytest.mark.parametrize("spec", ["pmean:1/2", "pmean:3/2"])
+    def test_perfect_square_radicands_stay_exact(self, spec):
+        # every reachable utility is 0 or 1, so every value is rational: integer
+        # keys, not float bounds, which would certify the set only on intervals
+        inst, fn = Instance.from_rows([[0, 0, 0, 1], [0, 1, 0, 0]]), parse_welfare(spec)
+        assert isinstance(fn.scan(self.reachable(inst), inst.scale, inst.n), OrderTerms)
+        assert enumerate_maximizers(inst, fn).exactness == Exactness("Exact")
+
+    @pytest.mark.parametrize("spec", ["log", "pmean:0", "harmonic:-1"])
+    def test_zero_utility_is_minus_infinity(self, spec):
+        inst, fn = Instance.from_rows([[1, 2], [2, 1]]), parse_welfare(spec)
+        score = solver._scoring(inst, fn)
+        assert score([0, 3]) == score([3, 0]) == score([0, 0]) == (-inf, -inf)
+        assert score([1, 2])[0] > -inf and score([1, 2]) < score([2, 2])
 
 
 class TestBranchBound:
@@ -603,11 +681,27 @@ class TestDistinctLayers:
         # agent 0 values nothing, so under log all 2**10 assignments tie at -inf: the
         # layers keep 66 states, but the answer holds 1,024 assignments
         monkeypatch.setattr(solver, "_STATE_CAP", 1000)
-        with pytest.raises(EnumerationCapExceeded, match="exceeds cap"):
+        with pytest.raises(EnumerationCapExceeded, match="exceeds cap 1000 states: 1024 surviving assignments"):
             enumerate_maximizers(Instance.from_rows([[0] * 10, [1] * 10]), LOG)
         # layers as small with one maximizer pass
         maxima = enumerate_maximizers(Instance.from_rows([[1] * 10, [0] * 9 + [1]]), LOG)
         assert [a.assignment for a in maxima.allocations] == [(0,) * 9 + (1,)]
+
+    @pytest.mark.parametrize("spec", ["log", "pmean:2", "harmonic:0"])
+    def test_the_paths_count_the_answer(self, spec):
+        """The backward filter's path count from the empty vector is the size of the
+        set: with every assignment costing the whole cap, the refusal comes before
+        the forward pass and reports it."""
+        fn = parse_welfare(spec)
+        for seed in range(30):
+            rng = random.Random(seed)
+            cls = rng.choice(["binary", "two_value", "integer"])
+            inst = random_instance(rng.randint(2, 3), rng.randint(1, 6), cls, 3, seed=seed)
+            maxima = enumerate_maximizers(inst, fn)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, "ceil", lambda _: solver._STATE_CAP)
+                with pytest.raises(EnumerationCapExceeded, match=f": {len(maxima.allocations)} surviving assignments$"):
+                    enumerate_maximizers(inst, fn)
 
     def test_a_long_row_is_answered(self):
         # 2**1100 assignments, but the pruned layers stay small and the set has one member
@@ -664,7 +758,7 @@ class TestLazyPrecision:
         return sums
 
     def test_enumeration(self, monkeypatch):
-        score = solver._scoring(self.INST, solver._ValueCache(MHW, DEFAULT_PRECISION_BITS, self.INST.scale))
+        score = solver._scoring(self.INST, MHW)
         survivors, _, _ = bounded_survivors(walk(self.INST), score)
         read = self.residues(x for _, u in survivors for x in u)
         calls = self.digamma_calls(monkeypatch)
