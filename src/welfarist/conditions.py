@@ -24,16 +24,12 @@ f(c) + f(d) each row (a, b) admits, but its admitted pairs are not a prefix of
 one vector, so it keeps that scan beside ``_grid_cells``.  C1a demands
 equality, and a float difference can prove two values unequal but never prove
 them equal, so C1a has no prescreen: each of its tuples goes to ``violates``,
-except under the closed form for shifted logs and pmean:0, which reads no
-value.  C5 keeps its own loop over
-chained increments.  C3b takes one of three routes by family.  For shifted
-logs (and pmean:0, which is log) it reduces to one rational inequality in a,
-the same in every row, so no float is read: the first violating tuple, if
-any, is the only suspect.  For harmonic shifts c >= -1/2 and the other power
-means the middle increment is monotone in a (proved above ``_monotone_c3b``),
-so each row is settled at its two ends and one float bisection.  The chunked
-float scan serves the families where no such fact is known: combinations,
-tables and harmonic shifts c < -1/2.
+except where f declares a log shift, which decides C1a in closed form.  C5
+keeps its own loop over chained increments.  C3b takes the route that what f
+declares allows: with a log shift it reduces to one rational inequality in a,
+read from no float; with a known trend of the middle increment in a, each row
+is settled at its two ends and one float search; otherwise the chunked float
+scan reads every tuple.
 """
 
 from __future__ import annotations
@@ -264,13 +260,6 @@ def _margin(fn: WelfareFunction, upto: int) -> float:
     return max(1e-9, 16.0 * fn.table_error_bound(upto))
 
 
-def _log_shift(fn: WelfareFunction) -> Fraction | None:
-    """c where f(x) = log(x + c) (shifted logs; pmean:0 is log, c = 0), else None."""
-    if isinstance(fn, ModLog):
-        return fn.c
-    return Fraction(0) if isinstance(fn, PMean) and fn.p == 0 else None
-
-
 def _table(fn: WelfareFunction, upto: int) -> tuple[np.ndarray, float]:
     """Float f(0..upto) and its margin."""
     return _approx(fn, np.arange(upto + 1)), _margin(fn, upto)
@@ -384,15 +373,15 @@ def _suspects_c1(fn, bounds):
 # the smallest grid point finds the first unequal pair.  No float difference
 # proves two values equal, so each such tuple is a suspect, and ``violates``
 # builds its two increments once.
-# For f(x) = log(x + c), c >= 0, Delta_k(x) = log(1 + x / (kx + c)), whose
-# derivative in x has the sign of c / (kx + c)^2: constant at c = 0, so nothing
-# violates, and strictly increasing for c > 0, so every x < y violates and the
-# first tuple, k = 1 at the two least distinct grid points, is the only suspect.
+# Where f declares a log shift c >= 0, Delta_k = mid_{k-1} is constant in x at
+# c = 0, so nothing violates, and strictly increasing for c > 0 (its
+# ``mid_trend``), so every x < y violates and the first tuple, k = 1 at the
+# two least distinct grid points, is the only suspect.
 def _suspects_c1a(fn, bounds):
     grid = sorted(bounds.real_grid)
     if grid[0] <= 0:
         raise ValueError("argument must be positive")
-    c = _log_shift(fn)
+    c = fn.log_shift
     if c is not None:
         y = next((y for y in grid if y > grid[0]), None)
         if c > 0 and y is not None:
@@ -455,26 +444,21 @@ _C3B_CHUNK = 1 << 16
 
 # tuple order (k, a); the report's lhs and rhs are the sides of the failing
 # inequality of the chain Delta_k(1) > mid_k(a) > Delta_{k+2}(1), where
-# mid_k(a) = Delta_{k+1}(a).  Three routes, by what is known of mid_k:
-# - shifted logs, and pmean:0 = log, decide the chain in closed form;
-# - harmonic shifts c >= -1/2 and the other power means, whose mid_k is
-#   monotone in a, settle each row at its ends and one float bisection;
-# - the float scan serves the rest: combinations and tables, whose mid_k may
-#   turn, and harmonic shifts c < -1/2, whose mid_k is decreasing at c = -1
-#   but not monotone at c = -0.55, where mid_0 rises up to a = 3 and then falls.
+# mid_k(a) = Delta_{k+1}(a).  The route follows what f declares: a log shift
+# decides the chain in closed form; a ``mid_trend`` settles each row at its
+# ends and one float search; the float scan serves the rest, whose mid_k may
+# turn.
 def _suspects_c3b(fn, bounds):
-    if _log_shift(fn) is not None:
+    if fn.log_shift is not None:
         return _shifted_log_c3b(fn, bounds)
-    if isinstance(fn, PMean):
-        return _monotone_c3b(fn, bounds, increasing=fn.p > 0)
-    if isinstance(fn, ModHarmonic) and fn.c >= Fraction(-1, 2):
-        return _monotone_c3b(fn, bounds, increasing=True)
+    if fn.mid_trend is not None:
+        return _monotone_c3b(fn, bounds)
     return _scan_c3b(fn, bounds)
 
 
-# For f(x) = log(x + c), c >= 0 (log and pmean:0 are c = 0), every increment
-# is the log of a rational, Delta_t(x) = log(((t+1)x + c) / (tx + c)), and
-# log p > log q iff p > q.  Cross-multiplying the chain's two inequalities leaves
+# For f(x) = w log(x + c) + b, w > 0 and c >= 0, every increment is w times the
+# log of a rational, Delta_t(x) = w log(((t+1)x + c) / (tx + c)), and
+# w log p > w log q iff p > q.  Cross-multiplying the chain's two inequalities leaves
 #   left:  (k+1+c)((k+1)a+c) - (k+c)((k+2)a+c) = a + c - ac > 0,
 #   right: ((k+2)a+c)(k+2+c) - ((k+1)a+c)(k+3+c) = a + ac - c > 0,
 # whatever k (at k = c = 0, Delta_0(1) = +inf and the left side holds too).
@@ -483,7 +467,7 @@ def _suspects_c3b(fn, bounds):
 # from a = c / (c - 1) on, in every row.
 # So the first violating tuple is k = 0 at the least such a, the only suspect.
 def _shifted_log_c3b(fn, bounds):
-    c = _log_shift(fn)
+    c = fn.log_shift
     if c > 1:
         a = math.ceil(c / (c - 1))
         if a <= bounds.a_max:
@@ -503,29 +487,8 @@ def _shifted_log_c3b(fn, bounds):
 # order, so the first confirmed witness is the scan's.  The search splits
 # [lo, hi] 65 ways per float call, so a row costs about log(a_max) / log(65)
 # calls until it yields (3 at a_max = 2^17), and no chunk-sized table is built.
-#
-# Power means: Delta_t(x) = +-x^p((t+1)^p - t^p), so mid_k(a) =
-# a^p |(k+2)^p - (k+1)^p|, increasing for p > 0 and decreasing for p < 0.
-#
-# Harmonic h_c, c >= -1/2: mid_k is strictly increasing in real a > 0.  Proof.
-# For u > 0, coth u = 1/u + sum_{n>=1} 2u/(u^2 + n^2 pi^2) gives
-# 1/u < coth u < 1/u + u/3, since sum 1/n^2 = pi^2/6.  With
-# t/(1 - e^-t) = (t/2) coth(t/2) + t/2 this is
-#   1 + t/2 < t/(1 - e^-t) < 1 + t/2 + t^2/12   (t > 0).
-# Put into psi'(y) = sum_{n>=0} 1/(y+n)^2 = int_0^inf t e^-yt / (1 - e^-t) dt
-# (each 1/(y+n)^2 = int_0^inf t e^-(y+n)t dt, summed as a geometric series)
-# and its derivative -psi''(y) = int_0^inf t^2 e^-yt / (1 - e^-t) dt, and
-# integrated term by term, for y > 0:
-#   psi'(y) > 1/y + 1/(2y^2),   -psi''(y) < 1/y^2 + 1/y^3 + 1/(2y^4).
-# With s = c + 1, mid_k(a) = psi((k+2)a + s) - psi((k+1)a + s), whose
-# derivative in a is phi(k+2) - phi(k+1) for phi(t) = t psi'(ta + s).  At
-# y = ta + s (t, a > 0), phi'(t) = psi'(y) + (y - s) psi''(y)
-#   > 1/y + 1/(2y^2) - (y - s)(1/y^2 + 1/y^3 + 1/(2y^4))
-#   = (s - 1/2)(1/y^2 + 1/y^3) + s/(2y^4),
-# which is > 0 for s >= 1/2.  So phi increases, mid_k increases in real a,
-# and so on the integers.  test_conditions.py checks both polygamma bounds at
-# 200 bits on y in [3/2, 10^6] (y >= 3/2 for a >= 1).
-def _monotone_c3b(fn, bounds, increasing):
+# Each family's ``mid_trend`` carries its proof.
+def _monotone_c3b(fn, bounds):
     a_max = bounds.a_max
     margin = _margin(fn, (bounds.k_max + 3) * a_max)
     unit = np.diff(_approx(fn, np.arange(bounds.k_max + 4)))  # f(t+1) - f(t)
@@ -537,7 +500,7 @@ def _monotone_c3b(fn, bounds, increasing):
         mid = f[len(a) :] - f[: len(a)]
         left = _suspect(unit[k], mid, margin)
         right = _suspect(mid, unit[k + 2], margin)
-        return left | right, left if increasing else right
+        return left | right, left if fn.mid_trend > 0 else right
 
     # every row's two weak ends at once: the chain at a = 1, the suffix inequality at a_max
     rows = bounds.k_max + 1
@@ -726,23 +689,19 @@ def analytic_verdict(fn: WelfareFunction, cond: ConditionId) -> bool | None:
     """Closed-form satisfaction verdict where a proved characterization covers
     the (family, condition) pair; None where none does.
 
-    The table combines the per-family threshold results (shifted logs satisfy
-    the integer chain iff 0 <= c <= 1; modified harmonics iff
+    The table combines the per-family threshold results (an f with a log
+    shift c satisfies the integer chain iff 0 <= c <= 1; modified harmonics iff
     c <= 1/log2 - 1; power means satisfy C4 iff p < 1) with the implication
     graph between the conditions.
     """
     policy = PrecisionPolicy()
-    if isinstance(fn, ModLog):
-        if fn.c == 0:
-            return True
-        in_chain = fn.c <= 1
-        if cond in _INTEGER_CHAIN or cond in _GENERAL_CHAIN:
-            return in_chain
-        if cond is ConditionId.C4:
-            return True if in_chain else None
+    c = fn.log_shift
+    if c is not None:
         if cond in _LOG_EQUIV:
-            return False  # finite value at 0, so not of the form a*log(x)+b
-        return None
+            return c == 0  # for c > 0, f(0) is finite, so f is not a*log(x)+b
+        if cond is ConditionId.C4:
+            return True if c <= 1 else None
+        return c <= 1  # the integer and general chains
     if isinstance(fn, ModHarmonic):
         below = _harmonic_below_threshold(fn.c, policy)
         if cond in _INTEGER_CHAIN:
@@ -759,20 +718,13 @@ def analytic_verdict(fn: WelfareFunction, cond: ConditionId) -> bool | None:
             return False  # fails EF1 on two-agent normalized instances
         return None
     if isinstance(fn, PMean):
-        if fn.p == 0:
-            return True
         if cond is ConditionId.C4:
             return fn.p < 1
-        if cond in _INTEGER_CHAIN or cond in _GENERAL_CHAIN:
-            return False  # only the 0-mean satisfies the integer chain
-        if cond in {ConditionId.C1, ConditionId.C1A}:
-            return False
         if cond is ConditionId.C2:
             if fn.p < 0:
                 return True
-            if fn.p >= 1:
-                return False  # not strictly concave
-            return None
+            return False if fn.p >= 1 else None  # p >= 1: not strictly concave
+        return False  # C1, C1a, and the chains, which only the 0-mean satisfies
     return None
 
 

@@ -141,6 +141,12 @@ class WelfareFunction(ABC):
     """A function f: R>=0 -> R u {-inf} applied to each agent's bundle utility."""
 
     strictly_increasing: bool = True
+    # c where f(x) = w*log(x + c) + b with w > 0, else None: the conditions
+    # compare increments, so such an f decides each one as log(x + c) does
+    log_shift: Fraction | None = None
+    # +1, -1 or 0 where mid_k(a) = f((k+2)a) - f((k+1)a) strictly increases, strictly
+    # decreases or stays constant in real a > 0 for every k >= 0; None where not known
+    mid_trend: int | None = None
 
     @abstractmethod
     def value_at(self, x: Fraction, bits: int = DEFAULT_PRECISION_BITS) -> ExtendedValue:
@@ -203,6 +209,10 @@ class ModLog(WelfareFunction):
         if self.c < 0:
             raise ValueError("shift must be >= 0")
 
+    log_shift = property(lambda self: self.c)
+    # mid_k(a) = log(((k+2)a + c) / ((k+1)a + c)) has a-derivative c / ((k+2)a + c)((k+1)a + c)
+    mid_trend = property(lambda self: 1 if self.c else 0)
+
     def value_at(self, x, bits=DEFAULT_PRECISION_BITS):
         x = Fraction(x)
         if x < 0:
@@ -247,6 +257,27 @@ class ModHarmonic(WelfareFunction):
         self.c = _fraction(c)
         if self.c < -1:
             raise ValueError("shift must be >= -1")
+
+    # For c >= -1/2, mid_k is strictly increasing in real a > 0.  Proof.
+    # For u > 0, coth u = 1/u + sum_{n>=1} 2u/(u^2 + n^2 pi^2) gives
+    # 1/u < coth u < 1/u + u/3, since sum 1/n^2 = pi^2/6.  With
+    # t/(1 - e^-t) = (t/2) coth(t/2) + t/2 this is
+    #   1 + t/2 < t/(1 - e^-t) < 1 + t/2 + t^2/12   (t > 0).
+    # Put into psi'(y) = sum_{n>=0} 1/(y+n)^2 = int_0^inf t e^-yt / (1 - e^-t) dt
+    # (each 1/(y+n)^2 = int_0^inf t e^-(y+n)t dt, summed as a geometric series)
+    # and its derivative -psi''(y) = int_0^inf t^2 e^-yt / (1 - e^-t) dt, and
+    # integrated term by term, for y > 0:
+    #   psi'(y) > 1/y + 1/(2y^2),   -psi''(y) < 1/y^2 + 1/y^3 + 1/(2y^4).
+    # With s = c + 1, mid_k(a) = psi((k+2)a + s) - psi((k+1)a + s), whose
+    # derivative in a is phi(k+2) - phi(k+1) for phi(t) = t psi'(ta + s).  At
+    # y = ta + s (t, a > 0), phi'(t) = psi'(y) + (y - s) psi''(y)
+    #   > 1/y + 1/(2y^2) - (y - s)(1/y^2 + 1/y^3 + 1/(2y^4))
+    #   = (s - 1/2)(1/y^2 + 1/y^3) + s/(2y^4),
+    # which is > 0 for s >= 1/2.  So phi increases, and so does mid_k.
+    # test_conditions.py checks both polygamma bounds at 200 bits on y in
+    # [3/2, 10^6] (y >= 3/2 for a >= 1).  Below c = -1/2 the trend is unknown:
+    # mid_k decreases at c = -1, but at c = -0.55 mid_0 rises up to a = 3, then falls.
+    mid_trend = property(lambda self: 1 if self.c >= Fraction(-1, 2) else None)
 
     def value_at(self, x, bits=DEFAULT_PRECISION_BITS):
         x = Fraction(x)
@@ -406,6 +437,10 @@ class PMean(WelfareFunction):
     def __init__(self, p):
         self.p = _fraction(p)
 
+    log_shift = property(lambda self: Fraction(0) if self.p == 0 else None)  # pmean:0 is log
+    # sign(p): for p != 0, Delta_t(x) = +-x^p((t+1)^p - t^p), so mid_k(a) = a^p |(k+2)^p - (k+1)^p|
+    mid_trend = property(lambda self: (self.p > 0) - (self.p < 0))
+
     def value_at(self, x, bits=DEFAULT_PRECISION_BITS):
         x = Fraction(x)
         p = self.p
@@ -491,6 +526,19 @@ class LinearCombo(WelfareFunction):
         if not parsed:
             raise ValueError("empty combination")
         self.terms = tuple(parsed)
+
+    @property
+    def log_shift(self):
+        """The one shift every term shares, if they share one."""
+        shifts = {fn.log_shift for _, fn in self.terms}
+        return shifts.pop() if len(shifts) == 1 else None
+
+    @property
+    def mid_trend(self):
+        """The terms' one nonzero trend, or 0 if all are constant: mid_k of a positive
+        combination is the weighted sum of theirs.  None if one is unknown or two oppose."""
+        trends = {fn.mid_trend for _, fn in self.terms} - {0} or {0}
+        return trends.pop() if len(trends) == 1 else None
 
     def value_at(self, x, bits=DEFAULT_PRECISION_BITS):
         parts = []

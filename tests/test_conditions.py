@@ -34,7 +34,17 @@ from welfarist.conditions import (
     threshold_bisect,
     violates,
 )
-from welfarist.functions import Log, ModHarmonic, ModLog, WelfareFunction, increment, parse_welfare
+from welfarist.functions import (
+    LinearCombo,
+    Log,
+    ModHarmonic,
+    ModLog,
+    PMean,
+    PiecewiseTable,
+    WelfareFunction,
+    increment,
+    parse_welfare,
+)
 from welfarist.values import PRECISION_CEILING_ENV, Relation, compare
 
 SMALL_GRID = tuple(Fraction(j, 4) for j in range(1, 13))
@@ -432,13 +442,17 @@ _LOG_SHIFTS = st.one_of(
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     st.one_of(st.none(), _LOG_SHIFTS),
+    st.booleans(),
     st.integers(2, 8),
     st.one_of(st.integers(1, 2**17), st.sampled_from([1, 2, 2**17])),
 )
-def test_c3b_closed_form_matches_the_scan(c, k_max, a_max):
-    """Log and ModLog reports are the same through both routes, also on the
-    boxes whose a_max is the scan's witness a and the one below it."""
+def test_c3b_closed_form_matches_the_scan(c, combo, k_max, a_max):
+    """Log, ModLog and positive combinations of one shift report the same
+    through both routes, also on the boxes whose a_max is the scan's witness a
+    and the one below it."""
     fn = Log() if c is None else ModLog(c)
+    if combo:
+        fn = LinearCombo([(Fraction(1, 3), fn), (5, ModLog(fn.c))])
     closed, scan = _c3b_reports(fn, Bounds(k_max=k_max, a_max=a_max))
     assert closed == scan
     if scan["verdict"] == VIOLATED:
@@ -460,20 +474,48 @@ _POWERS = st.builds(
     st.integers(1, 3),
 )
 
+# positive combinations with no shared log shift whose terms all share one
+# trend or are constant (log, pmean:0)
+_SHARED_TREND_COMBOS = st.builds(
+    lambda terms, weights: LinearCombo(list(zip(weights, terms))),
+    st.one_of(
+        st.lists(
+            st.one_of(
+                st.builds(ModHarmonic, _HARMONIC_SHIFTS),
+                st.builds(PMean, _POWERS.filter(lambda p: p > 0)),
+                st.builds(ModLog, st.fractions(min_value=0, max_value=3, max_denominator=8)),
+                st.just(Log()),
+            ),
+            min_size=2,
+            max_size=3,
+        ),
+        st.lists(
+            st.one_of(st.builds(PMean, _POWERS.filter(lambda p: p < 0)), st.just(PMean(0))),
+            min_size=2,
+            max_size=3,
+        ),
+    ),
+    st.lists(st.fractions(min_value=Fraction(1, 8), max_value=40, max_denominator=8), min_size=3, max_size=3),
+).filter(lambda fn: fn.log_shift is None)
+
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
-    st.one_of(st.builds(ModHarmonic, _HARMONIC_SHIFTS), st.builds(functions.PMean, _POWERS)),
+    st.one_of(st.builds(ModHarmonic, _HARMONIC_SHIFTS), st.builds(PMean, _POWERS), _SHARED_TREND_COMBOS),
     st.integers(2, 8),
     st.one_of(st.integers(1, 2**15), st.sampled_from([1, 2, 2**15])),
 )
 @example(ModHarmonic(Fraction(907, 2048)), 3, 2**15)
 @example(ModHarmonic(Fraction(1813, 4096)), 8, 2**15)
 @example(ModHarmonic(Fraction(-1, 2)), 8, 2**15)
+@example(parse_welfare("combo:1*pmean:0+40*pmean:-1"), 8, 2**15)
+@example(parse_welfare("combo:1*log+1*modlog:1"), 8, 2**15)
+@example(parse_welfare("combo:1*harmonic:0+1/4*pmean:2"), 8, 2**15)
 def test_c3b_monotone_route_matches_the_scan(fn, k_max, a_max):
-    """Harmonic (c >= -1/2) and power-mean (p != 0) reports are the same
-    through the monotone route and the scan, also on the boxes whose a_max is
-    the scan's witness a and the one below it."""
+    """Harmonic (c >= -1/2), power-mean (p != 0) and shared-trend combination
+    reports are the same through the monotone route and the scan, also on the
+    boxes whose a_max is the scan's witness a and the one below it."""
+    assert fn.mid_trend is not None and fn.log_shift is None
     routed, scan = _c3b_reports(fn, Bounds(k_max=k_max, a_max=a_max))
     assert routed == scan
     if scan["verdict"] == VIOLATED:
@@ -484,14 +526,46 @@ def test_c3b_monotone_route_matches_the_scan(fn, k_max, a_max):
 
 
 @pytest.mark.parametrize(
-    "spec", ["log", "modlog:2", "pmean:0", "pmean:1/3", "pmean:-2", "harmonic:-1/2", "harmonic:3"]
+    "spec",
+    [
+        "log",
+        "modlog:2",
+        "pmean:0",
+        "pmean:1/3",
+        "pmean:-2",
+        "harmonic:-1/2",
+        "harmonic:3",
+        "combo:1*log+1*modlog:1",
+        "combo:1*pmean:0+40*pmean:-1",
+    ],
 )
 def test_c3b_monotone_and_closed_routes_build_no_table(spec, monkeypatch):
-    """Shifted logs, power means and harmonic shifts c >= -1/2 never reach the
-    scan, so an a_max of 2^30 costs them a few float evaluations per row."""
+    """Shifted logs, power means, harmonic shifts c >= -1/2 and combinations
+    of one trend never reach the scan, so an a_max of 2^30 costs them a few
+    float evaluations per row."""
     monkeypatch.setattr(conditions, "_scan_c3b", None)
     report = check_condition(parse_welfare(spec), ConditionId.C3B, Bounds(k_max=3, a_max=2**30))
-    assert report.verdict == (NO_VIOLATION if spec in {"log", "pmean:0", "harmonic:-1/2"} else VIOLATED)
+    holds = {"log", "pmean:0", "harmonic:-1/2", "combo:1*log+1*modlog:1"}
+    assert report.verdict == (NO_VIOLATION if spec in holds else VIOLATED)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        parse_welfare("combo:1*pmean:1/2+1*pmean:-1"),
+        parse_welfare("combo:1*harmonic:1+1*pmean:-2"),
+        parse_welfare("combo:1*log+1*harmonic:-3/4"),
+        LinearCombo([(1, Log()), (2, PiecewiseTable([0, 1], [1, 2]))]),
+    ],
+)
+def test_a_combination_without_a_trend_takes_the_scan(fn, monkeypatch):
+    """Opposing trends, or a term with none (harmonic c < -1/2, a table),
+    leave the combination no trend, so C3b reads it through the float scan."""
+    assert fn.log_shift is None and fn.mid_trend is None
+    scanned = []
+    monkeypatch.setattr(conditions, "_scan_c3b", lambda fn, bounds: iter(scanned.append(fn) or ()))
+    assert check_condition(fn, ConditionId.C3B, Bounds()).verdict == NO_VIOLATION
+    assert scanned == [fn]
 
 
 def test_the_harmonic_route_polygamma_bounds_hold():
@@ -693,10 +767,12 @@ _GRID_POINTS = st.one_of(
 )
 @example(Fraction(1, 3), [Fraction(2), Fraction(2), Fraction(1, 2), Fraction(1, 2)], 2)
 def test_c1a_closed_form_matches_the_exact_loop(c, grid, k_max):
-    """For shifted logs and pmean:0 the closed form reports what the exact loop
-    reports, and on two or more distinct points agrees with analytic_verdict."""
+    """For shifted logs, pmean:0 and a positive combination of one shift the
+    closed form reports what the exact loop reports, and on two or more
+    distinct points agrees with analytic_verdict."""
     bounds = Bounds(k_max=k_max, real_grid=tuple(grid))
-    for fn in [ModLog(c)] + ([Log(), functions.PMean(0)] if c == 0 else []):
+    one_shift = LinearCombo([(2, ModLog(c)), (Fraction(1, 3), ModLog(c))])
+    for fn in [ModLog(c), one_shift] + ([Log(), PMean(0)] if c == 0 else []):
         closed = check_condition(fn, ConditionId.C1A, bounds).to_json_dict()
         with pytest.MonkeyPatch.context() as patch:
             patch.setitem(conditions._SUSPECTS, ConditionId.C1A, _c1a_exact_loop)
@@ -729,9 +805,9 @@ def test_c1a_builds_each_increment_once(spec, monkeypatch):
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("spec", ["log", "pmean:0"])
+@pytest.mark.parametrize("spec", ["log", "pmean:0", "combo:1*log+2*log"])
 def test_log_c1a_reads_no_value(spec, monkeypatch):
-    """Delta_k is constant for log: C1a builds and compares no increment."""
+    """Delta_k is constant for log (and w*log + b): C1a builds and compares no increment."""
     monkeypatch.setattr(conditions, "delta", None)
     monkeypatch.setattr(conditions, "compare", None)
     grid = tuple(Fraction(j, 8) for j in range(1, 401))
@@ -768,7 +844,7 @@ class TestAnalyticVerdicts:
             is None
         )
 
-    @pytest.mark.parametrize("spec", BATTERY)
+    @pytest.mark.parametrize("spec", BATTERY + ["combo:1*log+2*log", "combo:1*modlog:2+3*modlog:2"])
     def test_never_contradicts_bounded_checks(self, spec):
         real = {ConditionId.C1, ConditionId.C1A, ConditionId.C2}
         fn = parse_welfare(spec)
@@ -785,6 +861,82 @@ class TestAnalyticVerdicts:
                     # integer witnesses may need grown bounds
                     report = find_witness_adaptive(fn, cond, bounds, a_cap=1 << 12)
                 assert report.verdict == VIOLATED, (spec, cond)
+
+
+def _reference_verdict(fn, cond):
+    """analytic_verdict's per-family table as it read before the families
+    declared their log shift, kept as a reference implementation; the
+    harmonic threshold c <= 1/log 2 - 1 is decided in mpmath at 200 bits."""
+    integer_chain = {ConditionId.C3, ConditionId.C3A, ConditionId.C3B, ConditionId.C5}
+    general_chain = {ConditionId.C6A, ConditionId.C6B}
+    if isinstance(fn, ModLog):
+        if fn.c == 0:
+            return True
+        in_chain = fn.c <= 1
+        if cond in integer_chain or cond in general_chain:
+            return in_chain
+        if cond is ConditionId.C4:
+            return True if in_chain else None
+        if cond in {ConditionId.C1, ConditionId.C1A, ConditionId.C2}:
+            return False
+        return None
+    if isinstance(fn, ModHarmonic):
+        with mpmath.workprec(200):
+            below = bool((1 + mpmath.mpf(fn.c.numerator) / fn.c.denominator) * mpmath.log(2) < 1)
+        if cond in integer_chain:
+            return below
+        if cond in general_chain:
+            if fn.c < Fraction(-1, 2):
+                return False
+            if not below:
+                return False
+            return None
+        if cond is ConditionId.C4:
+            return True if below else None
+        if cond is ConditionId.C2 and fn.c > -1:
+            return False
+        return None
+    if isinstance(fn, PMean):
+        if fn.p == 0:
+            return True
+        if cond is ConditionId.C4:
+            return fn.p < 1
+        if cond in integer_chain or cond in general_chain:
+            return False
+        if cond in {ConditionId.C1, ConditionId.C1A}:
+            return False
+        if cond is ConditionId.C2:
+            if fn.p < 0:
+                return True
+            if fn.p >= 1:
+                return False
+            return None
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.just(Log()),
+        st.builds(ModLog, st.fractions(min_value=0, max_value=3, max_denominator=64)),
+        st.builds(
+            ModHarmonic,
+            st.one_of(
+                # the criterion-6 bracket around 1/log 2 - 1, and the ends of the range
+                st.sampled_from([Fraction(7253, 16384), Fraction(3627, 8192), Fraction(-1), Fraction(-1, 2)]),
+                st.fractions(min_value=-1, max_value=3, max_denominator=64),
+            ),
+        ),
+        st.builds(PMean, st.fractions(min_value=-3, max_value=3, max_denominator=64)),
+    )
+)
+@example(ModLog(0))
+@example(ModLog(1))
+@example(PMean(0))
+@example(PMean(1))
+def test_analytic_verdict_matches_the_per_family_table(fn):
+    for cond in ConditionId:
+        assert analytic_verdict(fn, cond) is _reference_verdict(fn, cond), (fn, cond)
 
 
 class TestImplicationScan:

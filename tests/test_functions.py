@@ -174,6 +174,48 @@ def test_delta_positive_on_grid():
                 assert compare(d, ExactValue.from_rational(0)).relation is Relation.GREATER
 
 
+_SHAPES = [
+    ("log", 0, 0),
+    ("modlog:0", 0, 0),
+    ("modlog:1/3", Fraction(1, 3), 1),
+    ("pmean:0", 0, 0),
+    ("pmean:1/2", None, 1),
+    ("pmean:-2", None, -1),
+    ("harmonic:-1/2", None, 1),
+    ("harmonic:3", None, 1),
+    ("harmonic:-3/4", None, None),
+    ("harmonic:-1", None, None),
+    ("combo:1*log+2*pmean:0", 0, 0),
+    ("combo:1*modlog:2+3*modlog:2", 2, 1),
+    ("combo:1*log+1*modlog:1", None, 1),
+    ("combo:1*pmean:0+40*pmean:-1", None, -1),
+    ("combo:1*harmonic:0+1/4*pmean:2", None, 1),
+    ("combo:1*pmean:1+1*pmean:-1", None, None),
+    ("combo:1*harmonic:0+1*harmonic:-1", None, None),
+]
+
+
+@pytest.mark.parametrize("spec, shift, trend", _SHAPES)
+def test_declared_shape(spec, shift, trend):
+    fn = parse_welfare(spec)
+    assert (fn.log_shift, fn.mid_trend) == (shift, trend)
+    table = PiecewiseTable([0, 1], [1, 2])
+    assert (table.log_shift, table.mid_trend) == (None, None)
+    assert LinearCombo([(1, fn), (1, table)]).mid_trend is None
+
+
+@pytest.mark.parametrize("spec, trend", [(s, t) for s, _, t in _SHAPES if t is not None])
+def test_mid_trend_orders_the_middle_increments(spec, trend):
+    """mid_k(a) = Delta_{k+1}(a) moves in a the way the family declares."""
+    fn = parse_welfare(spec)
+    expected = {1: Relation.LESS, -1: Relation.GREATER, 0: Relation.EQUAL}[trend]
+    grid = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3), Fraction(8), Fraction(40)]
+    for k in range(4):
+        mids = [delta(fn, k + 1, a) for a in grid]
+        for lo, hi in zip(mids, mids[1:]):
+            assert compare(lo, hi).relation is expected, (k, lo, hi)
+
+
 class TestPiecewiseTable:
     def test_flat_region_and_flag(self):
         fn = PiecewiseTable([0, 1, 2], [1, 0, 1])
