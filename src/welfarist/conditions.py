@@ -12,7 +12,10 @@ lexicographic tuple order and yields every tuple its prescreen cannot clear.
 (``violates``), which evaluates and compares it once, and returns at the
 first confirmed violation, so a Violated verdict always carries an exactly
 verified witness, the first violating suspect in tuple order, with the pair
-that failed.  Every prescreen but C1a's reads f through the
+that failed.  Such a confirmation may be decided on exact bounds before any
+exact sum: a harmonic increment over 512 integers or more is deferred, and
+``compare`` sums it only when its two bounds do not settle the inequality.
+Every prescreen but C1a's reads f through the
 family's one float model, ``approx_array``, and clears a tuple only when the
 float difference passes one margin, ``max(1e-9, 16 * table_error_bound(upto))``,
 where upto bounds the arguments the scan reads.  A cleared tuple is not

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from math import gcd, inf, isqrt, lcm, nextafter, prod
+from math import ceil, gcd, inf, isqrt, lcm, nextafter, prod
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import mpmath
@@ -23,6 +23,7 @@ from .values import (
     NEG_INF,
     POS_INF,
     SCAN_BITS,
+    DeferredValue,
     ExactValue,
     ExtendedValue,
     Infinite,
@@ -42,6 +43,12 @@ _RECURRENCE_SPAN = 64
 # terms of one unreduced block sum in ModHarmonic.range_sum; the blocks' reduced
 # sums are added as Fractions in a balanced tree
 _SPLIT_BLOCK = 64
+# ModHarmonic.range_bounds adds the terms with t + c below this exactly, so that
+# its remainder bound 1/(240 z^8) is below 1e-12 wherever a window starts
+_EXACT_HEAD = 16
+# increment defers harmonic windows from this many terms on, where an exact sum
+# starts to cost more than two comparisons on the bounds (BENCH_33.json)
+_DEFER_TERMS = 512
 
 
 def _fraction(text) -> Fraction:
@@ -71,6 +78,12 @@ def _float_digamma_array(x: np.ndarray) -> np.ndarray:
     out = np.log(x) - inv * (0.5 + inv * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252))))
     out[low] -= recurrence
     return out
+
+
+def _psi_series(z: Fraction) -> Fraction:
+    """P(z) = psi(z) - log z - R(z) of ModHarmonic.range_bounds, in Horner form."""
+    w = 1 / (z * z)
+    return -1 / (2 * z) - w * (Fraction(1, 12) - w * (Fraction(1, 120) - w * Fraction(1, 252)))
 
 
 def _reciprocal_sum(qs: Sequence[int], i: int, j: int) -> tuple[int, int]:
@@ -320,6 +333,25 @@ class ModHarmonic(WelfareFunction):
                 paired.append(sums[-1])
             sums = paired
         return sums[0]
+
+    # DLMF 5.11.2 cut after K = 3 terms: psi(z) = log z + P(z) + R(z), where
+    # P(z) = -1/(2z) - sum_{k=1..3} B_2k/(2k z^2k) = -1/(2z) - 1/(12z^2) +
+    # 1/(120z^4) - 1/(252z^6), and for real z > 0 the remainder R(z) is bounded
+    # in magnitude by the first omitted term, -B_8/(8z^8) = 1/(240z^8), and has
+    # its sign (DLMF 5.11(ii)): 0 < R(z) < 1/(240z^8).  As psi(z+1) = psi(z) + 1/z,
+    # the terms t = t0..hi sum to psi(z1) - psi(z0), z0 = t0 + c, z1 = hi + c + 1,
+    # which lies strictly between base - 1/(240z0^8) and base + 1/(240z1^8) for
+    # base = log(z1/z0) + P(z1) - P(z0).  The terms with t + c < _EXACT_HEAD (at
+    # most 16) are added exactly, so z0 >= 16 unless the whole window is head;
+    # then z0 = z1 and the bounds are the exact sum -+ 1/(240z1^8).
+    def range_bounds(self, lo: int, hi: int) -> tuple[ExactValue, ExactValue]:
+        """Exact values lower < ``range_sum(lo, hi)`` < upper, each a rational
+        plus the log of one rational (proof above)."""
+        t0 = min(max(lo, ceil(_EXACT_HEAD - self.c)), hi + 1)
+        z0, z1 = t0 + self.c, hi + 1 + self.c
+        base = self.range_sum(lo, t0 - 1) + _psi_series(z1) - _psi_series(z0)
+        log = {z1 / z0: Fraction(1)}
+        return ExactValue(base - 1 / (240 * z0**8), log), ExactValue(base + 1 / (240 * z1**8), log)
 
     def values_at(self, xs, bits=DEFAULT_PRECISION_BITS):
         """``value_at`` at every x, with one exact prefix sum over the integers
@@ -608,7 +640,9 @@ class PiecewiseTable(WelfareFunction):
 
 
 def increment(fn: WelfareFunction, lo, hi) -> ExtendedValue:
-    """f(hi) - f(lo) for 0 <= lo <= hi at f's default precision; +inf exactly when f(lo) = -inf < f(hi)."""
+    """f(hi) - f(lo) for 0 <= lo <= hi at f's default precision; +inf exactly when f(lo) = -inf < f(hi).
+
+    A harmonic window of ``_DEFER_TERMS`` integers or more is deferred on its ``range_bounds``."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("arguments out of order")
@@ -618,7 +652,10 @@ def increment(fn: WelfareFunction, lo, hi) -> ExtendedValue:
         lo_i, hi_i = int(lo), int(hi)
         if fn.c == -1 and lo_i == 0:
             return POS_INF
-        return ExactValue.from_rational(fn.range_sum(lo_i + 1, hi_i))
+        exact = lambda: ExactValue.from_rational(fn.range_sum(lo_i + 1, hi_i))
+        if hi_i - lo_i >= _DEFER_TERMS:
+            return DeferredValue(*fn.range_bounds(lo_i + 1, hi_i), exact)
+        return exact()
     lower = fn.value_at(lo)
     if isinstance(lower, Infinite):
         return POS_INF

@@ -31,7 +31,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 import mpmath
 
@@ -243,6 +243,34 @@ class ExactValue:
         raise TypeError("ExactValue is not hashable")
 
 
+class DeferredValue:
+    """An exact value known first by two exact bounds, lower < value < upper:
+    :func:`compare` tries the bounds first, ``exact()`` builds the value once,
+    and any other attribute is read from the built value.  Not an
+    ``ExactValue``, so a reader of every exact operand's parts does not build it."""
+
+    __slots__ = ("lower", "upper", "_build", "_exact", "_enclosure")
+
+    def __init__(self, lower: ExactValue, upper: ExactValue, build: Callable[[], ExactValue]):
+        self.lower, self.upper, self._build = lower, upper, build
+        self._exact = self._enclosure = None
+
+    def exact(self) -> ExactValue:
+        if self._exact is None:
+            self._exact = self._build()
+        return self._exact
+
+    def enclosure(self, bits: int) -> "IntervalValue":
+        """Both bounds enclosed at ``bits``, kept for the next call at the same bits."""
+        if self._enclosure is None or self._enclosure.bits != bits:
+            low, high = evaluate_interval(self.lower, bits), evaluate_interval(self.upper, bits)
+            self._enclosure = IntervalValue(low.lo, high.hi, bits)
+        return self._enclosure
+
+    def __getattr__(self, name):
+        return getattr(self.exact(), name)
+
+
 class IntervalValue:
     """A certified enclosure [lo, hi] produced at a given working precision."""
 
@@ -277,7 +305,7 @@ class IntervalValue:
         return f"IntervalValue({self.lo!r}, {self.hi!r}, bits={self.bits})"
 
 
-ExtendedValue = Union[Infinite, ExactValue, IntervalValue]
+ExtendedValue = Union[Infinite, ExactValue, IntervalValue, DeferredValue]
 _ZERO = IntervalValue(0, 0, 0)  # exact at every precision
 
 
@@ -291,7 +319,7 @@ def value_sum(values: Iterable[ExtendedValue]) -> ExtendedValue:
             if sign and v.sign != sign:
                 raise ValueError("indeterminate sum of opposite infinities")
             sign = v.sign
-        elif isinstance(v, ExactValue):
+        elif isinstance(v, (ExactValue, DeferredValue)):
             exact = exact.add(v)
         elif isinstance(v, IntervalValue):
             intervals.append(v)
@@ -420,7 +448,7 @@ def _exact_sign(value: ExactValue, policy: PrecisionPolicy) -> ValueOrdering:
 
 
 def _as_value(operand) -> ExtendedValue:
-    if isinstance(operand, (Infinite, ExactValue, IntervalValue)):
+    if isinstance(operand, (Infinite, ExactValue, IntervalValue, DeferredValue)):
         return operand
     if isinstance(operand, (int, Fraction)):
         return ExactValue.from_rational(operand)
@@ -434,6 +462,9 @@ def compare(lhs, rhs, policy: PrecisionPolicy | None = None) -> ValueOrdering:
     surd combinations exactly through big-rational products and linear
     independence; tier 3 refines intervals along ``policy.schedule()``, which
     ends at the ceiling.  Equal infinities of the same sign compare Equal.
+    A ``DeferredValue`` is first ordered by one enclosure of its two exact
+    bounds at the policy's first precision; only when that does not decide (a
+    near tie, or an equality) is its exact value built and compared as above.
     """
     policy = policy or PrecisionPolicy()
     left = _as_value(lhs)
@@ -442,6 +473,15 @@ def compare(lhs, rhs, policy: PrecisionPolicy | None = None) -> ValueOrdering:
         lsign = left.sign if isinstance(left, Infinite) else 0
         rsign = right.sign if isinstance(right, Infinite) else 0
         return EQUAL if lsign == rsign else GREATER if lsign > rsign else LESS
+    if isinstance(left, DeferredValue) or isinstance(right, DeferredValue):
+        # one pass at the first precision on the strict bounds' enclosure
+        bits = policy.start()
+        lenc, renc = _enclose(left, bits), _enclose(right, bits)
+        if lenc.hi < renc.lo:
+            return ValueOrdering(Relation.LESS, bits)
+        if renc.hi < lenc.lo:
+            return ValueOrdering(Relation.GREATER, bits)
+        left, right = (v.exact() if isinstance(v, DeferredValue) else v for v in (left, right))
     if isinstance(left, ExactValue) and isinstance(right, ExactValue):
         return _exact_sign(left.sub(right), policy)
     return _interval_compare(left, right, policy)
@@ -450,6 +490,8 @@ def compare(lhs, rhs, policy: PrecisionPolicy | None = None) -> ValueOrdering:
 def _enclose(value: ExtendedValue, bits: int) -> IntervalValue:
     if isinstance(value, IntervalValue):
         return value
+    if isinstance(value, DeferredValue):
+        return value.enclosure(bits)
     return evaluate_interval(value, bits)
 
 
@@ -479,6 +521,8 @@ def render_value(value: ExtendedValue) -> dict:
     """
     if isinstance(value, Infinite):
         return {"kind": "pos_inf" if value.sign > 0 else "neg_inf"}
+    if isinstance(value, DeferredValue):
+        value = value.exact()
     if isinstance(value, ExactValue):
         try:
             if value.is_rational:

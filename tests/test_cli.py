@@ -133,6 +133,8 @@ def test_condition_renders_a_witness_with_large_rationals(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["witness"] == {"k": 0, "a": 5574}
+    assert doc["lhs"] == {"kind": "rational", "value": "2048/2955"}
+    assert doc["rhs"] == {"kind": "exact", "decimal": "0.693062612682373356573091589855"}
 
 
 def test_condition_real_grid_witness_is_json(capsys):

@@ -45,7 +45,7 @@ from welfarist.functions import (
     increment,
     parse_welfare,
 )
-from welfarist.values import PRECISION_CEILING_ENV, Relation, compare
+from welfarist.values import PRECISION_CEILING_ENV, ExactValue, Relation, compare
 
 SMALL_GRID = tuple(Fraction(j, 4) for j in range(1, 13))
 SIX_POINTS = tuple(Fraction(j, 2) for j in range(1, 7))
@@ -693,6 +693,47 @@ def test_a_c3b_witness_sums_its_middle_term_once(monkeypatch):
     k, a = report.witness["k"], report.witness["a"]
     # mid = h((k+2)a) - h((k+1)a), the terms (k+1)a + 1 .. (k+2)a
     assert windows.count(((k + 1) * a + 1, (k + 2) * a)) == 1
+    # Near 1/log 2 - 1 the middle window has 5,574 terms: its two bounds
+    # decide the check, and only the rendered report sums it, once.
+    windows.clear()
+    report = check_condition(parse_welfare("harmonic:907/2048"), ConditionId.C3B, _NEAR_THRESHOLD_BOX)
+    assert (report.verdict, report.witness) == (VIOLATED, {"k": 0, "a": 5574})
+    assert _NEAR_THRESHOLD_MIDDLE not in windows
+    rendered = report.to_json_dict()
+    assert report.to_json_dict() == rendered == _NEAR_THRESHOLD_REPORT
+    assert windows.count(_NEAR_THRESHOLD_MIDDLE) == 1
+
+
+_NEAR_THRESHOLD_BOX = Bounds(k_max=3, a_max=51_200)
+_NEAR_THRESHOLD_MIDDLE = (5575, 11148)  # mid_0(5574) = h(11148) - h(5574)
+_NEAR_THRESHOLD_REPORT = {
+    "condition": "C3b",
+    "verdict": VIOLATED,
+    "bounds": {"k_max": 3, "a_max": 51_200},
+    "witness": {"k": 0, "a": 5574},
+    "lhs": {"kind": "rational", "value": "2048/2955"},
+    "rhs": {"kind": "exact", "decimal": "0.693062612682373356573091589855"},
+}
+
+
+def test_a_near_tie_takes_the_exact_route(monkeypatch):
+    """Bounds that straddle the other operand decide nothing: the window is
+    summed during the check, and verdict and report are the exact route's."""
+    windows = []
+    range_sum = ModHarmonic.range_sum
+
+    def counted(self, lo, hi):
+        windows.append((lo, hi))
+        return range_sum(self, lo, hi)
+
+    # 0 < mid_0(5574) < 2, and both 2048/2955 and 1/(3 + c) lie in between
+    wide = (ExactValue.from_rational(0), ExactValue.from_rational(2))
+    monkeypatch.setattr(ModHarmonic, "range_sum", counted)
+    monkeypatch.setattr(ModHarmonic, "range_bounds", lambda self, lo, hi: wide)
+    report = check_condition(parse_welfare("harmonic:907/2048"), ConditionId.C3B, _NEAR_THRESHOLD_BOX)
+    assert windows.count(_NEAR_THRESHOLD_MIDDLE) == 1
+    assert report.to_json_dict() == _NEAR_THRESHOLD_REPORT
+    assert windows.count(_NEAR_THRESHOLD_MIDDLE) == 1
 
 
 def _counted_compare(monkeypatch):

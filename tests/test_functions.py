@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from welfarist.functions import (
     LinearCombo,
@@ -22,6 +22,7 @@ from welfarist.functions import (
 from welfarist.values import (
     NEG_INF,
     POS_INF,
+    DeferredValue,
     ExactValue,
     Infinite,
     IntervalValue,
@@ -417,6 +418,49 @@ def test_range_sum_matches_a_plain_sum(c, length):
     fn = ModHarmonic(c)
     want = sum(Fraction(1) / (t + fn.c) for t in range(2, 2 + length))
     assert fn.range_sum(2, 1 + length) == want
+
+
+_NEAR_THRESHOLD = [Fraction(907, 2048), Fraction(3627, 8192), Fraction(7253, 16384)]
+
+
+@st.composite
+def _rational_shifts(draw):
+    """A rational in (-1, 3] with a denominator up to 2^13."""
+    den = draw(st.integers(1, 2**13))
+    return Fraction(draw(st.integers(-den + 1, 3 * den)), den)
+
+
+# c = -1, one of the bisection's shifts near 1/log 2 - 1, or a drawn rational
+_SHIFTS = st.sampled_from([Fraction(-1), *_NEAR_THRESHOLD]) | _rational_shifts()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_SHIFTS, st.integers(1, 10**4), st.integers(1, 3000))
+@example(Fraction(-1), 2, 15)  # the whole window in the exact head
+@example(Fraction(-1), 2, 16)  # one term past the head
+@example(Fraction(0), 1, 600)
+@example(Fraction(907, 2048), 5575, 5574)  # the bisection's C3b witness (length past 3000)
+@example(Fraction(1, 3), 9999, 1)
+def test_range_bounds_enclose_the_exact_sum(c, lo, length):
+    """lower < range_sum < upper, both strict, decided by the comparator."""
+    lo = max(lo, 2) if c == -1 else lo  # t = 1 is the divergent term of c = -1
+    fn = ModHarmonic(c)
+    lower, upper = fn.range_bounds(lo, lo + length - 1)
+    exact = ExactValue.from_rational(fn.range_sum(lo, lo + length - 1))
+    assert compare(lower, exact).relation is Relation.LESS
+    assert compare(exact, upper).relation is Relation.LESS
+
+
+@pytest.mark.parametrize("c, length, deferred", [("0", 511, False), ("0", 512, True), ("-1", 512, True)])
+def test_long_harmonic_windows_are_deferred(c, length, deferred):
+    """From 512 terms on an integer window is a DeferredValue built on demand,
+    with the exact sum's value; shorter windows are exact at once."""
+    fn = ModHarmonic(c)
+    value = increment(fn, 1, 1 + length)
+    assert isinstance(value, DeferredValue) is deferred
+    want = fn.range_sum(2, 1 + length)
+    assert value.as_fraction() == want  # any other reader gets the exact value
+    assert value_sum([value, ExactValue.from_rational(1)]).as_fraction() == want + 1
 
 
 @pytest.mark.parametrize("c", ["-1", "-3/4", "0", "3/7", "1"])

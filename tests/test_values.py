@@ -15,6 +15,7 @@ from welfarist.values import (
     NEG_INF,
     POS_INF,
     PRECISION_CEILING_ENV,
+    DeferredValue,
     ExactValue,
     IntervalValue,
     PrecisionPolicy,
@@ -115,6 +116,41 @@ class TestNormalization:
         got, ea, eb = (evaluate_interval(v, 200) for v in (a.sub(b), a, b))
         assert got.lo <= mpmath.fsub(ea.hi, eb.lo, exact=True)
         assert mpmath.fsub(ea.lo, eb.hi, exact=True) <= got.hi
+
+
+def _deferred(lower, upper, exact, builds):
+    """A DeferredValue over rationals whose builder counts its calls."""
+
+    def build():
+        builds.append(exact)
+        return ExactValue.from_rational(exact)
+
+    return DeferredValue(ExactValue.from_rational(lower), ExactValue.from_rational(upper), build)
+
+
+class TestDeferred:
+    def test_bounds_decide_without_building(self):
+        builds = []
+        value = _deferred(Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), builds)
+        assert rel(value, Fraction(11, 20)) is Relation.LESS
+        assert rel(Fraction(3, 10), value) is Relation.LESS
+        assert float_bounds(value)[0] < 1 / 3 and float_bounds(value)[1] > 1 / 2
+        assert rel(value, ExactValue.from_log(2)) is Relation.LESS
+        assert rel(value, POS_INF) is Relation.LESS and rel(NEG_INF, value) is Relation.LESS
+        other = _deferred(Fraction(3, 5), Fraction(1), Fraction(3, 4), builds)
+        assert rel(other, value) is Relation.GREATER
+        assert builds == []
+
+    def test_a_tie_builds_the_value_once(self):
+        builds = []
+        value = _deferred(Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), builds)
+        assert rel(value, Fraction(2, 5)) is Relation.EQUAL
+        assert rel(Fraction(3, 7), value) is Relation.GREATER  # inside the bounds
+        assert rel(value, Fraction(1, 2)) is Relation.LESS  # on an end
+        assert rel(value, _deferred(Fraction(1, 4), Fraction(3, 7), Fraction(2, 5), [])) is Relation.EQUAL
+        assert render_value(value) == {"kind": "rational", "value": "2/5"}
+        assert value.rational == Fraction(2, 5) and value_sum([value, value]).as_fraction() == Fraction(4, 5)
+        assert builds == [Fraction(2, 5)]
 
 
 class TestInfinities:
