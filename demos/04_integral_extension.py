@@ -29,7 +29,7 @@ for c, x in [(Fraction(0), Fraction(1, 2)), (Fraction(-1, 2), Fraction(7, 3))]:
     ev = ModHarmonic(c).value_at(x, 128)
     print(
         f"  c={str(c):>4} x={str(x):>4}:"
-        f"  quadrature midpoint = {mpmath.nstr(iv.midpoint(), 15)}"
+        f"  quadrature midpoint = {mpmath.nstr((iv.lo + iv.hi) / 2, 15)}"
         f"  digamma route = {mpmath.nstr(ev.midpoint(), 15)}"
     )
 

@@ -46,14 +46,7 @@ from typing import Callable
 import mpmath
 import numpy as np
 
-from .functions import (
-    ModHarmonic,
-    ModLog,
-    PMean,
-    WelfareFunction,
-    delta,
-    increment,
-)
+from .functions import WelfareFunction, delta, increment, parse_welfare
 from .values import (
     ExactValue,
     ExtendedValue,
@@ -672,65 +665,6 @@ def check_condition(
     return ConditionReport(cond, INCONCLUSIVE if inconclusive else NO_VIOLATION, bounds)
 
 
-# -- closed-form verdicts ----------------------------------------------------------
-
-_INTEGER_CHAIN = {ConditionId.C3, ConditionId.C3A, ConditionId.C3B, ConditionId.C5}
-_GENERAL_CHAIN = {ConditionId.C6A, ConditionId.C6B}
-_LOG_EQUIV = {ConditionId.C1, ConditionId.C1A, ConditionId.C2}
-
-
-def _harmonic_below_threshold(c: Fraction, policy: PrecisionPolicy) -> bool:
-    """Is c <= 1/log 2 - 1?  Decided as (1+c) log 2 vs 1 (equality impossible)."""
-    lhs = ExactValue(logs={Fraction(2): 1 + c})
-    ordering = compare(lhs, ExactValue.from_rational(1), policy)
-    if ordering.relation is Relation.INCONCLUSIVE:
-        raise RuntimeError("threshold comparison hit the precision ceiling")
-    return ordering.relation is Relation.LESS
-
-
-def analytic_verdict(fn: WelfareFunction, cond: ConditionId) -> bool | None:
-    """Closed-form satisfaction verdict where a proved characterization covers
-    the (family, condition) pair; None where none does.
-
-    The table combines the per-family threshold results (an f with a log
-    shift c satisfies the integer chain iff 0 <= c <= 1; modified harmonics iff
-    c <= 1/log2 - 1; power means satisfy C4 iff p < 1) with the implication
-    graph between the conditions.
-    """
-    policy = PrecisionPolicy()
-    c = fn.log_shift
-    if c is not None:
-        if cond in _LOG_EQUIV:
-            return c == 0  # for c > 0, f(0) is finite, so f is not a*log(x)+b
-        if cond is ConditionId.C4:
-            return True if c <= 1 else None
-        return c <= 1  # the integer and general chains
-    if isinstance(fn, ModHarmonic):
-        below = _harmonic_below_threshold(fn.c, policy)
-        if cond in _INTEGER_CHAIN:
-            return below
-        if cond in _GENERAL_CHAIN:
-            if fn.c < Fraction(-1, 2):
-                return False
-            if not below:
-                return False
-            return None  # open band [-1/2, 1/log2 - 1]
-        if cond is ConditionId.C4:
-            return True if below else None
-        if cond is ConditionId.C2 and fn.c > -1:
-            return False  # fails EF1 on two-agent normalized instances
-        return None
-    if isinstance(fn, PMean):
-        if cond is ConditionId.C4:
-            return fn.p < 1
-        if cond is ConditionId.C2:
-            if fn.p < 0:
-                return True
-            return False if fn.p >= 1 else None  # p >= 1: not strictly concave
-        return False  # C1, C1a, and the chains, which only the 0-mean satisfies
-    return None
-
-
 # -- implication graph -----------------------------------------------------------
 
 
@@ -793,6 +727,25 @@ IMPLICATIONS: tuple[tuple[ConditionId, ConditionId, Callable], ...] = (
     (ConditionId.C3A, ConditionId.C3B, _transfer_c3b_to_c3a),
     (ConditionId.C3B, ConditionId.C3, _transfer_c3_to_c3b),
 )
+# the arrows by condition id, the keys of WelfareFunction.closed_forms
+_ARROWS = tuple((stronger.value, weaker.value) for stronger, weaker, _ in IMPLICATIONS)
+
+
+def analytic_verdict(fn: WelfareFunction, cond: ConditionId) -> bool | None:
+    """Closed-form satisfaction verdict where a proved result covers the pair; None where none does.
+
+    The closure of ``fn.closed_forms()`` over ``IMPLICATIONS``: a condition
+    that holds carries to each weaker one, a failing one to each stronger one,
+    and a condition that no declared verdict reaches stays None.
+    """
+    verdicts = dict(fn.closed_forms())
+    for _ in ConditionId:  # one pass per condition carries a verdict along every path
+        for stronger, weaker in _ARROWS:
+            if verdicts.get(stronger) is True:
+                verdicts.setdefault(weaker, True)
+            if verdicts.get(weaker) is False:
+                verdicts.setdefault(stronger, False)
+    return verdicts.get(cond.value)
 
 
 def _within_bounds(witness: dict, bounds: Bounds) -> bool:
@@ -912,7 +865,7 @@ def find_witness_adaptive(
         bounds = _scaled(bounds, 2, max(bounds.k_max, min(bounds.k_max * 2, 64)))
 
 
-_FAMILIES = {"modlog": ModLog, "harmonic": ModHarmonic}
+_FAMILIES = ("harmonic", "modlog")
 
 
 def threshold_bisect(
@@ -935,7 +888,6 @@ def threshold_bisect(
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; use one of {sorted(_FAMILIES)}")
-    make = _FAMILIES[family]
     base = bounds or Bounds(k_max=3, a_max=25)
     factor = 1
     while base.a_max * factor < a_cap:
@@ -945,7 +897,7 @@ def threshold_bisect(
     # a box already at the cap is checked once; going through the adaptive
     # search keeps each probe one conditions.adaptive span in benchmark/tracer.py
     def verdict(c: Fraction) -> str:
-        report = find_witness_adaptive(make(c), cond, last, a_cap=a_cap)
+        report = find_witness_adaptive(parse_welfare(f"{family}:{c}"), cond, last, a_cap=a_cap)
         if report.verdict == INCONCLUSIVE:
             raise RuntimeError(f"inconclusive verdict at c={c}")
         return report.verdict

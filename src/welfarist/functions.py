@@ -28,7 +28,9 @@ from .values import (
     ExtendedValue,
     Infinite,
     IntervalValue,
+    Relation,
     _nearest_float,
+    compare,
     float_bounds,
     value_sum,
 )
@@ -151,7 +153,8 @@ def _order_keys(values: dict[int, ExtendedValue], n: int) -> OrderTerms | None:
 
 
 class WelfareFunction(ABC):
-    """A function f: R>=0 -> R u {-inf} applied to each agent's bundle utility."""
+    """A function f: R>=0 -> R u {-inf} applied to each agent's bundle utility; the
+    condition checkers read its three declared facts: log_shift, mid_trend, closed_forms."""
 
     strictly_increasing: bool = True
     # c where f(x) = w*log(x + c) + b with w > 0, else None: the conditions
@@ -203,6 +206,16 @@ class WelfareFunction(ABC):
     def table_error_bound(self, upto: int) -> float:
         """Absolute error bound of ``approx_array`` at arguments up to ``upto``."""
         return 1e-12
+
+    def closed_forms(self) -> dict[str, bool]:
+        """The condition verdicts proved for f, by condition id ("C1" ... "C6b"); the
+        implication graph gives the rest.  With a log shift c: C1, C1a and C2 iff
+        c = 0 (for c > 0, f(0) is finite), C3 iff c <= 1, and C6b for c <= 1."""
+        c = self.log_shift
+        if c is None:
+            return {}
+        facts = {"C1": c == 0, "C1a": c == 0, "C2": c == 0, "C3": c <= 1}
+        return {**facts, "C6b": True} if c <= 1 else facts
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.label()}>"
@@ -291,6 +304,19 @@ class ModHarmonic(WelfareFunction):
     # [3/2, 10^6] (y >= 3/2 for a >= 1).  Below c = -1/2 the trend is unknown:
     # mid_k decreases at c = -1, but at c = -0.55 mid_0 rises up to a = 3, then falls.
     mid_trend = property(lambda self: 1 if self.c >= Fraction(-1, 2) else None)
+
+    def closed_forms(self):
+        """C3 and C5 iff c <= 1/log 2 - 1, decided as (1 + c) log 2 < 1 (never equal);
+        C6a fails for c < -1/2, and C2 for c > -1 (on two-agent normalized instances)."""
+        relation = compare(ExactValue(logs={Fraction(2): 1 + self.c}), 1).relation
+        if relation is Relation.INCONCLUSIVE:
+            raise RuntimeError("threshold comparison hit the precision ceiling")
+        facts = dict.fromkeys(("C3", "C5"), relation is Relation.LESS)
+        if self.c < Fraction(-1, 2):
+            facts["C6a"] = False
+        if self.c > -1:
+            facts["C2"] = False
+        return facts
 
     def value_at(self, x, bits=DEFAULT_PRECISION_BITS):
         x = Fraction(x)
@@ -472,6 +498,16 @@ class PMean(WelfareFunction):
     log_shift = property(lambda self: Fraction(0) if self.p == 0 else None)  # pmean:0 is log
     # sign(p): for p != 0, Delta_t(x) = +-x^p((t+1)^p - t^p), so mid_k(a) = a^p |(k+2)^p - (k+1)^p|
     mid_trend = property(lambda self: (self.p > 0) - (self.p < 0))
+
+    def closed_forms(self):
+        """p = 0: those of log.  Else C4 iff p < 1; C2 for p < 0, not for p >= 1 (not
+        strictly concave); C1, C1a and C3 fail: only the 0-mean satisfies them."""
+        if self.p == 0:
+            return super().closed_forms()
+        facts = {"C1": False, "C1a": False, "C3": False, "C4": self.p < 1}
+        if not 0 <= self.p < 1:
+            facts["C2"] = self.p < 0
+        return facts
 
     def value_at(self, x, bits=DEFAULT_PRECISION_BITS):
         x = Fraction(x)

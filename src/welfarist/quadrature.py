@@ -18,9 +18,9 @@ agree on a wrong value, as at d = 10**4), refinement starts from panels
 graded toward s = 1, the last narrower than 8/d, and the working precision
 grows by the bits they take.
 
-The returned interval is an error *estimate*, not a certified enclosure:
-the summed GL(12)/GL(24) discrepancy, widened to six times itself plus
-abs_tol/4.
+The result is an ``IntegralEstimate``: the composite sum -+ six times the
+summed GL(12)/GL(24) discrepancy plus abs_tol/4.  It is an estimate, not a
+certified enclosure, so ``compare`` refuses it.
 """
 
 from __future__ import annotations
@@ -28,13 +28,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath
 from mpmath.calculus.quadrature import GaussLegendre
 
-from .values import IntervalValue
-
 _MAX_PANELS = 4000  # the refinement budget of one integral
+
+
+class IntegralEstimate(NamedTuple):
+    """Ends lo <= hi around an integral from an error estimate, not a proof, so no welfare value."""
+
+    lo: mpmath.mpf
+    hi: mpmath.mpf
+    width = property(lambda self: self.hi - self.lo)
 
 
 class DivergentIntegralError(ValueError):
@@ -101,10 +108,10 @@ def _exponent_pair(c: Fraction, x: Fraction) -> tuple[Fraction, Fraction]:
     return c, x + c
 
 
-def harmonic_integral(c, x, abs_tol: float = 1e-9) -> IntervalValue:
-    """Estimate h_c(x) by quadrature, as an interval of width <= abs_tol.
+def harmonic_integral(c, x, abs_tol: float = 1e-9) -> IntegralEstimate:
+    """Estimate h_c(x) by quadrature, with ends at most abs_tol apart.
 
-    The interval is the composite GL(24) sum +- (6*err + abs_tol/4), with err
+    The ends are the composite GL(24) sum -+ (6*err + abs_tol/4), with err
     the summed GL(12)/GL(24) discrepancy: an estimate, not a proven bound.
 
     Raises :class:`DivergentIntegralError` at the divergent point (c=-1, x=0)
@@ -122,7 +129,7 @@ def harmonic_integral(c, x, abs_tol: float = 1e-9) -> IntervalValue:
         raise DivergentIntegralError(f"h_{c}({x}) diverges")
     if e1 == e2:
         half = abs_tol / 2
-        return IntervalValue(mpmath.mpf(-half), mpmath.mpf(half), 53)
+        return IntegralEstimate(mpmath.mpf(-half), mpmath.mpf(half))
 
     d = math.lcm(e1.denominator, e2.denominator)
     n1, n2 = (int(d * (e + 1)) - 1 for e in (e1, e2))
@@ -137,4 +144,4 @@ def harmonic_integral(c, x, abs_tol: float = 1e-9) -> IntervalValue:
         err = 6 * err_est + mpmath.mpf(abs_tol) / 4
         if 2 * err > abs_tol:
             raise QuadratureError("tolerance not reached")
-        return IntervalValue(value - err, value + err, prec)
+        return IntegralEstimate(value - err, value + err)

@@ -244,10 +244,10 @@ class ExactValue:
 
 
 class DeferredValue:
-    """An exact value known first by two exact bounds, lower < value < upper:
-    :func:`compare` tries the bounds first, ``exact()`` builds the value once,
-    and any other attribute is read from the built value.  Not an
-    ``ExactValue``, so a reader of every exact operand's parts does not build it."""
+    """An exact value known first by two exact bounds lower < value < upper, which
+    differ by a rational: :func:`compare` tries the bounds first, ``exact()``
+    builds the value once, and any other attribute is read from the built value.
+    Not an ``ExactValue``, so a reader of every exact operand's parts does not build it."""
 
     __slots__ = ("lower", "upper", "_build", "_exact", "_enclosure")
 
@@ -261,10 +261,15 @@ class DeferredValue:
         return self._exact
 
     def enclosure(self, bits: int) -> "IntervalValue":
-        """Both bounds enclosed at ``bits``, kept for the next call at the same bits."""
+        """Both bounds enclosed at ``bits``, kept for the next call at the same bits:
+        one enclosure of ``lower``, its upper end plus upper - lower rounded up."""
         if self._enclosure is None or self._enclosure.bits != bits:
-            low, high = evaluate_interval(self.lower, bits), evaluate_interval(self.upper, bits)
-            self._enclosure = IntervalValue(low.lo, high.hi, bits)
+            low = evaluate_interval(self.lower, bits)
+            gap = self.upper.sub(self.lower).as_fraction()
+            with mpmath.workprec(bits + _GUARD_BITS):
+                step = mpmath.fdiv(gap.numerator, gap.denominator, rounding="c")
+                hi = mpmath.fadd(low.hi, step, rounding="c")
+            self._enclosure = IntervalValue(low.lo, hi, bits)
         return self._enclosure
 
     def __getattr__(self, name):

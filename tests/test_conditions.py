@@ -878,6 +878,15 @@ class TestAnalyticVerdicts:
         assert analytic_verdict(parse_welfare("pmean:1/2"), ConditionId.C4) is True
         assert analytic_verdict(parse_welfare("pmean:1"), ConditionId.C4) is False
 
+    def test_the_harmonic_threshold_needs_a_decided_comparison(self, monkeypatch):
+        # 1 + c = 10171/7050, a convergent of 1/log 2: (1 + c) log 2 = 1 - 3.8e-9,
+        # which a 1-bit ceiling (25 working bits) cannot order
+        c = Fraction(3121, 7050)
+        assert analytic_verdict(ModHarmonic(c), ConditionId.C3) is True
+        monkeypatch.setenv(PRECISION_CEILING_ENV, "1")
+        with pytest.raises(RuntimeError, match="precision ceiling"):
+            analytic_verdict(ModHarmonic(c), ConditionId.C3)
+
     def test_uncovered_pairs_are_none(self):
         assert analytic_verdict(parse_welfare("harmonic:0"), ConditionId.C6A) is None
         assert (
@@ -955,29 +964,72 @@ def _reference_verdict(fn, cond):
     return None
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    st.one_of(
-        st.just(Log()),
-        st.builds(ModLog, st.fractions(min_value=0, max_value=3, max_denominator=64)),
-        st.builds(
-            ModHarmonic,
-            st.one_of(
-                # the criterion-6 bracket around 1/log 2 - 1, and the ends of the range
-                st.sampled_from([Fraction(7253, 16384), Fraction(3627, 8192), Fraction(-1), Fraction(-1, 2)]),
-                st.fractions(min_value=-1, max_value=3, max_denominator=64),
-            ),
+@st.composite
+def _one_shift_combos(draw):
+    """A positive combination of 1-3 shifted logs that share one shift c."""
+    c = draw(st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=3, max_denominator=64)))
+    terms = st.sampled_from([ModLog(c)] + ([Log(), PMean(0)] if c == 0 else []))
+    weights = st.fractions(min_value=Fraction(1, 64), max_value=8, max_denominator=64)
+    return LinearCombo(draw(st.lists(st.tuples(weights, terms), min_size=1, max_size=3)))
+
+
+@st.composite
+def _tables(draw):
+    steps = draw(st.lists(st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8), max_size=4))
+    breakpoints = [sum(steps[:i], Fraction(0)) for i in range(len(steps) + 1)]
+    slopes = st.fractions(min_value=0, max_value=4, max_denominator=8)
+    return PiecewiseTable(breakpoints, draw(st.lists(slopes, min_size=len(breakpoints), max_size=len(breakpoints))))
+
+
+_DRAWN_FAMILIES = st.one_of(
+    st.just(Log()),
+    st.builds(ModLog, st.fractions(min_value=0, max_value=3, max_denominator=64)),
+    st.builds(
+        ModHarmonic,
+        st.one_of(
+            # the criterion-6 bracket around 1/log 2 - 1, and the ends of the range
+            st.sampled_from([Fraction(7253, 16384), Fraction(3627, 8192), Fraction(-1), Fraction(-1, 2)]),
+            st.fractions(min_value=-1, max_value=3, max_denominator=64),
         ),
-        st.builds(PMean, st.fractions(min_value=-3, max_value=3, max_denominator=64)),
-    )
+    ),
+    st.builds(PMean, st.fractions(min_value=-3, max_value=3, max_denominator=64)),
+    _one_shift_combos(),
+    _tables(),
 )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_DRAWN_FAMILIES)
 @example(ModLog(0))
 @example(ModLog(1))
 @example(PMean(0))
 @example(PMean(1))
+@example(LinearCombo([(1, Log()), (2, PMean(0))]))
+@example(PiecewiseTable([0, 1], [1, 0]))
 def test_analytic_verdict_matches_the_per_family_table(fn):
+    # a combination of one shift c reads the ModLog(c) row; a table has no row
+    row = ModLog(fn.log_shift) if isinstance(fn, LinearCombo) else fn
     for cond in ConditionId:
-        assert analytic_verdict(fn, cond) is _reference_verdict(fn, cond), (fn, cond)
+        assert analytic_verdict(fn, cond) is _reference_verdict(row, cond), (fn, cond)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_DRAWN_FAMILIES)
+def test_analytic_verdicts_respect_every_arrow(fn):
+    """A verdict that holds carries to the weaker condition of each arrow, and
+    one that fails to the stronger: no declared fact contradicts the graph."""
+    assert set(fn.closed_forms()) <= {cond.value for cond in ConditionId}
+    verdicts = {cond: analytic_verdict(fn, cond) for cond in ConditionId}
+    for stronger, weaker, _ in conditions.IMPLICATIONS:
+        if verdicts[stronger] is True:
+            assert verdicts[weaker] is True, (fn, stronger, weaker)
+        if verdicts[weaker] is False:
+            assert verdicts[stronger] is False, (fn, stronger, weaker)
+
+
+def test_conditions_names_no_family_class():
+    classes = [v for v in vars(conditions).values() if isinstance(v, type) and issubclass(v, WelfareFunction)]
+    assert classes == [WelfareFunction]
 
 
 class TestImplicationScan:

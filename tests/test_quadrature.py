@@ -7,7 +7,8 @@ import pytest
 
 from welfarist import quadrature
 from welfarist.functions import ModHarmonic
-from welfarist.quadrature import DivergentIntegralError, harmonic_integral
+from welfarist.quadrature import DivergentIntegralError, IntegralEstimate, harmonic_integral
+from welfarist.values import compare, value_sum
 
 
 def contains(iv, frac: Fraction) -> bool:
@@ -29,6 +30,17 @@ def test_zero_argument_is_zero():
 def test_shift_minus_one_identity_point():
     iv = harmonic_integral(-1, 3, 1e-9)
     assert contains(iv, Fraction(3, 2))
+
+
+def test_an_estimate_is_no_welfare_value():
+    # the ends come from an error estimate, not a proof, so the comparator refuses them
+    est = harmonic_integral(0, 4, 1e-9)
+    assert isinstance(est, IntegralEstimate) and est.width == est.hi - est.lo
+    for operands in [(est, Fraction(25, 12)), (Fraction(25, 12), est), (est, est)]:
+        with pytest.raises(TypeError):
+            compare(*operands)
+    with pytest.raises(TypeError):
+        value_sum([est])
 
 
 def test_divergent_point():

@@ -152,6 +152,20 @@ class TestDeferred:
         assert value.rational == Fraction(2, 5) and value_sum([value, value]).as_fraction() == Fraction(4, 5)
         assert builds == [Fraction(2, 5)]
 
+    def test_the_enclosure_evaluates_one_bound(self, monkeypatch):
+        # bounds sharing their log part: upper is lower's enclosure plus a rational
+        lower = ExactValue(Fraction(1, 3), {Fraction(3, 2): Fraction(1)})
+        upper = ExactValue(Fraction(1, 3) + Fraction(1, 10**40), {Fraction(3, 2): Fraction(1)})
+        value = DeferredValue(lower, upper, lambda: pytest.fail("the value was built"))
+        calls = []
+        monkeypatch.setattr(values, "evaluate_interval", lambda v, bits: calls.append(bits) or evaluate_interval(v, bits))
+        enclosure = value.enclosure(256)
+        assert calls == [256]
+        assert value.enclosure(256) is enclosure and calls == [256]
+        assert value.enclosure(512) is not enclosure and calls == [256, 512]
+        lo, hi = (Fraction(int(end.man)) * Fraction(2) ** int(end.exp) for end in (enclosure.lo, enclosure.hi))
+        assert rel(lo, lower) is Relation.LESS and rel(upper, hi) is Relation.LESS
+
 
 class TestInfinities:
     def test_equal_by_convention(self):
