@@ -227,9 +227,7 @@ class ExactValue:
 
     def is_zero(self) -> bool:
         """Exact zero test (uses linear independence of logs and surds)."""
-        if self.rational != 0 or self.surds:
-            return False
-        return not self.logs or _log_part_product(self.logs) == 1
+        return self.rational == 0 and not self.surds and not _log_sign(self.logs)
 
     def __repr__(self) -> str:
         return f"ExactValue({self.rational!r}, logs={self.logs!r}, surds={self.surds!r})"
@@ -343,13 +341,17 @@ def value_sum(values: Iterable[ExtendedValue]) -> ExtendedValue:
     return IntervalValue(lo - pad, hi + pad, bits)
 
 
-def _log_part_product(logs: dict[Fraction, Fraction]) -> Fraction:
-    """Product q_i**(w_i*D) over integer exponents; equals 1 iff sum(w*log q) = 0."""
+def _log_sign(logs: dict[Fraction, Fraction]) -> int:
+    """Sign of sum(w*log q) over terms with w != 0 and q != 1: one term's is
+    that of w times that of q - 1, never zero; several compare with 1 the
+    integer product q_i**(w_i*D), D the weights' least common denominator."""
+    if len(logs) < 2:
+        return sum(1 if (w > 0) == (q > 1) else -1 for q, w in logs.items())  # 0 with no term
     denom = math.lcm(*(w.denominator for w in logs.values()))
     prod = Fraction(1)
     for q, w in logs.items():
         prod *= q ** (w.numerator * (denom // w.denominator))
-    return prod
+    return (prod > 1) - (prod < 1)
 
 
 def evaluate_interval(value: ExactValue, bits: int) -> IntervalValue:
@@ -435,20 +437,18 @@ def _nearest_float(num: int, den: int) -> float:
 
 
 def _exact_sign(value: ExactValue, policy: PrecisionPolicy) -> ValueOrdering:
-    """Sign of an exact value as an ordering against zero; a nonzero value
-    no exact shortcut decides is refined against [0, 0]."""
-    if value.logs:
-        prod = _log_part_product(value.logs)
-        if prod == 1:  # the log part vanishes identically
-            value = ExactValue(value.rational, None, value.surds)
-        elif value.rational == 0 and not value.surds:
-            return GREATER if prod > 1 else LESS
-        # otherwise logs mixed with algebraic parts are never zero
-        # (transcendence of log of a rational != 1)
-    if not value.logs and not value.surds:
-        return EQUAL if value.rational == 0 else GREATER if value.rational > 0 else LESS
-    # rational + surds with a nonzero surd coefficient is never zero
-    # (linear independence of sqrt of radicands in distinct classes)
+    """Sign of an exact value as an ordering against zero.  A vanishing log
+    part is dropped, and two parts that do not vanish never cancel: a nonzero
+    log part is transcendental (Lindemann for one log, Baker for several),
+    and a nonzero surd part is irrational (square roots of radicands in
+    distinct classes are independent over the rationals).  A value of one
+    part, rational or log, takes its exact sign; the rest is refined against [0, 0]."""
+    log_sign = _log_sign(value.logs)
+    if not value.surds and not (log_sign and value.rational):  # one part, or none
+        sign = log_sign or (value.rational > 0) - (value.rational < 0)
+        return (LESS, EQUAL, GREATER)[sign + 1]
+    if value.logs and not log_sign:
+        value = ExactValue(value.rational, None, value.surds)
     return _interval_compare(value, _ZERO, policy)
 
 
@@ -480,12 +480,9 @@ def compare(lhs, rhs, policy: PrecisionPolicy | None = None) -> ValueOrdering:
         return EQUAL if lsign == rsign else GREATER if lsign > rsign else LESS
     if isinstance(left, DeferredValue) or isinstance(right, DeferredValue):
         # one pass at the first precision on the strict bounds' enclosure
-        bits = policy.start()
-        lenc, renc = _enclose(left, bits), _enclose(right, bits)
-        if lenc.hi < renc.lo:
-            return ValueOrdering(Relation.LESS, bits)
-        if renc.hi < lenc.lo:
-            return ValueOrdering(Relation.GREATER, bits)
+        ordering = _disjoint(left, right, policy.start())
+        if ordering is not None:
+            return ordering
         left, right = (v.exact() if isinstance(v, DeferredValue) else v for v in (left, right))
     if isinstance(left, ExactValue) and isinstance(right, ExactValue):
         return _exact_sign(left.sub(right), policy)
@@ -500,20 +497,25 @@ def _enclose(value: ExtendedValue, bits: int) -> IntervalValue:
     return evaluate_interval(value, bits)
 
 
+def _disjoint(left, right, bits: int) -> ValueOrdering | None:
+    """LESS or GREATER at ``bits`` when the enclosures of the two values do not overlap, else None."""
+    l, r = _enclose(left, bits), _enclose(right, bits)
+    if l.hi < r.lo:
+        return ValueOrdering(Relation.LESS, bits)
+    if r.hi < l.lo:
+        return ValueOrdering(Relation.GREATER, bits)
+    return None
+
+
 def _interval_compare(left, right, policy: PrecisionPolicy) -> ValueOrdering:
     """Order two enclosures along ``policy.schedule()``; only an exact operand
     refines, and an undecided pair reports the last precision tried."""
     refinable = isinstance(left, ExactValue) or isinstance(right, ExactValue)
     for bits in policy.schedule():
-        l = _enclose(left, bits)
-        r = _enclose(right, bits)
-        if l.hi < r.lo:
-            return ValueOrdering(Relation.LESS, bits)
-        if r.hi < l.lo:
-            return ValueOrdering(Relation.GREATER, bits)
-        if not refinable:
+        ordering = _disjoint(left, right, bits)
+        if ordering is not None or not refinable:
             break
-    return ValueOrdering(Relation.INCONCLUSIVE, bits)
+    return ordering or ValueOrdering(Relation.INCONCLUSIVE, bits)
 
 
 def render_value(value: ExtendedValue) -> dict:

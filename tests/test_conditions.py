@@ -887,6 +887,18 @@ class TestAnalyticVerdicts:
         with pytest.raises(RuntimeError, match="precision ceiling"):
             analytic_verdict(ModHarmonic(c), ConditionId.C3)
 
+    def test_a_dyadic_shift_forms_no_large_power(self, monkeypatch):
+        # (1 + c) log 2 - 1 at c = k/2**40 holds one log term, whose sign comes from its
+        # weight and base: no power 2**(2**40 + k) is formed
+        power = Fraction.__pow__
+
+        def bounded(base, exponent, *args):
+            assert abs(exponent) <= 2**20, "a power past 2**20 was formed"
+            return power(base, exponent, *args)
+
+        monkeypatch.setattr(Fraction, "__pow__", bounded)
+        assert analytic_verdict(ModHarmonic(Fraction(486750026453, 2**40)), ConditionId.C3) is False
+
     def test_uncovered_pairs_are_none(self):
         assert analytic_verdict(parse_welfare("harmonic:0"), ConditionId.C6A) is None
         assert (
