@@ -2,11 +2,10 @@
 
 Three routes: exhaustive enumeration (the ground truth, returning the
 complete argmax set in lexicographic assignment order), a pruned depth-first
-search that returns a single maximizer and enters no walked state twice, and
-the structured two-agent split family, which shares the argmax loop of
-enumeration.  The argmax set matters because the rule breaks ties
-arbitrarily, so a guarantee about "the chosen allocation" must hold for every
-member.
+search that returns a single maximizer, and the structured two-agent split
+family, which shares the argmax loop of enumeration.  The argmax set matters
+because the rule breaks ties arbitrarily, so a guarantee about "the chosen
+allocation" must hold for every member.
 
 Enumeration scores each distinct reachable utility vector once, since many
 assignments share one (:func:`_distinct_survivors`): it builds them good by
@@ -62,8 +61,7 @@ from .values import ExtendedValue, PrecisionPolicy, Relation, compare, value_sum
 # the most states enumeration keeps: a partial utility vector of its layers
 # counts one (at most 115 bytes, CPython 3.11, 64-bit), and an assignment of
 # the argmax set (its prefix, its tuple in good order and its Allocation: at
-# most 450 + 16m bytes) ceil((450 + 16m) / 115); this bounds it to about 0.5 GB.
-# Branch-and-bound records at most this many walked bounds.
+# most 450 + 16m bytes) ceil((450 + 16m) / 115); this bounds it to about 0.5 GB
 _STATE_CAP = 1 << 22
 # a smaller layer is kept whole, and no greedy assignment is scored for it:
 # on campaign-sized instances scoring it costs more than pruning saves
@@ -395,9 +393,6 @@ def solve_branch_bound(inst: Instance, fn: WelfareFunction) -> tuple[Allocation,
     equals or falls below any incumbent.  The incumbent starts at "all goods
     to agent 0".  The root is not scored: no leaf beats an incumbent that its
     bound does not.  The path is a stack, so m may pass the recursion limit.
-    No walked state is entered twice: each depth keeps up to ``_STATE_CAP``
-    bounds whose subtree was walked and skips a child with one of them, since
-    the incumbent only rises and that subtree holds no leaf that beats it.
     """
     policy = PrecisionPolicy()
     value = _ValueCache(fn, policy.start(), inst.scale)
@@ -410,9 +405,7 @@ def solve_branch_bound(inst: Instance, fn: WelfareFunction) -> tuple[Allocation,
     incumbent_lo, incumbent_hi = score(incumbent_vector)
     assignment = [0] * m
     columns = [[row[g] for row in rows] for g in order]  # columns[pos][i]: agent i's value for the good at pos
-    path = [(tuple(suffix[0]), iter(range(n)))] if m else []  # per node on the path, its bound and the agents left to try
-    walked = [set() for _ in range(m)]  # per depth: the bounds whose subtree was walked
-    recorded = 0
+    path = [(suffix[0], iter(range(n)))] if m else []  # per node on the path, its bound and the agents left to try
     while path:
         pos = len(path) - 1
         above, untried = path[-1]
@@ -421,10 +414,6 @@ def solve_branch_bound(inst: Instance, fn: WelfareFunction) -> tuple[Allocation,
             # the other agents lose the good from their bound; a leaf's bound is its welfare
             bound = list(map(sub, above, column))
             bound[agent] = above[agent]
-            if pos + 1 < m:
-                bound = tuple(bound)
-                if bound in walked[pos + 1]:
-                    continue
             lo, hi = score(bound)
             if hi == -inf or hi < incumbent_lo:
                 continue
@@ -446,9 +435,6 @@ def solve_branch_bound(inst: Instance, fn: WelfareFunction) -> tuple[Allocation,
                 incumbent_lo, incumbent_hi = lo, hi
         else:
             path.pop()
-            if recorded < _STATE_CAP:  # an unrecorded bound only costs its subtree's walk again
-                walked[pos].add(above)
-                recorded += 1
     return Allocation(incumbent_assignment), value.welfare(incumbent_vector)
 
 

@@ -500,41 +500,6 @@ class TestBranchBound:
         assert alloc.assignment == (0,) * 1099 + (1,)
         assert welfare == LOG.value_at(1099)
 
-    @settings(max_examples=80, deadline=None)
-    @given(
-        cls=st.sampled_from(["binary", "two_value", "identical_good", "integer"]),
-        spec=st.sampled_from(["log", "pmean:2", "pmean:1/2", "harmonic:0", "harmonic:-3/4"]),
-        n=st.integers(2, 4),
-        m=st.integers(1, 10),
-        seed=st.integers(0, 2**20),
-    )
-    def test_walked_bounds_keep_the_answer(self, cls, spec, n, m, seed):
-        # a skipped subtree was walked under a lower incumbent, so it holds no leaf that beats the current one
-        inst, fn = random_instance(n, m, cls, 5, seed=seed), parse_welfare(spec)
-        alloc, welfare = solve_branch_bound(inst, fn)
-        expected_alloc, expected_welfare = revisiting_branch_bound(inst, fn)
-        assert alloc == expected_alloc
-        assert render_value(welfare) == render_value(expected_welfare)
-
-    def test_each_state_is_scored_once(self, monkeypatch):
-        # 2 x 24 two_value: the search without walked bounds scores 4,361,577 bounds
-        scores = 0
-        scoring = solver._scoring
-
-        def counted(inst, fn):
-            score = scoring(inst, fn)
-
-            def count(u):
-                nonlocal scores
-                scores += 1
-                return score(u)
-
-            return count
-
-        monkeypatch.setattr(solver, "_scoring", counted)
-        solve_branch_bound(random_instance(2, 24, "two_value", 5, seed=0), LOG)
-        assert scores < 5000
-
     @staticmethod
     def assert_matches_enumeration(inst, fn):
         maxima = enumerate_maximizers(inst, fn)
@@ -566,51 +531,6 @@ class TestBranchBound:
         assert not fn.strictly_increasing
         inst = Instance.from_rows([utilities[i * m : (i + 1) * m] for i in range(n)])
         self.assert_matches_enumeration(inst, fn)
-
-
-def revisiting_branch_bound(inst, fn):
-    """``solve_branch_bound`` without the walked bounds: the same depth-first search,
-    which enters a state again each time another path reaches its bound."""
-    policy = PrecisionPolicy()
-    value = solver._ValueCache(fn, policy.start(), inst.scale)
-    score = solver._scoring(inst, fn)
-    rows = inst.scaled
-    n, m = inst.n, inst.m
-    order, suffix = solver._placement(inst)
-    incumbent_assignment = tuple([0] * m)
-    incumbent_vector = [sum(rows[0])] + [0] * (n - 1)
-    incumbent_lo, incumbent_hi = score(incumbent_vector)
-    assignment = [0] * m
-    columns = [[row[g] for row in rows] for g in order]
-    path = [(suffix[0], iter(range(n)))] if m else []
-    while path:
-        pos = len(path) - 1
-        above, untried = path[-1]
-        g, column = order[pos], columns[pos]
-        for agent in untried:
-            bound = [x - c for x, c in zip(above, column)]
-            bound[agent] = above[agent]
-            lo, hi = score(bound)
-            if hi == -inf or hi < incumbent_lo:
-                continue
-            greater = lo > incumbent_hi
-            if not greater:
-                if lo == hi == incumbent_lo == incumbent_hi or sorted(bound) == sorted(incumbent_vector):
-                    continue
-                relation = compare(value.welfare(bound), value.welfare(incumbent_vector), policy).relation
-                if relation in (Relation.LESS, Relation.EQUAL):
-                    continue
-                greater = relation is Relation.GREATER
-            assignment[g] = agent
-            if pos + 1 < m:
-                path.append((bound, iter(range(n))))
-                break
-            if greater:
-                incumbent_assignment, incumbent_vector = tuple(assignment), bound
-                incumbent_lo, incumbent_hi = lo, hi
-        else:
-            path.pop()
-    return Allocation(incumbent_assignment), value.welfare(incumbent_vector)
 
 
 def walk(inst):
@@ -777,11 +697,6 @@ class TestDistinctLayers:
         monkeypatch.setattr(solver, "_STATE_CAP", 464)
         with pytest.raises(EnumerationCapExceeded, match=": 70 surviving assignments$"):
             enumerate_maximizers(inst, LOG)
-
-    def test_a_large_answer_under_the_default_cap(self):
-        # 4 x 11 ones under log: 369,600 maximizers (11! / (3!3!3!2!) * 4!/3!), within the cap
-        maxima = enumerate_maximizers(Instance.from_rows([[1] * 11] * 4), LOG)
-        assert len(maxima.allocations) == 369_600 and maxima.exactness.kind == "Exact"
 
     @pytest.mark.parametrize("spec", ["log", "pmean:2", "harmonic:0"])
     def test_the_paths_count_the_answer(self, spec):
