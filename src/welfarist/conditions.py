@@ -15,24 +15,25 @@ verified witness, the first violating suspect in tuple order, with the pair
 that failed.  Such a confirmation may be decided on exact bounds before any
 exact sum: a harmonic increment over 512 integers or more is deferred, and
 ``compare`` sums it only when its two bounds do not settle the inequality.
-Every prescreen but C1a's reads f through the
-family's one float model, ``approx_array``, and clears a tuple only when the
-float difference passes one margin, ``max(1e-9, 16 * table_error_bound(upto))``,
-where upto bounds the arguments the scan reads.  A cleared tuple is not
-re-checked exactly.  Six conditions (C1, C3, C3a, C4, C6a, C6b) compare two
-float vectors over a grid and share one scan, ``_grid_cells``: the least value
-each row reads finds the rows that hold a suspect, so no grid-sized array is
-ever built.  C2 finds its suspect rows the same way, from the least sum
-f(c) + f(d) each row (a, b) admits, but its admitted pairs are not a prefix of
-one vector, so it keeps that scan beside ``_grid_cells``.  C1a demands
-equality, and a float difference can prove two values unequal but never prove
-them equal, so C1a has no prescreen: each of its tuples goes to ``violates``,
-except where f declares a log shift, which decides C1a in closed form.  C5
-keeps its own loop over chained increments.  C3b takes the route that what f
-declares allows: with a log shift it reduces to one rational inequality in a,
-read from no float; with a known trend of the middle increment in a, each row
-is settled at its two ends and one float search; otherwise the chunked float
-scan reads every tuple.
+Every prescreen but C1a's reads f through the family's one float model,
+``approx_array``, and clears a tuple only when the float difference passes one
+margin, ``max(1e-9, 16 * table_error_bound(upto))`` plus 16 * 2^-52 times the
+largest finite |f| read, where upto bounds the arguments the scan reads.  A
+cleared tuple is not re-checked exactly.  Six conditions (C1, C3, C3a, C4,
+C6a, C6b) compare two float vectors over a grid and share one scan,
+``_grid_cells``: the least value each row reads finds the rows that hold a
+suspect, so no grid-sized array is ever built.  C2 finds its suspect rows the
+same way, from the least sum f(c) + f(d) each row (a, b) admits, but its
+admitted pairs are not a prefix of one vector, so it keeps that scan beside
+``_grid_cells``.  C1a demands equality, and a float difference can prove two
+values unequal but never prove them equal, so C1a has no prescreen: each of
+its tuples goes to ``violates``, except where f declares a log shift, which
+decides C1a in closed form.  C5 keeps its own loop over chained increments.
+C3b takes the route that what f declares allows: with a log shift it reduces
+to one rational inequality in a, read from no float; with a known trend of the
+middle increment in a, each row is settled at its two ends and one float
+search; otherwise a float scan walks every row.  Both float routes read the
+chain through one reader.
 """
 
 from __future__ import annotations
@@ -251,14 +252,22 @@ def _approx(fn: WelfareFunction, xs) -> np.ndarray:
         return fn.approx_array(np.asarray(xs, dtype=float))
 
 
-def _margin(fn: WelfareFunction, upto: int) -> float:
-    """How far a float difference of f values at arguments <= upto must clear."""
-    return max(1e-9, 16.0 * fn.table_error_bound(upto))
+def _margin(fn: WelfareFunction, upto: int, values) -> float:
+    """How far a float difference of f values at arguments <= upto must clear:
+    the float model's error plus 16 * 2^-52 * M, for M the largest finite |v| in
+    ``values``, which must bound every finite |f| the scan reads (f is
+    non-decreasing, so f(0), f at the least positive arguments and f at the
+    largest do).  Floats of exact values are correctly rounded, and a difference
+    of two differences or of two sums rounds three times more, which adds at
+    most 12 * 2^-53 * M (Higham 2002, Accuracy and Stability, section 2.2)."""
+    largest = float(np.abs(values[np.isfinite(values)]).max(initial=0.0))
+    return max(1e-9, 16.0 * fn.table_error_bound(upto)) + 16.0 * 2.0**-52 * largest
 
 
 def _table(fn: WelfareFunction, upto: int) -> tuple[np.ndarray, float]:
     """Float f(0..upto) and its margin."""
-    return _approx(fn, np.arange(upto + 1)), _margin(fn, upto)
+    table = _approx(fn, np.arange(upto + 1))
+    return table, _margin(fn, upto, table[[0, 1, -1]])
 
 
 def _diff(table: np.ndarray, hi, lo) -> np.ndarray:
@@ -342,13 +351,15 @@ def _block_pairs(fn, pairs, a_xs, b_xs):
 
     The shorter of a_xs and b_xs must be a prefix of the longer, ascending
     one, which is the table's axis (a repeated point stays a repeated
-    column).  f is read once, at the floats nearest the exact arguments j*x;
-    that rounding (relative 2^-53) sits far inside the margin.
+    column).  f is read once, at the floats nearest the exact arguments j*x
+    (exact for integers below 2^53).  That rounding moves f by about
+    2^-53 * x * f'(x), inside the margin unless x * f'(x) passes a few times
+    the largest |f| read, as a table with a steep segment far from 0 can.
     """
     xs = max(a_xs, b_xs, key=len)
     top = max(map(max, pairs)) + 1  # the largest multiple j read
     table = _approx(fn, _multiples(xs, top)).reshape(top + 1, len(xs))
-    margin = _margin(fn, math.ceil(top * xs[-1]))
+    margin = _margin(fn, math.ceil(top * xs[-1]), table[[0, 1, -1]])  # rows j = 0, 1 and top
     with np.errstate(invalid="ignore"):
         blocks = np.diff(table, axis=0)  # blocks[k, i] = Delta_k(xs[i])
     for l, k in pairs:
@@ -406,7 +417,7 @@ def _suspects_c2(fn, bounds):
     prod_rank = _ranks([p * q for p in ints for q in ints]).reshape(n, n)
     f_float = _approx(fn, grid)
     sums = f_float[:, None] + f_float[None, :]
-    margin = _margin(fn, math.ceil(grid[-1]))
+    margin = _margin(fn, math.ceil(grid[-1]), f_float)
     by_product = np.argsort(-prod_rank, axis=None, kind="stable")  # flat indices
     least = np.empty((n, n))
     for r in range(rank[-1] + 1):  # dense ranks of the sorted grid
@@ -470,6 +481,23 @@ def _shifted_log_c3b(fn, bounds):
             yield {"k": 0, "a": a}
 
 
+def _c3b_reader(fn, bounds):
+    """``uncleared(k, a)``: where Delta_k(1) > mid_k(a) and mid_k(a) > Delta_{k+2}(1)
+    are not cleared, for an int array a and k an int or an int array like a.
+    f is non-decreasing, so f(0..k_max+3) and f((k_max+2) a_max), read in one
+    call, bound every |f| it reads at (k+1)a and (k+2)a."""
+    f = _approx(fn, np.append(np.arange(bounds.k_max + 4), (bounds.k_max + 2) * bounds.a_max))
+    unit = np.diff(f[:-1])  # f(t+1) - f(t)
+    margin = _margin(fn, (bounds.k_max + 3) * bounds.a_max, f)
+
+    def uncleared(k, a):
+        f = _approx(fn, np.concatenate(((k + 1) * a, (k + 2) * a)))
+        mid = f[len(a) :] - f[: len(a)]
+        return _suspect(unit[k], mid, margin), _suspect(mid, unit[k + 2], margin)
+
+    return uncleared
+
+
 # Where mid_k is monotone in a, one inequality of the chain fails only on a
 # suffix of a, and the other only on a prefix: for increasing mid_k the left
 # one fails on a suffix and the right one on a prefix, for decreasing mid_k
@@ -486,38 +514,28 @@ def _shifted_log_c3b(fn, bounds):
 # Each family's ``mid_trend`` carries its proof.
 def _monotone_c3b(fn, bounds):
     a_max = bounds.a_max
-    margin = _margin(fn, (bounds.k_max + 3) * a_max)
-    unit = np.diff(_approx(fn, np.arange(bounds.k_max + 4)))  # f(t+1) - f(t)
-
-    def uncleared(k, a):
-        """(the chain, its suffix inequality) not cleared at the tuples (k, a),
-        for an int array a and k an int or an int array like a."""
-        f = _approx(fn, np.concatenate(((k + 1) * a, (k + 2) * a)))
-        mid = f[len(a) :] - f[: len(a)]
-        left = _suspect(unit[k], mid, margin)
-        right = _suspect(mid, unit[k + 2], margin)
-        return left | right, left if fn.mid_trend > 0 else right
-
+    uncleared = _c3b_reader(fn, bounds)
+    side = 0 if fn.mid_trend > 0 else 1  # the suffix inequality: the left one for increasing mid_k
     # every row's two weak ends at once: the chain at a = 1, the suffix inequality at a_max
     rows = bounds.k_max + 1
-    chain, suffix = uncleared(np.tile(np.arange(rows), 2), np.repeat([1, a_max], rows))
+    ends = uncleared(np.tile(np.arange(rows), 2), np.repeat([1, a_max], rows))
     for k in range(rows):
         lo = 1  # the first a where the chain is cleared
-        if chain[k]:
+        if ends[0][k] or ends[1][k]:
             lo = None
             for start, stop in _doubling(1, a_max + 1):
-                run = uncleared(k, np.arange(start, stop))[0]
+                run = np.logical_or(*uncleared(k, np.arange(start, stop)))
                 length = len(run) if run.all() else int(run.argmin())
                 for a in range(start, start + length):
                     yield {"k": k, "a": a}
                 if length < len(run):
                     lo = start + length
                     break
-        if lo is None or not suffix[rows + k]:
+        if lo is None or not ends[side][rows + k]:
             continue
-        hi = _boundary(lambda a: uncleared(k, a)[1], lo, a_max)
+        hi = _boundary(lambda a: uncleared(k, a)[side], lo, a_max)
         for start, stop in _doubling(hi, a_max + 1):
-            for (i,) in _cells(uncleared(k, np.arange(start, stop))[1]):
+            for (i,) in _cells(uncleared(k, np.arange(start, stop))[side]):
                 yield {"k": k, "a": start + i}
 
 
@@ -543,31 +561,14 @@ def _doubling(start: int, stop: int):
         start, size = start + size, min(2 * size, _C3B_CHUNK)
 
 
-# The scan runs over chunks of a, which bound its memory.  In a chunk f(j*a) is
-# evaluated once per j, since f((k+2)a) at k is f((k+1)a) at k + 1.  The
-# suspects at k = 0 come out at once; those at k >= 1 are held until every
-# chunk has been scanned at k = 0, which keeps the tuple order.
+# The scan walks the rows in tuple order, each in windows of at most
+# ``_C3B_CHUNK`` a, which bound its memory.
 def _scan_c3b(fn, bounds):
-    margin = _margin(fn, (bounds.k_max + 3) * bounds.a_max)
-    unit = np.diff(_approx(fn, np.arange(bounds.k_max + 4)))  # f(t+1) - f(t)
-    held = [[] for _ in range(bounds.k_max + 1)]
-    for start in range(1, bounds.a_max + 1, _C3B_CHUNK):
-        a = np.arange(start, min(start + _C3B_CHUNK, bounds.a_max + 1), dtype=float)
-        low = _approx(fn, a)
-        for k in range(bounds.k_max + 1):
-            high = _approx(fn, (k + 2) * a)
-            # the middle increment high - low is formed twice, not kept: one
-            # chunk-sized array less alive while the next k is evaluated
-            bad = _suspect(unit[k], high - low, margin) | _suspect(high - low, unit[k + 2], margin)
-            if k == 0:
-                for (i,) in _cells(bad):
-                    yield {"k": 0, "a": start + i}
-            elif bad.any():
-                held[k].append((start, bad))
-            low = high
-    for k, chunks in enumerate(held):
-        for start, bad in chunks:
-            for (i,) in _cells(bad):
+    uncleared = _c3b_reader(fn, bounds)
+    for k in range(bounds.k_max + 1):
+        for start in range(1, bounds.a_max + 1, _C3B_CHUNK):
+            left, right = uncleared(k, np.arange(start, min(start + _C3B_CHUNK, bounds.a_max + 1)))
+            for (i,) in _cells(left | right):
                 yield {"k": k, "a": start + i}
 
 
@@ -778,20 +779,13 @@ def find_arrow_inconsistencies(
     candidate inside the stronger condition's own bounds means the bounded
     scan missed a witness it must contain: a genuine inconsistency.
     """
-    inconsistencies = []
-    notes = []
-    policy = bounds.policy
+    inconsistencies, notes = [], []
     for stronger, weaker, transfer in IMPLICATIONS:
-        strong_report = reports.get(stronger)
-        weak_report = reports.get(weaker)
-        if strong_report is None or weak_report is None:
+        strong_report, weak_report = reports.get(stronger), reports.get(weaker)
+        if (getattr(weak_report, "verdict", None), getattr(strong_report, "verdict", None)) != (VIOLATED, NO_VIOLATION):
             continue
-        if weak_report.verdict != VIOLATED or strong_report.verdict != NO_VIOLATION:
-            continue
-        resolved = False
         for candidate in transfer(weak_report.witness):
-            confirmed = violates(fn, stronger, candidate, policy)
-            if confirmed:
+            if violates(fn, stronger, candidate, bounds.policy):
                 if _within_bounds(candidate, bounds):
                     inconsistencies.append(
                         {
@@ -806,9 +800,8 @@ def find_arrow_inconsistencies(
                         f"{weaker.value} violation implies a {stronger.value} witness "
                         f"beyond the shared bounds: {candidate}"
                     )
-                resolved = True
                 break
-        if not resolved:
+        else:
             notes.append(
                 f"{weaker.value} Violated but no {stronger.value} witness transferred "
                 f"from {weak_report.witness}"

@@ -56,7 +56,7 @@ from typing import Callable, Iterable
 from .fairness import is_ef1
 from .functions import OrderTerms, WelfareFunction
 from .model import Allocation, Instance
-from .values import ExtendedValue, PrecisionPolicy, Relation, compare, value_sum
+from .values import EQUAL, ExtendedValue, PrecisionPolicy, Relation, compare, value_sum
 
 # the most states enumeration keeps: a partial utility vector of its layers
 # counts one (at most 115 bytes, CPython 3.11, 64-bit), and an assignment of
@@ -134,43 +134,33 @@ def _argmax(
 ) -> tuple[list, ExtendedValue, Exactness]:
     """Keys of the (key, welfare) candidates that tie the maximum, in candidate order.
 
-    Comparisons run through the exact/interval comparator; an inconclusive
-    comparison keeps the candidate (the set may then be a superset of the true
-    argmax) and is reported through the exactness label.  A candidate kept so
-    is compared again with each later, greater best, and stays unless it is
-    then shown below it.
+    A first pass keeps a running best, replaced only by a provably greater
+    candidate.  A second compares every candidate with it, starts again from
+    one provably above it (possible only after an undecided first-pass
+    comparison), and keeps the keys not provably below it.  Its comparisons
+    alone set the label: ``Inconclusive`` when a kept key is undecided (the set
+    may then be a superset of the true argmax), else ``IntervalCertified`` at
+    the highest precision reached, else ``Exact``.
     """
-    candidates = iter(candidates)
-    first, best_value = next(candidates)
-    best = [first]
-    undecided = []  # (key, welfare) of the candidates kept on an inconclusive comparison
-    max_bits = 0
-    inconclusive = False
-
-    def relation(welfare) -> Relation:
-        nonlocal max_bits
-        ordering = compare(welfare, best_value, policy)
-        if ordering.bits:
-            max_bits = max(max_bits, ordering.bits)
-        return ordering.relation
-
-    for key, welfare in candidates:
-        ordering = relation(welfare)
-        if ordering is Relation.GREATER:
-            best_value = welfare
-            undecided = [(k, w) for k, w in undecided if relation(w) is not Relation.LESS]
-            best = [k for k, _ in undecided] + [key]
-        elif ordering is Relation.EQUAL:
-            best.append(key)
-        elif ordering is Relation.INCONCLUSIVE:
-            inconclusive = True
-            best.append(key)
-            undecided.append((key, welfare))
-    if inconclusive:
-        return best, best_value, Exactness("Inconclusive", max_bits or None)
-    if max_bits:
-        return best, best_value, Exactness("IntervalCertified", max_bits)
-    return best, best_value, Exactness("Exact")
+    candidates = list(candidates)
+    best = candidates[0][1]
+    for _, welfare in candidates[1:]:
+        if compare(welfare, best, policy).relation is Relation.GREATER:
+            best = welfare
+    while True:  # the second pass, from the start again whenever the best moves up
+        orderings = []
+        for _, welfare in candidates:
+            orderings.append(EQUAL if welfare is best else compare(welfare, best, policy))
+            if orderings[-1].relation is Relation.GREATER:
+                best = welfare
+                break
+        else:
+            break
+    keys = [key for (key, _), ordering in zip(candidates, orderings) if ordering.relation is not Relation.LESS]
+    bits = max(ordering.bits or 0 for ordering in orderings)
+    if any(ordering.relation is Relation.INCONCLUSIVE for ordering in orderings):
+        return keys, best, Exactness("Inconclusive", bits or None)
+    return keys, best, Exactness("IntervalCertified", bits) if bits else Exactness("Exact")
 
 
 def _scoring(inst: Instance, fn: WelfareFunction) -> Callable:

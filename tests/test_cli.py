@@ -89,6 +89,37 @@ def test_check_exit_codes(chain_file, tmp_path, capsys):
     assert code == 2
 
 
+def test_solve_exits_3_on_a_tie_it_cannot_decide(tmp_path, capsys):
+    # 2^(1/3) + 16^(1/3) = 54^(1/3) exactly, which no interval separates
+    path = tmp_path / "cube-root-tie.json"
+    path.write_text('{"agents":2,"utilities":[["2","52"],["0","16"]]}')
+    code, out, err = run(capsys, "solve", str(path), "--welfare", "pmean:1/3", "--all")
+    doc = json.loads(out)
+    assert code == 3 and doc["count"] == 2 and doc["exactness"] == "Inconclusive"
+    assert "precision ceiling" in err
+
+
+def test_check_po_and_ef_exit_codes(tmp_path, capsys):
+    swapped = tmp_path / "swapped.json"
+    swapped.write_text('{"agents":2,"utilities":[["1","0"],["0","1"]]}')
+    each_gets_the_other = tmp_path / "b.json"
+    each_gets_the_other.write_text('{"bundles":[[1],[0]]}')
+    code, out, _ = run(capsys, "check", "po", str(swapped), str(each_gets_the_other))
+    assert code == 1 and '"dominated_by":[[0,1],[]]' in out
+    assert json.loads(out)["verdict"] == "Dominated"
+    code, out, _ = run(capsys, "check", "ef", str(swapped), str(each_gets_the_other))
+    assert code == 1 and json.loads(out) == {"property": "ef", "holds": False}
+
+    ones = tmp_path / "ones.json"
+    ones.write_text('{"agents":2,"utilities":[["1","1"],["1","1"]]}')
+    all_to_one = tmp_path / "a.json"
+    all_to_one.write_text('{"bundles":[[0,1],[]]}')
+    code, out, _ = run(capsys, "check", "po", str(ones), str(all_to_one), "--budget", "1")
+    assert code == 3 and json.loads(out)["verdict"] == "BudgetExceeded"
+    code, out, _ = run(capsys, "check", "po", str(ones), str(all_to_one))
+    assert code == 0 and json.loads(out)["verdict"] == "PO"
+
+
 def test_classify_output(chain_file, capsys):
     code, out, _ = run(capsys, "classify", chain_file)
     assert code == 0

@@ -159,10 +159,10 @@ class TestCheckCondition:
 
     @pytest.mark.parametrize("spec", ["pmean:1/2", "pmean:-1", "harmonic:1/2", "harmonic:-1"])
     def test_c3b_chunks_keep_tuple_order(self, spec, monkeypatch):
-        """pmean:1/2 violates at (k, a) = (1, 2) and first at (0, 6): suspects at
-        k >= 1 in an early chunk must wait for k = 0 in the later chunks.  The
-        scan is patched in, since of these specs only harmonic:-1 reaches it
-        through check_condition."""
+        """pmean:1/2 violates at (k, a) = (1, 2) and first at (0, 6): in windows
+        of two a, row k = 0 must be walked through every window before row 1
+        starts.  The scan is patched in, since of these specs only harmonic:-1
+        reaches it through check_condition."""
         fn = parse_welfare(spec)
         bounds = Bounds(k_max=3, a_max=60)
         monkeypatch.setitem(conditions._SUSPECTS, ConditionId.C3B, conditions._scan_c3b)
@@ -342,7 +342,7 @@ def test_c2_scan_matches_a_quadruple_loop(grid, error, data):
     f = data.draw(st.lists(_SCAN_VALUES, min_size=len(grid), max_size=len(grid)))
     fn = _FloatStub(f, error)
     xs = sorted(grid)
-    margin = conditions._margin(fn, math.ceil(xs[-1]))
+    margin = conditions._margin(fn, math.ceil(xs[-1]), fn.floats)
     with np.errstate(invalid="ignore"):  # +inf + -inf is NaN, a suspect
         want = [
             {"a": xs[i], "b": xs[j], "c": xs[c], "d": xs[d]}
@@ -660,6 +660,65 @@ def test_monotone_c3b_suspects_match_the_bisection(fn, k_max, a_max):
         bisected = list(itertools.islice(conditions._suspects_c3b(fn, bounds), 20_000))
     assert searched == bisected
     assert all(n <= 4 for n in per_row), per_row
+
+
+def test_the_monotone_route_ends_a_row_leading_run(monkeypatch):
+    """With a margin of 0.1, pmean:1/2 leaves row 0's chain uncleared at a = 1
+    and cleared at a = 2, which ends that row's leading run.  The monotone
+    route's suspects are a subset of the scan's, in the same order."""
+    monkeypatch.setattr(conditions, "_margin", lambda *args: 0.1)
+    fn, bounds = parse_welfare("pmean:1/2"), Bounds(k_max=3, a_max=50)
+    monotone = list(conditions._monotone_c3b(fn, bounds))
+    scan = list(conditions._scan_c3b(fn, bounds))
+    assert monotone[0] == scan[0] == {"k": 0, "a": 1} and {"k": 0, "a": 2} not in scan
+    remaining = iter(scan)
+    assert all(witness in remaining for witness in monotone)
+
+
+@pytest.mark.parametrize("bounds", [Bounds(k_max=3, a_max=1), Bounds()])
+def test_a_table_near_10_8_keeps_its_first_c4_witness(bounds):
+    """The slope is constant on [1, 3], so Delta_1(1) = Delta_2(1) and C4
+    fails first at k = 1.  One rounding of an f near 10^8 passes an absolute
+    margin of 1e-9, so the margin grows with the largest |f| the scan reads."""
+    fn = PiecewiseTable([0, 1, 3], [Fraction(2 * 10**8, 3), Fraction(10**8, 3), Fraction(10**8, 6)])
+    report = check_condition(fn, ConditionId.C4, bounds)
+    assert (report.verdict, report.witness) == (VIOLATED, {"k": 1})
+
+
+@st.composite
+def _steep_tables(draw):
+    """A table on integer breakpoints below 20, its slopes flat or of one
+    magnitude 10^e, so that its values reach about 10^15."""
+    breakpoints = [0] + sorted(draw(st.sets(st.integers(1, 19), max_size=3)))
+    e = draw(st.integers(0, 13))
+    numerators = st.one_of(st.just(0), st.integers(10**e, 10 ** (e + 1)))
+    slopes = st.builds(Fraction, numerators, st.sampled_from([1, 3, 7, 11, 13]))
+    return PiecewiseTable(breakpoints, draw(st.lists(slopes, min_size=len(breakpoints), max_size=len(breakpoints))))
+
+
+_STEEP_WEIGHTS = st.builds(Fraction, st.integers(1, 10**12), st.sampled_from([1, 3, 7]))
+_SCREENED = [
+    ConditionId.C1, ConditionId.C3, ConditionId.C3A, ConditionId.C4, ConditionId.C5, ConditionId.C6A, ConditionId.C6B
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        _steep_tables(),
+        st.lists(st.tuples(_STEEP_WEIGHTS, _steep_tables()), min_size=1, max_size=2).map(LinearCombo),
+    ),
+    st.sampled_from([SMALL_GRID[:6], NON_DYADIC_GRID]),
+)
+def test_float_prescreens_agree_with_the_exact_loop_on_large_values(fn, grid):
+    """With ``_margin`` at +inf every tuple is a suspect, which is the exact
+    loop over the box; each prescreen reports the same verdict and witness."""
+    bounds = Bounds(k_max=3, a_max=3, real_grid=grid)
+    screened = [check_condition(fn, cond, bounds) for cond in _SCREENED]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conditions, "_margin", lambda *args: math.inf)
+        exact = [check_condition(fn, cond, bounds) for cond in _SCREENED]
+    assert [(r.verdict, r.witness) for r in screened] == [(r.verdict, r.witness) for r in exact]
 
 
 def test_a_violated_check_evaluates_its_witness_once(monkeypatch):
@@ -1064,6 +1123,50 @@ class TestImplicationScan:
         inconsistencies, _notes = find_arrow_inconsistencies(fn, forged, bounds)
         assert inconsistencies
         assert inconsistencies[0]["weaker"] == "C4" and inconsistencies[0]["stronger"] == "C3"
+
+    @pytest.mark.parametrize(
+        "stronger,weaker,transfer",
+        conditions.IMPLICATIONS,
+        ids=[f"{weaker.value}->{stronger.value}" for stronger, weaker, _ in conditions.IMPLICATIONS],
+    )
+    def test_each_arrow_transfers_its_witness(self, stronger, weaker, transfer):
+        """The weaker condition's witness maps to a tuple that violates the
+        stronger one (modlog:2 holds C4, so that arrow takes the linear pmean:1)."""
+        fn = parse_welfare("pmean:1" if weaker is ConditionId.C4 else "modlog:2")
+        report = check_condition(fn, weaker, Bounds(k_max=6, a_max=8))
+        assert report.verdict == VIOLATED
+        assert any(violates(fn, stronger, candidate) is True for candidate in transfer(report.witness))
+
+    @pytest.mark.parametrize("k_max", [6, 4])
+    def test_a_planted_miss_is_flagged_inside_the_bounds_and_noted_outside(self, k_max):
+        # pmean:1 is linear, so C4 fails at every k; k = 5 transfers to the C3 tuple (5, 1, 1)
+        fn = parse_welfare("pmean:1")
+        bounds = Bounds(k_max=k_max, a_max=6)
+        planted = {
+            ConditionId.C4: ConditionReport(ConditionId.C4, VIOLATED, bounds, {"k": 5}),
+            ConditionId.C3: ConditionReport(ConditionId.C3, NO_VIOLATION, bounds),
+        }
+        inconsistencies, notes = find_arrow_inconsistencies(fn, planted, bounds)
+        missed = {"k": 5, "a": 1, "b": 1}
+        if k_max >= 5:
+            flagged = {"stronger": "C3", "weaker": "C4", "weak_witness": {"k": 5}, "missed_witness": missed}
+            assert inconsistencies == (flagged,)
+            assert notes == ()
+        else:
+            assert inconsistencies == ()
+            assert notes == (f"C4 violation implies a C3 witness beyond the shared bounds: {missed}",)
+
+    def test_a_witness_that_transfers_to_nothing_is_noted(self):
+        # C3 at b, a > 1 maps to no C3b tuple
+        fn = parse_welfare("pmean:1")
+        bounds = Bounds(k_max=6, a_max=6)
+        witness = {"k": 1, "a": 2, "b": 2}
+        planted = {
+            ConditionId.C3: ConditionReport(ConditionId.C3, VIOLATED, bounds, witness),
+            ConditionId.C3B: ConditionReport(ConditionId.C3B, NO_VIOLATION, bounds),
+        }
+        note = f"C3 Violated but no C3b witness transferred from {witness}"
+        assert find_arrow_inconsistencies(fn, planted, bounds) == ((), (note,))
 
     def test_weaker_may_hold_when_stronger_fails(self):
         reports = implication_scan(

@@ -34,11 +34,13 @@ from welfarist.solver import (
 from welfarist.values import (
     DEFAULT_PRECISION_BITS,
     NEG_INF,
+    PRECISION_CEILING_ENV,
     SCAN_BITS,
     ExactValue,
     IntervalValue,
     PrecisionPolicy,
     Relation,
+    ValueOrdering,
     compare,
     render_value,
 )
@@ -119,6 +121,58 @@ class TestArgmax:
         candidates = [("a", self.interval(4, 5)), ("b", self.interval(3, 6)), ("c", self.interval(7, 8))]
         best, _, _ = solver._argmax(candidates, PrecisionPolicy())
         assert best == ["c"]
+
+    def test_a_comparison_settled_later_leaves_the_label_decided(self):
+        # b is undecided against a, but below the final best c: no member is undecided
+        candidates = [("a", self.interval(4, 5)), ("b", self.interval(3, 6)), ("c", self.interval(7, 8))]
+        best, _, exactness = solver._argmax(candidates, PrecisionPolicy())
+        assert best == ["c"]
+        assert exactness == Exactness("IntervalCertified", DEFAULT_PRECISION_BITS)
+
+    def test_the_second_pass_starts_again_above_the_best(self, monkeypatch):
+        """A comparator that cannot order x against a, yet puts c above a and
+        x above c: the first pass ends at c, the second finds x above it and
+        starts again from x, against which a stays undecided."""
+        known = {("x", "a"): Relation.INCONCLUSIVE, ("c", "a"): Relation.GREATER, ("x", "c"): Relation.GREATER}
+        flipped = {Relation.GREATER: Relation.LESS, Relation.INCONCLUSIVE: Relation.INCONCLUSIVE}
+
+        def compare(lhs, rhs, policy):
+            relation = known.get((lhs, rhs)) or flipped[known[rhs, lhs]]
+            return ValueOrdering(relation)
+
+        monkeypatch.setattr(solver, "compare", compare)
+        best, best_value, exactness = solver._argmax([(key, key) for key in "axc"], PrecisionPolicy())
+        assert (best, best_value, exactness.kind) == (["a", "x"], "x", "Inconclusive")
+
+    def test_two_multisets_that_tie_exactly_are_both_kept(self):
+        # sqrt(8) + sqrt(2) = sqrt(18): (0, 0) and (0, 1) have different utilities and equal welfare
+        maxima = enumerate_maximizers(Instance.from_rows([[8, 10], [0, 2]]), parse_welfare("pmean:1/2"))
+        assert [a.assignment for a in maxima.allocations] == [(0, 0), (0, 1)]
+        assert maxima.exactness == Exactness("IntervalCertified", DEFAULT_PRECISION_BITS)
+
+
+# values with exact ties: sqrt(8) + sqrt(2) = sqrt(18) and 2^(1/3) + 16^(1/3) = 54^(1/3)
+_TIE_VALUES = st.sampled_from([0, 1, 2, 8, 16, 18, 52, 54])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["pmean:1/2", "pmean:1/3"]),
+    st.integers(1, 3).flatmap(
+        lambda m: st.lists(st.lists(_TIE_VALUES, min_size=m, max_size=m), min_size=2, max_size=2)
+    ),
+)
+def test_a_small_precision_ceiling_keeps_every_maximizer(spec, rows):
+    """Under a 24-bit ceiling the argmax set holds every member of the set
+    under the default ceiling, and equals it when both labels are decided."""
+    inst, fn = Instance.from_rows(rows), parse_welfare(spec)
+    full = enumerate_maximizers(inst, fn)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(PRECISION_CEILING_ENV, "24")
+        small = enumerate_maximizers(inst, fn)
+    assert set(full.allocations) <= set(small.allocations)
+    if "Inconclusive" not in (full.exactness.kind, small.exactness.kind):
+        assert small.allocations == full.allocations
 
 
 class TestBruteForceOracle:
@@ -686,6 +740,12 @@ class TestDistinctLayers:
         # layers as small with one maximizer pass
         maxima = enumerate_maximizers(Instance.from_rows([[1] * 10, [0] * 9 + [1]]), LOG)
         assert [a.assignment for a in maxima.allocations] == [(0,) * 9 + (1,)]
+
+    def test_a_layer_that_could_pass_the_cap_is_refused(self, monkeypatch):
+        # the whole message: the per-layer check fired, not the answer-count one
+        monkeypatch.setattr(solver, "_STATE_CAP", 300)
+        with pytest.raises(EnumerationCapExceeded, match=r"^enumeration exceeds cap 300 states$"):
+            enumerate_maximizers(random_instance(3, 8, "integer", 1000, seed=0), LOG)
 
     def test_the_answer_is_checked_once(self, monkeypatch):
         # 2 x 8 ones under log: 70 maximizers charged ceil(578 / 115) = 6 states each, with
