@@ -60,26 +60,73 @@ def _fraction(text) -> Fraction:
         raise ValueError(f"bad rational: {text!r}") from exc
 
 
-def _float_digamma_array(x: np.ndarray) -> np.ndarray:
-    """Float psi(x) for a 1-D array of x >= 0; -inf at 0.
-
-    Only the elements below 10 take the recurrence psi(x) = psi(x+1) - 1/x,
-    all of their steps at once, up to x + n >= 10.  Then the asymptotic series
-    runs to the 1/x**6 term.  The next term bounds the error by 4.2e-11;
-    against mpmath at 120 bits it stays under 4.1e-11 up to x = 10**7.
-    """
-    x = np.array(x, dtype=float)
-    low = np.flatnonzero(x < 10)
-    steps = x[low, None] + np.arange(10.0)
+def _digamma_recurrence(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, low, S) of the model at a 1-D array of doubles w >= 0: z = fl(w + n) >= 10,
+    ``low`` the indices where n > 0, and S at those the float sum of 1/fl(w + j),
+    j < n (inf at w = 0), all steps at once."""
+    z = np.array(x, dtype=float)
+    low = np.flatnonzero(z < 10)
+    steps = z[low, None] + np.arange(10.0)
     below = steps < 10
     with np.errstate(divide="ignore"):
         recurrence = np.where(below, 1.0 / steps, 0.0).sum(axis=1)
-    x[low] += below.sum(axis=1)
-    inv = 1.0 / x  # one full-size division; the series only multiplies
+    z[low] += below.sum(axis=1)
+    return z, low, recurrence
+
+
+# The error bound D(w) of _float_digamma_array, which _float_digamma_bound
+# computes.  Write u = 2^-53; a double operation on normal doubles returns
+# a(1 + d) for the exact result a, |d| <= u.  For a double w >= 2^-1022 the model computes, in doubles: n = 0 if w >= 10,
+# else the number of j in 0..9 with fl(w + j) < 10 (fl(w + j) grows with j, and
+# n = 10 when w < 1), so z = fl(w + n) >= 10; S = the sum of fl(1/fl(w + j)),
+# j < n; T = inv(1/2 + inv(1/12 - inv^2(1/120 - inv^2/252))) for inv = fl(1/z);
+# psi~(w) = fl(fl(log z - T) - S).  Exactly, psi(w) = psi(w + n) - sum_{j<n}
+# 1/(w + j), and psi(w + n) = log(w + n) - T(w + n) + R with 0 < R < 1/(240
+# (w + n)^8) (DLMF 5.11(ii), as in ModHarmonic.range_bounds).  Against that:
+# - z = (w + n)(1 + d).  As psi'(y) = sum_k 1/(y + k)^2 <= 1/y^2 + int_0^inf
+#   dt/(y + t)^2 = 1/y + 1/y^2 for y > 0, this moves psi by at most
+#   u z (1/z + 1/z^2)(1 + 3u) < 1.2u <= u log z (z >= 10);
+# - np.log is taken within 4 ulp, 8u log z (measured within 0.51 ulp);
+# - T: ten roundings, the 1/12, 1/120 and 1/252 included, each of a factor of
+#   one sign (inv <= 1/10, so no term cancels more than 1% of its neighbour):
+#   within 12u T <= 7u/z;
+# - each term of S within 2.01u of 1/(w + j), and a sum of at most ten
+#   non-negative terms within 9.01u of their sum: S within 11.1u S;
+# - the two subtractions: u(log z + 1/z) and u(log z + 1/z + S).
+# So |psi~(w) - psi(w)| < R + 16u M for M = log z + 1/z + S.  The argument is
+# itself rounded: a real v with |v - w| <= 4u w has |psi(v) - psi(w)| <=
+# 4u w (1/m + 1/m^2), m = (1 - 4u) w, which is below 4.01u (1 + 1/w).  And the
+# caller rounds the result once more, by at most u|psi~(w)| < 1.01u M.  All
+# three together are below D(w) = 1/(240 z^8) + 2^-48 (1 + log z + 2(1/z + S)):
+# 1/w <= 1/z when n = 0 and 1/w <= 1.01 S otherwise, and 16 + 1.01 and 4.01
+# sit below 2^-48/u = 32 by more than enough to absorb the roundings of D
+# itself.  Below 2^-1022 (0 included) a rounding is no longer relative, and
+# D = inf: no bound is claimed.
+def _float_digamma_array(x: np.ndarray) -> np.ndarray:
+    """Float psi(w) at a 1-D array of doubles w >= 0; -inf at 0.
+
+    Only the elements below 10 take the recurrence psi(w) = psi(w+1) - 1/w,
+    up to z = w + n >= 10.  Then the asymptotic series runs to the 1/z**6
+    term.  ``_float_digamma_bound`` bounds its error (proof above).
+    """
+    z, low, recurrence = _digamma_recurrence(x)
+    inv = 1.0 / z  # one full-size division; the series only multiplies
     inv2 = inv * inv
-    out = np.log(x) - inv * (0.5 + inv * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252))))
+    out = np.log(z) - inv * (0.5 + inv * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252))))
     out[low] -= recurrence
     return out
+
+
+def _float_digamma_bound(x: np.ndarray) -> np.ndarray:
+    """D(w) of the proof above at a 1-D array of doubles w: a bound on
+    |psi~(w) - psi(v)| + 1.01 * 2^-53 |psi~(w)| for every real v with
+    |v - w| <= 2^-51 w, psi~ = ``_float_digamma_array``; inf below 2^-1022."""
+    z, low, recurrence = _digamma_recurrence(x)
+    spread = 1.0 / z
+    remainder = spread**8 / 240
+    spread[low] += recurrence  # 1/z + S
+    bound = remainder + 2.0**-48 * (1 + np.log(z) + 2 * spread)
+    return np.where(x >= np.finfo(float).tiny, bound, inf)
 
 
 def _psi_series(z: Fraction) -> Fraction:
@@ -442,10 +489,24 @@ class ModHarmonic(WelfareFunction):
         for c = m/d, first = 1 when c = -1 and 0 otherwise, scaled by L/d, L the
         lcm of those denominators, is a prefix sum of the integers L/(t*d + m).
         h_{-1}(0) = -inf gets a term that puts any vector holding it below 0.
-        Off the integers, the default route."""
+
+        Off the integers: the float model ``approx_array`` at the doubles x/scale
+        (int/int divisions, so correctly rounded), each value a widened by its
+        bound e(x) to ``(nextafter(a - e, -inf), nextafter(a + e, inf))``; no
+        value is built.  (-inf, -inf) at h_{-1}(0), and (-inf, inf) where no
+        bound is proved (an x/scale past the double range or below 2^-1022)."""
         xs = list(xs)
         if any(x % scale for x in xs):
-            return super().scan(xs, scale, n)
+            args = np.array([_nearest_float(x, scale) for x in xs])
+            with np.errstate(invalid="ignore"):
+                values, errors = self.approx_array(args), self._approx_error(args)
+                lo, hi = np.nextafter(values - errors, -inf), np.nextafter(values + errors, inf)
+            unbounded = ~np.isfinite(errors)
+            lo[unbounded], hi[unbounded] = -inf, inf
+            bounds = dict(zip(xs, zip(lo.tolist(), hi.tolist())))
+            if self.c == -1 and 0 in bounds:
+                bounds[0] = (-inf, -inf)
+            return bounds
         m, d = self.c.numerator, self.c.denominator
         first = 1 if self.c == -1 else 0
         ints = {x // scale for x in xs}
@@ -466,9 +527,13 @@ class ModHarmonic(WelfareFunction):
         return xf + mpmath.mpf(self.c.numerator) / mpmath.mpf(self.c.denominator) + 1
 
     def _digamma_shift(self):
-        """h_c(x) - psi(y) at the working precision: gamma when c = -1, else -psi(c+1)."""
+        """h_c(x) - psi(y) at the working precision: gamma when c = -1, else
+        -psi(c+1), which is gamma - H_c for an integer c up to ``_RECURRENCE_SPAN``."""
         if self.c == -1:
             return +mpmath.euler
+        if self.c.denominator == 1 and self.c <= _RECURRENCE_SPAN:
+            harmonic = sum(Fraction(1, k) for k in range(1, int(self.c) + 1))
+            return mpmath.euler - mpmath.mpf(harmonic.numerator) / harmonic.denominator
         return -mpmath.digamma(mpmath.mpf(self.c.numerator) / mpmath.mpf(self.c.denominator) + 1)
 
     def label(self):
@@ -477,12 +542,35 @@ class ModHarmonic(WelfareFunction):
     def approx_array(self, xs):
         if self.c == -1:
             return _float_digamma_array(xs) + _EULER_GAMMA
-        c1 = float(self.c) + 1
+        c1 = float(self.c + 1)  # c + 1 rounded once, from the exact rational
         psi = _float_digamma_array(np.concatenate(([c1], xs + c1)))  # psi(c+1) rides along
         return psi[1:] - psi[0]
 
+    def _approx_error(self, xs: np.ndarray) -> np.ndarray:
+        """Per point a bound e(x) on the distance of ``approx_array(xs)`` from
+        h_c(x), for the rational x >= 0 that each double is correctly rounded
+        from; inf where none is proved.
+
+        With y~ = fl(x~ + c~), x~ and c~ = c + 1 correctly rounded (x~ within
+        u x, or within 2^-1075 <= u y~ where it is subnormal), |y~ - (x + c + 1)|
+        <= u(x + c + 1) + 2u y~ < 4u y~ when y~ >= 2^-1022 (below it, D = inf),
+        so e(x) = D(y~) + D(c~) (``_float_digamma_bound``) bounds the two
+        digammas, the two rounded arguments and the final subtraction.  At c = -1, y~ = x~ and e(x) = D(x~) + 2^-52, which covers
+        the rounding of gamma and of the final addition.
+        """
+        if self.c == -1:
+            return _float_digamma_bound(xs) + 2.0**-52
+        c1 = float(self.c + 1)
+        spread = _float_digamma_bound(np.concatenate(([c1], xs + c1)))
+        return spread[1:] + spread[0]
+
     def table_error_bound(self, upto: int) -> float:
-        return 1e-10  # two digamma series values, each within 4.2e-11
+        # e(x) of _approx_error, wherever x + c + 1 and c + 1 (x alone at c = -1)
+        # are at least 1/1000: each D is then below 1/(240 * 10^8) + 2^-48 * 2,011
+        # < 4.9e-11, as 1 + log z + 2/z is below 711 at any double and below 3.6
+        # where S > 0 (z < 11), and 2S is below 2,006 there.  Smaller arguments
+        # can pass 1e-10: at c = -1 and x = 10^-9 the model is off by 1.6e-9
+        return 1e-10
 
 
 class PMean(WelfareFunction):

@@ -28,10 +28,12 @@ row) scores each utility vector u by bounds ``lo <= sum_i f(u_i/d) <= hi``.
   or all ``w*log(q)`` with one w > 0 (piecewise tables, p < 0).  The common
   rules then compare integers only.
 - Otherwise (surds, intervals, mixed log and rational values) they are
-  certified float bounds: the sums of the outward-rounded bounds of
-  :func:`~welfarist.values.float_bounds`, rounded outward once more.
-  Half-integer power means take them from integer square roots, without a
-  value; other families from values read at ``SCAN_BITS``.
+  certified float bounds: per utility an outward-rounded ``(lo, hi)``, and
+  their sums rounded outward once more.  Half-integer power means take them
+  from integer square roots, and harmonic numbers off the integers from
+  their float model widened by its proved per-point error, without a value;
+  other families from :func:`~welfarist.values.float_bounds` of values read
+  at ``SCAN_BITS``.
 
 A vector holding f = -inf scores the point ``(-inf, -inf)``.  One scan drops
 each final vector whose ``hi`` is below another's ``lo``.  Equal points are
@@ -137,22 +139,27 @@ def _argmax(
     A first pass keeps a running best, replaced only by a provably greater
     candidate.  A second compares every candidate with it, starts again from
     one provably above it (possible only after an undecided first-pass
-    comparison), and keeps the keys not provably below it.  Its comparisons
+    comparison), and keeps the keys not provably below it.  The candidates
+    after the first pass's best were already compared with it there, so the
+    second pass reuses those orderings until it starts again.  Its orderings
     alone set the label: ``Inconclusive`` when a kept key is undecided (the set
     may then be a superset of the true argmax), else ``IntervalCertified`` at
     the highest precision reached, else ``Exact``.
     """
     candidates = list(candidates)
-    best = candidates[0][1]
-    for _, welfare in candidates[1:]:
-        if compare(welfare, best, policy).relation is Relation.GREATER:
-            best = welfare
+    best, known = candidates[0][1], {}  # known: index -> its ordering against best
+    for i, (_, welfare) in enumerate(candidates[1:], 1):
+        ordering = compare(welfare, best, policy)
+        if ordering.relation is Relation.GREATER:
+            best, known = welfare, {}
+        else:
+            known[i] = ordering
     while True:  # the second pass, from the start again whenever the best moves up
         orderings = []
-        for _, welfare in candidates:
-            orderings.append(EQUAL if welfare is best else compare(welfare, best, policy))
+        for i, (_, welfare) in enumerate(candidates):
+            orderings.append(EQUAL if welfare is best else known.get(i) or compare(welfare, best, policy))
             if orderings[-1].relation is Relation.GREATER:
-                best = welfare
+                best, known = welfare, {}
                 break
         else:
             break

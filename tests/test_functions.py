@@ -334,6 +334,59 @@ def test_float_model_within_its_error_bound(spec):
             assert abs(mpmath.mpf(float(approx)) - want) <= fn.table_error_bound(math.ceil(x)), x
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    c=st.sampled_from([Fraction(-1), Fraction(-999999, 10**6), Fraction(-3, 4), Fraction(0), Fraction(2, 5), Fraction(1)]),
+    exponent=st.floats(-12, 12),
+    denominator=st.integers(1, 10**6),
+)
+@example(c=Fraction(-1), exponent=-6.0, denominator=1)
+@example(c=Fraction(-1), exponent=-9.0, denominator=1)
+@example(c=Fraction(-999999, 10**6), exponent=math.log10(2e-6), denominator=10**6)
+def test_harmonic_float_model_within_its_proved_bound(c, exponent, denominator):
+    """|approx_array - h_c(x)| <= e(x) at the double nearest a rational x >= 0
+    with y = x + c + 1 in [10^-12, 10^12], against 200 bits."""
+    x = max(Fraction(0), Fraction(round(10**exponent * denominator), denominator) - (c + 1))
+    if c == -1 and x == 0:
+        x = Fraction(1, denominator * 10**12)
+    fn = ModHarmonic(c)
+    args = np.array([x.numerator / x.denominator])
+    got, bound = fn.approx_array(args)[0], fn._approx_error(args)[0]
+    assert math.isfinite(bound)
+    assert abs(mpmath.mpf(float(got)) - _reference(fn, x, 200)) <= bound, (x, got, bound)
+
+
+def test_harmonic_float_model_forms_c_plus_one_once():
+    # float(c) + 1 at c = -999999/10^6 cancels to 1e-6 with a relative error of
+    # about 1e-11, which psi'(1e-6) ~ 1e12 turned into an error of 2.2e-5
+    fn = ModHarmonic(Fraction(-999999, 10**6))
+    got = fn.approx_array(np.array([1e-6]))[0]
+    assert abs(mpmath.mpf(float(got)) - _reference(fn, Fraction(1, 10**6), 200)) < 1e-10
+
+
+@pytest.mark.parametrize("c", [0, 1, 3])
+def test_integer_shift_reads_psi_of_c_plus_one_without_a_digamma(monkeypatch, c):
+    """-psi(c + 1) = gamma - H_c: within 2^-(bits + 12) of a 400-bit reference at
+    the working precision, one digamma fewer per batch than -digamma(c + 1),
+    and the same values.  (The values themselves are rounded to doubles, ROADMAP
+    item 1, so they cannot hold a 400-bit reference.)"""
+    fn, bits = ModHarmonic(c), 256
+    with mpmath.workprec(bits + 16):
+        shift = fn._digamma_shift()
+    with mpmath.workprec(400):
+        want = -mpmath.digamma(c + 1)
+        assert abs(shift - want) <= mpmath.ldexp(abs(want) + 1, -(bits + 12))
+    calls = []
+    digamma = mpmath.digamma
+    monkeypatch.setattr(mpmath, "digamma", lambda y: calls.append(y) or digamma(y))
+    xs = [Fraction(1, 3), Fraction(7, 3), Fraction(5, 2), Fraction(1, 10**9)]
+    got = fn.values_at(xs, bits)
+    assert len(calls) == 3  # fractional parts 1/3, 1/2 and 1/10^9
+    monkeypatch.setattr(ModHarmonic, "_digamma_shift", lambda self: -mpmath.digamma(mpmath.mpf(c + 1)))
+    assert [(v.lo, v.hi, v.bits) for v in fn.values_at(xs, bits)] == [(v.lo, v.hi, v.bits) for v in got]
+    assert len(calls) == 3 + 4
+
+
 _SHIFTS = ["-1", "-3/4", "0", "1/2", "3"]
 _FAMILIES = (
     [f"harmonic:{c}" for c in _SHIFTS]

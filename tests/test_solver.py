@@ -3,13 +3,15 @@
 import itertools
 import random
 from fractions import Fraction
-from math import floor, inf, lcm
+from math import floor, inf, lcm, ulp
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from welfarist import solver
+from welfarist import functions, solver
+from welfarist import values as value_module
 from welfarist.constructions import (
     chain_instance,
     chain_positive_allocation,
@@ -143,6 +145,19 @@ class TestArgmax:
         monkeypatch.setattr(solver, "compare", compare)
         best, best_value, exactness = solver._argmax([(key, key) for key in "axc"], PrecisionPolicy())
         assert (best, best_value, exactness.kind) == (["a", "x"], "x", "Inconclusive")
+
+    @pytest.mark.parametrize("size, best_at", [(1, 0), (5, 0), (5, 2), (5, 4), (9, 6)])
+    def test_the_second_pass_reuses_the_first_pass_orderings(self, monkeypatch, size, best_at):
+        """A decided list of N candidates whose best sits at index b takes N - 1
+        comparisons, then b: those after the best were compared with it already."""
+        calls = []
+        real = solver.compare
+        monkeypatch.setattr(solver, "compare", lambda *args: calls.append(args) or real(*args))
+        welfare = [ExactValue.from_rational(Fraction(i, 1 + i)) for i in range(size)]
+        welfare.insert(best_at, welfare.pop())  # the largest at index best_at
+        best, best_value, exactness = solver._argmax(list(enumerate(welfare)), PrecisionPolicy())
+        assert (best, best_value, exactness) == ([best_at], welfare[best_at], Exactness("Exact"))
+        assert len(calls) == (size - 1) + best_at
 
     def test_two_multisets_that_tie_exactly_are_both_kept(self):
         # sqrt(8) + sqrt(2) = sqrt(18): (0, 0) and (0, 1) have different utilities and equal welfare
@@ -416,12 +431,29 @@ class TestDeclaredScans:
     )
     def test_declared_scan_matches_the_values(self, spec, rows):
         """Same order and floor side as ``_order_keys`` over ``values_at`` on every
-        pair of vectors, or the same ``float_bounds`` bit for bit."""
+        pair of vectors, or the same ``float_bounds`` bit for bit.  Harmonic
+        bounds off the integers come from the float model instead: each holds
+        the value at 200 bits and is at most 2 e(x) and 2 ulp a side wide."""
         fn, inst = parse_welfare(spec), Instance.from_rows(rows)
         reachable = self.reachable(inst)
         declared = fn.scan(reachable, inst.scale, inst.n)
         generic = WelfareFunction.scan(fn, reachable, inst.scale, inst.n)
         assert type(declared) is type(generic)
+        if isinstance(generic, dict) and spec.startswith("harmonic"):
+            assert declared.keys() == generic.keys()
+            for x, (lo, hi) in declared.items():
+                if fn.c == -1 and x == 0:
+                    assert (lo, hi) == (-inf, -inf)
+                    continue
+                with mpmath.workprec(200):  # h_c(x) = psi(x + c + 1) - psi(c + 1)
+                    c1 = mpmath.mpf(fn.c.numerator) / fn.c.denominator + 1
+                    want = mpmath.digamma(mpmath.mpf(x) / inst.scale + c1) - (
+                        -mpmath.euler if fn.c == -1 else mpmath.digamma(c1)
+                    )
+                assert lo <= want <= hi, x
+                e = fn._approx_error(np.array([x / inst.scale]))[0]
+                assert hi - lo <= 2 * e + 2 * (ulp(lo) + ulp(hi)), x
+            return
         if isinstance(generic, dict):
             assert {x: (lo.hex(), hi.hex()) for x, (lo, hi) in declared.items()} == {
                 x: (lo.hex(), hi.hex()) for x, (lo, hi) in generic.items()
@@ -438,6 +470,41 @@ class TestDeclaredScans:
         finite = [(a, b) for (a, above), (b, _) in zip(mine, theirs) if above]
         for (a1, b1), (a2, b2) in itertools.combinations(finite, 2):
             assert (a1 > a2) - (a1 < a2) == (b1 > b2) - (b1 < b2)
+
+    def test_harmonic_off_the_integers_calls_no_mpmath(self, monkeypatch):
+        class NoMpmath:
+            def __getattr__(self, name):
+                raise AssertionError(f"mpmath.{name} called")
+
+        inst = random_instance(3, 7, "unrestricted", 5, seed=3)
+        reachable = self.reachable(inst)
+        assert any(x % inst.scale for x in reachable)
+        for module in (functions, value_module):
+            monkeypatch.setattr(module, "mpmath", NoMpmath())
+        for spec in ("harmonic:-1", "harmonic:-3/4", "harmonic:0", "harmonic:2/5"):
+            assert isinstance(parse_welfare(spec).scan(reachable, inst.scale, inst.n), dict)
+
+    @pytest.mark.parametrize("spec", [f"harmonic:{c}" for c in ("-1", "-3/4", "-1/2", "0", "1/2", "1")])
+    def test_harmonic_float_scan_decides_as_the_values_do(self, monkeypatch, spec):
+        """Enumeration and branch-and-bound give the same members, rendered
+        welfare, label and allocation on the float model's bounds as on
+        ``float_bounds`` of the values read at SCAN_BITS."""
+        fn = parse_welfare(spec)
+        instances = [random_instance(3, 7, "unrestricted", 5, seed=s) for s in range(8)]
+        instances.append(Instance.from_rows([[Fraction(1, 10**9), 1, 2], [1, Fraction(1, 10**9), 3]]))
+
+        def answers():
+            out = []
+            for inst in instances:
+                maxima = enumerate_maximizers(inst, fn)
+                alloc, welfare = solve_branch_bound(inst, fn)
+                out.append((maxima.allocations, render_value(maxima.welfare), maxima.exactness,
+                            alloc, render_value(welfare)))
+            return out
+
+        declared = answers()
+        monkeypatch.setattr(type(fn), "scan", WelfareFunction.scan)
+        assert declared == answers()
 
     @pytest.mark.parametrize("spec", ["pmean:1/2", "pmean:3/2"])
     def test_perfect_square_radicands_stay_exact(self, spec):
@@ -792,8 +859,8 @@ class TestDistinctLayers:
 
 
 class TestLazyPrecision:
-    """The scan reads f at SCAN_BITS, one digamma per fractional part of the
-    argument; the policy's bits go only to the welfare sums that are read."""
+    """The scan reads harmonic f off the integers from its float model, with no
+    digamma; the policy's bits go only to the welfare sums that are read."""
 
     INST = random_instance(3, 7, "unrestricted", 5, seed=3)
     # harmonic values are computed 16 bits above the requested precision
@@ -819,15 +886,6 @@ class TestLazyPrecision:
         monkeypatch.setattr(mpmath, "digamma", counted)
         return calls
 
-    def reachable(self) -> set[int]:
-        sums = set()
-        for row in self.INST.scaled:
-            subset_sums = {0}
-            for u in row:
-                subset_sums |= {s + u for s in subset_sums}
-            sums |= subset_sums
-        return sums
-
     def test_enumeration(self, monkeypatch):
         score = solver._scoring(self.INST, MHW)
         survivors, _, _ = bounded_survivors(walk(self.INST), score)
@@ -837,8 +895,8 @@ class TestLazyPrecision:
         scan = [r for bits, r in calls if bits == self.SCAN]
         start = [r for bits, r in calls if bits == self.START]
         assert len(scan) + len(start) == len(calls)
-        assert 0 < len(scan) <= len(self.residues(self.reachable())) + 1
-        # psi(c+1) = psi(1) has fractional part 0
+        assert scan == []
+        # a psi(c+1) would have fractional part 0; at c = 0, -psi(1) is gamma, with no call
         assert set(start) <= read | {0}
         assert len(start) <= len(read) + 1
 
@@ -856,7 +914,7 @@ class TestLazyPrecision:
         scan = [r for bits, r in calls if bits == self.SCAN]
         start = [r for bits, r in calls if bits == self.START]
         assert len(scan) + len(start) == len(calls)
-        assert 0 < len(scan) <= len(self.residues(self.reachable())) + 1
+        assert scan == []
         assert set(start) <= set().union(*map(self.residues, reads)) | {0}
         assert len(start) <= sum(len(self.residues(u)) + 1 for u in reads)
 
