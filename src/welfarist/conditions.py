@@ -17,8 +17,8 @@ exact sum: a harmonic increment over 512 integers or more is deferred, and
 ``compare`` sums it only when its two bounds do not settle the inequality.
 Every prescreen but C1a's reads f through the family's one float model,
 ``approx_array``, and clears a tuple only when the float difference passes one
-margin, ``max(1e-9, 16 * table_error_bound(upto))`` plus 16 * 2^-52 times the
-largest finite |f| read, where upto bounds the arguments the scan reads.  A
+margin, ``max(1e-9, 16 * table_error_bound(least, upto))`` plus 16 * 2^-52 times
+the largest finite |f| read, [least, upto] holding the positive arguments read.  A
 cleared tuple is not re-checked exactly.  Six conditions (C1, C3, C3a, C4,
 C6a, C6b) compare two float vectors over a grid and share one scan,
 ``_grid_cells``: the least value each row reads finds the rows that hold a
@@ -252,22 +252,22 @@ def _approx(fn: WelfareFunction, xs) -> np.ndarray:
         return fn.approx_array(np.asarray(xs, dtype=float))
 
 
-def _margin(fn: WelfareFunction, upto: int, values) -> float:
-    """How far a float difference of f values at arguments <= upto must clear:
-    the float model's error plus 16 * 2^-52 * M, for M the largest finite |v| in
-    ``values``, which must bound every finite |f| the scan reads (f is
-    non-decreasing, so f(0), f at the least positive arguments and f at the
-    largest do).  Floats of exact values are correctly rounded, and a difference
-    of two differences or of two sums rounds three times more, which adds at
-    most 12 * 2^-53 * M (Higham 2002, Accuracy and Stability, section 2.2)."""
+def _margin(fn: WelfareFunction, least, upto: int, values) -> float:
+    """How far a float difference of f values at 0 and in [least, upto] must
+    clear: the float model's error plus 16 * 2^-52 * M, for M the largest
+    finite |v| in ``values``, which must bound every finite |f| the scan reads
+    (f is non-decreasing, so f(0), f at the least positive arguments and f at
+    the largest do).  Floats of exact values are correctly rounded, and a
+    difference of two differences or of two sums rounds three times more, which
+    adds at most 12 * 2^-53 * M (Higham 2002, Accuracy and Stability, section 2.2)."""
     largest = float(np.abs(values[np.isfinite(values)]).max(initial=0.0))
-    return max(1e-9, 16.0 * fn.table_error_bound(upto)) + 16.0 * 2.0**-52 * largest
+    return max(1e-9, 16.0 * fn.table_error_bound(least, upto)) + 16.0 * 2.0**-52 * largest
 
 
 def _table(fn: WelfareFunction, upto: int) -> tuple[np.ndarray, float]:
     """Float f(0..upto) and its margin."""
     table = _approx(fn, np.arange(upto + 1))
-    return table, _margin(fn, upto, table[[0, 1, -1]])
+    return table, _margin(fn, 1, upto, table[[0, 1, -1]])
 
 
 def _diff(table: np.ndarray, hi, lo) -> np.ndarray:
@@ -359,7 +359,7 @@ def _block_pairs(fn, pairs, a_xs, b_xs):
     xs = max(a_xs, b_xs, key=len)
     top = max(map(max, pairs)) + 1  # the largest multiple j read
     table = _approx(fn, _multiples(xs, top)).reshape(top + 1, len(xs))
-    margin = _margin(fn, math.ceil(top * xs[-1]), table[[0, 1, -1]])  # rows j = 0, 1 and top
+    margin = _margin(fn, next((x for x in xs if x > 0), 1), math.ceil(top * xs[-1]), table[[0, 1, -1]])  # j = 0, 1, top
     with np.errstate(invalid="ignore"):
         blocks = np.diff(table, axis=0)  # blocks[k, i] = Delta_k(xs[i])
     for l, k in pairs:
@@ -417,7 +417,7 @@ def _suspects_c2(fn, bounds):
     prod_rank = _ranks([p * q for p in ints for q in ints]).reshape(n, n)
     f_float = _approx(fn, grid)
     sums = f_float[:, None] + f_float[None, :]
-    margin = _margin(fn, math.ceil(grid[-1]), f_float)
+    margin = _margin(fn, next((x for x in grid if x > 0), 1), math.ceil(grid[-1]), f_float)
     by_product = np.argsort(-prod_rank, axis=None, kind="stable")  # flat indices
     least = np.empty((n, n))
     for r in range(rank[-1] + 1):  # dense ranks of the sorted grid
@@ -488,7 +488,7 @@ def _c3b_reader(fn, bounds):
     call, bound every |f| it reads at (k+1)a and (k+2)a."""
     f = _approx(fn, np.append(np.arange(bounds.k_max + 4), (bounds.k_max + 2) * bounds.a_max))
     unit = np.diff(f[:-1])  # f(t+1) - f(t)
-    margin = _margin(fn, (bounds.k_max + 3) * bounds.a_max, f)
+    margin = _margin(fn, 1, (bounds.k_max + 3) * bounds.a_max, f)
 
     def uncleared(k, a):
         f = _approx(fn, np.concatenate(((k + 1) * a, (k + 2) * a)))
@@ -932,7 +932,7 @@ def marginal_growth_envelope(fn: WelfareFunction, x_max: int) -> tuple[Fraction,
         return lo, hi
     vals = _approx(fn, np.arange(1, x_max + 2))
     growth = np.arange(1, x_max + 1, dtype=float) * np.diff(vals)
-    pad = max(1e-9, 8.0 * fn.table_error_bound(x_max + 1) * x_max)
+    pad = max(1e-9, 8.0 * fn.table_error_bound(1, x_max + 1) * x_max)
     return (
         Fraction(float(growth.min())) - Fraction(pad),
         Fraction(float(growth.max())) + Fraction(pad),

@@ -38,9 +38,8 @@ from .values import (
 _RAT = r"-?\d+(?:\.\d+)?(?:/\d+)?"
 
 _EULER_GAMMA = 0.5772156649015329
-# steps of one exact digamma recurrence in ModHarmonic.values_at: each step
-# multiplies a growing numerator and denominator by one more term, so a chain
-# costs the square of its length, and a longer one starts again at a digamma
+# the largest integer shift c whose -psi(c+1) ModHarmonic._digamma_shift reads
+# as gamma - H_c, an exact sum of c terms; a larger c takes one digamma instead
 _RECURRENCE_SPAN = 64
 # terms of one unreduced block sum in ModHarmonic.range_sum; the blocks' reduced
 # sums are added as Fractions in a balanced tree
@@ -228,13 +227,6 @@ class WelfareFunction(ABC):
         and trust it only to ``table_error_bound``.
         """
 
-    def values_at(self, xs: Sequence[Fraction], bits: int = DEFAULT_PRECISION_BITS) -> list[ExtendedValue]:
-        """``[value_at(x, bits) for x in xs]`` for rational (int or Fraction) xs.
-
-        A family may override it to share work across the batch.
-        """
-        return [self.value_at(x, bits) for x in xs]
-
     def scan(
         self, xs: Iterable[int], scale: int, n: int
     ) -> OrderTerms | dict[int, tuple[float, float]]:
@@ -242,16 +234,15 @@ class WelfareFunction(ABC):
 
         Either ``OrderTerms``, or each x mapped to
         ``float_bounds(value_at(x/scale, SCAN_BITS))``.  This default reads
-        ``values_at`` at ``SCAN_BITS`` and returns the ``_order_keys`` of
-        those values where they exist; a family overrides it to compute
-        either straight from the integers, without building a value.
+        ``value_at`` point by point and returns the ``_order_keys`` of those
+        values where they exist; a family overrides it to compute either
+        straight from the integers, without building a value.
         """
-        xs = list(xs)
-        values = dict(zip(xs, self.values_at([Fraction(x, scale) for x in xs], SCAN_BITS)))
+        values = {x: self.value_at(Fraction(x, scale), SCAN_BITS) for x in xs}
         return _order_keys(values, n) or {x: float_bounds(v) for x, v in values.items()}
 
-    def table_error_bound(self, upto: int) -> float:
-        """Absolute error bound of ``approx_array`` at arguments up to ``upto``."""
+    def table_error_bound(self, least, upto: int) -> float:
+        """Absolute error bound of ``approx_array`` at 0 and in [least, upto], the positive arguments a scan reads."""
         return 1e-12
 
     def closed_forms(self) -> dict[str, bool]:
@@ -366,21 +357,27 @@ class ModHarmonic(WelfareFunction):
         return facts
 
     def value_at(self, x, bits=DEFAULT_PRECISION_BITS):
+        """h_c(x): exact at an integer (``integer_value``), else psi(x+c+1) + ``_digamma_shift``,
+        one digamma at bits + 16 padded by 2^-(bits+4) (|value| + 1); -inf at h_{-1}(0)."""
         x = Fraction(x)
         if x < 0:
             raise ValueError("negative argument")
-        if self.c == -1 and x == 0:
-            return NEG_INF
-        return self.values_at([x], bits)[0]
+        if x.denominator == 1:
+            return NEG_INF if self.c == -1 and x == 0 else ExactValue.from_rational(self.integer_value(int(x)))
+        with mpmath.workprec(bits + 16):
+            y = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+            if self.c != -1:
+                y = y + mpmath.mpf(self.c.numerator) / mpmath.mpf(self.c.denominator) + 1
+            val = mpmath.digamma(y) + self._digamma_shift()
+            err = mpmath.ldexp(abs(val) + 1, -(bits + 4))
+        return IntervalValue(val - err, val + err, bits)
 
     def integer_value(self, x: int) -> Fraction:
         if x < 0:
             raise ValueError("negative argument")
-        if self.c == -1:
-            if x == 0:
-                raise ValueError("diverges at 0")
-            return self.range_sum(2, x)
-        return self.range_sum(1, x)
+        if self.c == -1 and x == 0:
+            raise ValueError("diverges at 0")
+        return self.range_sum(2 if self.c == -1 else 1, x)
 
     def range_sum(self, lo: int, hi: int) -> Fraction:
         """Exact sum of 1/(t+c) for t in [lo, hi]: each block of
@@ -426,64 +423,6 @@ class ModHarmonic(WelfareFunction):
         log = {z1 / z0: Fraction(1)}
         return ExactValue(base - 1 / (240 * z0**8), log), ExactValue(base + 1 / (240 * z1**8), log)
 
-    def values_at(self, xs, bits=DEFAULT_PRECISION_BITS):
-        """``value_at`` at every x, with one exact prefix sum over the integers
-        and one digamma per fractional part.
-
-        The integer x where h_c is finite (x >= 0, or x >= 1 when c = -1) are
-        read in ascending order from one running sum, h_c(x) = h_c(x') +
-        ``range_sum(x'+1, x)`` for the previous point x': the batch adds
-        max(x) terms, not the sum of all x.  Other integers (negative, or
-        h_{-1}(0) = -inf) go to ``value_at``, which takes no other.
-
-        A non-integer x > 0 is grouped by the fractional part r of
-        y = x+c+1 = q+r, and psi(q+r) = psi(p+r) + sum_{j=p..q-1} 1/(r+j) for
-        p <= q: one digamma at the group's smallest q, then an exact rational
-        prefix sum over the members sorted by q, started afresh
-        ``_RECURRENCE_SPAN`` steps on.  A chain also starts afresh after a
-        member with q = 0 (y < 1): added to psi(r) ~ -1/r, the sum would lose
-        up to log2(1/r) bits to cancellation.  Each interval is the value
-        padded by 2^-(bits+4) (|value| + 1).
-        """
-        out = [None] * len(xs)
-        first = 1 if self.c == -1 else 0  # h_c(first) = 0
-        points, groups = [], {}
-        for i, x in enumerate(xs):
-            if x.denominator > 1 and x > 0:
-                q, r = divmod(x + self.c + 1, 1)
-                groups.setdefault(r, []).append((q, i, x))
-            elif x >= first:
-                points.append((int(x), i))
-            else:
-                out[i] = self.value_at(x, bits)
-        h, prev = Fraction(0), first
-        for x, i in sorted(points):
-            h += self.range_sum(prev + 1, x)
-            prev = x
-            out[i] = ExactValue.from_rational(h)
-        if not groups:
-            return out
-        vals = []
-        with mpmath.workprec(bits + 16):
-            shift = self._digamma_shift()
-            for r, members in groups.items():
-                a, b = r.numerator, r.denominator
-                start = None
-                for q, i, x in sorted(members):
-                    if start is None or start == 0 or q - start > _RECURRENCE_SPAN:
-                        start = last = q
-                        num, den = 0, 1  # the sum of 1/(r+j) over start <= j < q
-                        psi = mpmath.digamma(self._digamma_arg(x)) + shift
-                    for j in range(last, q):
-                        t = a + j * b
-                        num, den = num * t + den * b, den * t
-                    last = q
-                    val = psi + mpmath.mpf(num) / den
-                    vals.append((i, val, mpmath.ldexp(abs(val) + 1, -(bits + 4))))
-        for i, val, err in vals:
-            out[i] = IntervalValue(val - err, val + err, bits)
-        return out
-
     def scan(self, xs, scale, n):
         """Sum terms at integer utilities: h_c(x) = sum_{first < t <= x} d/(t*d + m)
         for c = m/d, first = 1 when c = -1 and 0 otherwise, scaled by L/d, L the
@@ -518,13 +457,6 @@ class ModHarmonic(WelfareFunction):
                 prefix[t] = total
         below = -(n - 1) * total - 1
         return OrderTerms({x: prefix.get(x // scale, below) for x in xs}, sum, 0)
-
-    def _digamma_arg(self, x: Fraction):
-        """y = x+c+1 (x when c = -1) at the working precision."""
-        xf = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-        if self.c == -1:
-            return xf
-        return xf + mpmath.mpf(self.c.numerator) / mpmath.mpf(self.c.denominator) + 1
 
     def _digamma_shift(self):
         """h_c(x) - psi(y) at the working precision: gamma when c = -1, else
@@ -564,13 +496,27 @@ class ModHarmonic(WelfareFunction):
         spread = _float_digamma_bound(np.concatenate(([c1], xs + c1)))
         return spread[1:] + spread[0]
 
-    def table_error_bound(self, upto: int) -> float:
-        # e(x) of _approx_error, wherever x + c + 1 and c + 1 (x alone at c = -1)
-        # are at least 1/1000: each D is then below 1/(240 * 10^8) + 2^-48 * 2,011
-        # < 4.9e-11, as 1 + log z + 2/z is below 711 at any double and below 3.6
-        # where S > 0 (z < 11), and 2S is below 2,006 there.  Smaller arguments
-        # can pass 1e-10: at c = -1 and x = 10^-9 the model is off by 1.6e-9
-        return 1e-10
+    # e(x) of _approx_error at each double x~ in {0} u [fl(least), fl(upto)]: D(w) +
+    # 2^-52 for w = x~ in [lo, hi] = [fl(least), fl(upto)] at c = -1 (x~ = 0 gives
+    # -inf, exactly), else D(w) + D(c~) for w = fl(x~ + c~) in [lo, hi] = [c~,
+    # fl(fl(upto) + c~)], c~ = fl(c+1).  Each term of D(w) is largest at one end.
+    # z = fl(w + n) >= max(10, w), so the remainder is at most 1/(240 max(10, lo)^8).
+    # 1/z + S is, within a relative 12u, the sum of 1/(w + j) over j <= n, which
+    # falls as w rises, also where n drops (a term goes), so it is at most its value
+    # at lo; D's 2^-48 = 32u per unit of it, against the 21.1u the proof above
+    # needs, absorbs the 12u.  log z <= log max(11, hi): z = w <= hi when n = 0,
+    # and fl(w + n - 1) < 10 gives z <= 11 otherwise.
+    def table_error_bound(self, least, upto: int) -> float:
+        if self.c == -1:
+            lo, hi, shift = float(least), float(upto), 2.0**-52
+        else:
+            lo = c1 = float(self.c + 1)
+            hi, shift = float(upto) + c1, _float_digamma_bound(np.array([c1]))[0]
+        if lo < np.finfo(float).tiny:
+            return inf
+        z, _, recurrence = _digamma_recurrence(np.array([lo]))
+        spread = 1 / z[0] + recurrence.sum()
+        return float(1 / (240 * max(10.0, lo) ** 8) + 2.0**-48 * (1 + np.log(max(11.0, hi)) + 2 * spread) + shift)
 
 
 class PMean(WelfareFunction):
@@ -662,7 +608,7 @@ class PMean(WelfareFunction):
             powered = xs**p
         return powered if p > 0 else -powered
 
-    def table_error_bound(self, upto: int) -> float:
+    def table_error_bound(self, least, upto: int) -> float:
         # |x**p| reaches upto**p for p > 0, and pow is within an ulp or two
         if self.p <= 0:
             return 1e-13
@@ -714,8 +660,8 @@ class LinearCombo(WelfareFunction):
             total = total + float(w) * fn.approx_array(xs)
         return total
 
-    def table_error_bound(self, upto: int) -> float:
-        return sum(float(w) * fn.table_error_bound(upto) for w, fn in self.terms)
+    def table_error_bound(self, least, upto: int) -> float:
+        return sum(float(w) * fn.table_error_bound(least, upto) for w, fn in self.terms)
 
 
 class PiecewiseTable(WelfareFunction):

@@ -98,8 +98,9 @@ class MaximizerSet:
 class _ValueCache:
     """f at integer utilities x in units of 1/scale, at ``bits``, once per x.
 
-    Only the utilities a welfare sum reads are evaluated (``fill``, one batch
-    per read); the scan builds no value here.  ``_cache`` holds the values.
+    Each x is evaluated by ``value_at`` on its first read, so only the
+    utilities a welfare sum reads are; the scan builds no value here.
+    ``_cache`` holds the values.
     """
 
     def __init__(self, fn: WelfareFunction, bits: int, scale: int):
@@ -108,20 +109,14 @@ class _ValueCache:
         self.scale = scale
         self._cache: dict[int, ExtendedValue] = {}
 
-    def fill(self, xs: Iterable[int]) -> None:
-        """Evaluate, in one batch at ``bits``, every x not held yet."""
-        missing = list({x for x in xs if x not in self._cache})
-        if missing:
-            values = self.fn.values_at([Fraction(x, self.scale) for x in missing], self.bits)
-            self._cache.update(zip(missing, values))
-
     def __call__(self, x: int) -> ExtendedValue:
-        """f(x/scale) at ``bits``, once ``fill`` has evaluated it."""
+        """f(x/scale) at ``bits``, evaluated on the first read of x."""
+        if x not in self._cache:
+            self._cache[x] = self.fn.value_at(Fraction(x, self.scale), self.bits)
         return self._cache[x]
 
     def welfare(self, utilities: list[int]) -> ExtendedValue:
         """sum_i f(u_i/scale) of one scaled utility vector at ``bits``; -inf as soon as any term is -inf."""
-        self.fill(utilities)
         return value_sum([self(u) for u in utilities])
 
 
@@ -367,7 +362,6 @@ def enumerate_maximizers(
         multisets = {}
         for _, u in survivors:
             multisets.setdefault(tuple(sorted(u)), u)
-        value.fill(x for u in multisets.values() for x in u)
         winners, best_value, exactness = _argmax(((s, value.welfare(u)) for s, u in multisets.items()), policy)
         winners = set(winners)
         best = [a for a, u in survivors if tuple(sorted(u)) in winners]

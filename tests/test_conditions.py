@@ -321,7 +321,7 @@ class _FloatStub(WelfareFunction):
         assert len(xs) == len(self.floats)
         return self.floats
 
-    def table_error_bound(self, upto):
+    def table_error_bound(self, least, upto):
         return self.error
 
 
@@ -342,7 +342,7 @@ def test_c2_scan_matches_a_quadruple_loop(grid, error, data):
     f = data.draw(st.lists(_SCAN_VALUES, min_size=len(grid), max_size=len(grid)))
     fn = _FloatStub(f, error)
     xs = sorted(grid)
-    margin = conditions._margin(fn, math.ceil(xs[-1]), fn.floats)
+    margin = conditions._margin(fn, xs[0], math.ceil(xs[-1]), fn.floats)
     with np.errstate(invalid="ignore"):  # +inf + -inf is NaN, a suspect
         want = [
             {"a": xs[i], "b": xs[j], "c": xs[c], "d": xs[d]}
@@ -890,16 +890,16 @@ def test_c1a_on_a_grid_holding_zero_raises(spec, grid):
 
 @pytest.mark.parametrize("spec", ["harmonic:0", "harmonic:-3/4"])
 def test_c1a_builds_each_increment_once(spec, monkeypatch):
-    """Violated at (1, 1/4, 1/2): one values_at call per end of Delta_1(1/4) and
+    """Violated at (1, 1/4, 1/2): one value_at call per end of Delta_1(1/4) and
     Delta_1(1/2), so neither increment is built twice."""
     calls = []
-    values_at = ModHarmonic.values_at
+    value_at = ModHarmonic.value_at
 
-    def counted(fn, xs, *bits):
-        calls.append(list(xs))
-        return values_at(fn, xs, *bits)
+    def counted(fn, x, *bits):
+        calls.append(x)
+        return value_at(fn, x, *bits)
 
-    monkeypatch.setattr(ModHarmonic, "values_at", counted)
+    monkeypatch.setattr(ModHarmonic, "value_at", counted)
     report = check_condition(parse_welfare(spec), ConditionId.C1A, Bounds())
     assert report.witness == {"k": 1, "x": Fraction(1, 4), "y": Fraction(1, 2)}
     assert len(calls) == 4

@@ -24,7 +24,6 @@ from welfarist.values import (
     POS_INF,
     DeferredValue,
     ExactValue,
-    Infinite,
     IntervalValue,
     Relation,
     compare,
@@ -59,11 +58,10 @@ class TestEval:
         xs = [0, 1, 2, Fraction(1, 3), Fraction(7, 2), Fraction(10**20 + 1, 3)]
         for x in xs:
             assert log.value_at(x) == shifted.value_at(x)
-        assert log.values_at(xs) == shifted.values_at(xs)
         floats = np.array([0.0, 0.5, 1.0, 2.0, 1e-300, 3.7e12])
         with np.errstate(divide="ignore"):  # log 0 = -inf
             assert log.approx_array(floats).tobytes() == shifted.approx_array(floats).tobytes()
-        assert log.table_error_bound(10**6) == shifted.table_error_bound(10**6)
+        assert log.table_error_bound(1, 10**6) == shifted.table_error_bound(1, 10**6)
 
     def test_modlog_zero_shift_at_zero(self):
         assert ModLog(0).value_at(0) is NEG_INF
@@ -331,7 +329,7 @@ def test_float_model_within_its_error_bound(spec):
             assert approx == -np.inf, x
         else:
             # the bound at the argument itself, so it is tight for x^p, p > 0
-            assert abs(mpmath.mpf(float(approx)) - want) <= fn.table_error_bound(math.ceil(x)), x
+            assert abs(mpmath.mpf(float(approx)) - want) <= fn.table_error_bound(x or 1, math.ceil(x)), x
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -356,6 +354,32 @@ def test_harmonic_float_model_within_its_proved_bound(c, exponent, denominator):
     assert abs(mpmath.mpf(float(got)) - _reference(fn, x, 200)) <= bound, (x, got, bound)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    c=st.sampled_from([Fraction(-1), Fraction(-999999999, 10**9), Fraction(-3, 4), Fraction(0), Fraction(2, 5), Fraction(1)]),
+    exponent=st.floats(-12, 3),
+    span=st.integers(0, 10**6),
+    data=st.data(),
+)
+@example(c=Fraction(-1), exponent=math.log10(0.99), span=20, data=None)  # the range holds 1, where z = 10
+@example(c=Fraction(-1), exponent=-12.0, span=0, data=None)
+@example(c=Fraction(-999999999, 10**9), exponent=-12.0, span=0, data=None)
+def test_harmonic_table_error_bound_covers_every_argument(c, exponent, span, data):
+    """table_error_bound(least, upto) >= e(x) at 0 (for c > -1: h_{-1}(0) is -inf,
+    exactly), at both ends, at the integers up to 12 and at drawn doubles between."""
+    fn, least = ModHarmonic(c), Fraction(10**exponent)
+    upto = math.ceil(least) + span
+    lo, hi = float(least), float(upto)
+    xs = [lo, hi] + [float(t) for t in range(math.ceil(least), min(upto, 12) + 1)]
+    if c > -1:
+        xs.append(0.0)
+    if data is not None:
+        xs += data.draw(st.lists(st.floats(lo, hi), max_size=20))
+    errors = fn._approx_error(np.array(xs))
+    assert np.isfinite(errors).all()
+    assert errors.max() <= fn.table_error_bound(least, upto), (xs[int(errors.argmax())], errors.max())
+
+
 def test_harmonic_float_model_forms_c_plus_one_once():
     # float(c) + 1 at c = -999999/10^6 cancels to 1e-6 with a relative error of
     # about 1e-11, which psi'(1e-6) ~ 1e12 turned into an error of 2.2e-5
@@ -367,9 +391,10 @@ def test_harmonic_float_model_forms_c_plus_one_once():
 @pytest.mark.parametrize("c", [0, 1, 3])
 def test_integer_shift_reads_psi_of_c_plus_one_without_a_digamma(monkeypatch, c):
     """-psi(c + 1) = gamma - H_c: within 2^-(bits + 12) of a 400-bit reference at
-    the working precision, one digamma fewer per batch than -digamma(c + 1),
-    and the same values.  (The values themselves are rounded to doubles, ROADMAP
-    item 1, so they cannot hold a 400-bit reference.)"""
+    the working precision, one digamma per non-integer point and none for the
+    shift, and the same values as with -digamma(c + 1).  (The values themselves
+    are rounded to doubles, ROADMAP item 1, so they cannot hold a 400-bit
+    reference.)"""
     fn, bits = ModHarmonic(c), 256
     with mpmath.workprec(bits + 16):
         shift = fn._digamma_shift()
@@ -380,87 +405,11 @@ def test_integer_shift_reads_psi_of_c_plus_one_without_a_digamma(monkeypatch, c)
     digamma = mpmath.digamma
     monkeypatch.setattr(mpmath, "digamma", lambda y: calls.append(y) or digamma(y))
     xs = [Fraction(1, 3), Fraction(7, 3), Fraction(5, 2), Fraction(1, 10**9)]
-    got = fn.values_at(xs, bits)
-    assert len(calls) == 3  # fractional parts 1/3, 1/2 and 1/10^9
+    got = [fn.value_at(x, bits) for x in xs]
+    assert len(calls) == len(xs)
     monkeypatch.setattr(ModHarmonic, "_digamma_shift", lambda self: -mpmath.digamma(mpmath.mpf(c + 1)))
-    assert [(v.lo, v.hi, v.bits) for v in fn.values_at(xs, bits)] == [(v.lo, v.hi, v.bits) for v in got]
-    assert len(calls) == 3 + 4
-
-
-_SHIFTS = ["-1", "-3/4", "0", "1/2", "3"]
-_FAMILIES = (
-    [f"harmonic:{c}" for c in _SHIFTS]
-    + [f"modlog:{c}" for c in _SHIFTS if Fraction(c) >= 0]
-    + ["log", "pmean:-1", "pmean:2", "pmean:1/3", "pmean:-3/4"]
-    + ["combo:1*pmean:0+40*pmean:-1", "combo:2*harmonic:-3/4+1*pmean:1/3", "combo:1*harmonic:1/2+3*log"]
-)
-
-
-@st.composite
-def _batches(draw):
-    """Arguments sharing fractional parts (x + k for a few x), integers, and small x (y < 1 at c < 0)."""
-    fractions = st.fractions(min_value=0, max_value=6, max_denominator=2**70)
-    bases = draw(st.lists(fractions, min_size=1, max_size=4))
-    # steps up to 200 reach past the 64-step span at which a digamma chain restarts
-    steps = draw(st.lists(st.integers(0, 200), max_size=6))
-    xs = bases + [x + k for x in bases for k in steps] + draw(st.lists(st.integers(0, 40), max_size=3))
-    return draw(st.permutations(xs))
-
-
-def _same_value(batched, single):
-    if isinstance(single, IntervalValue):
-        return isinstance(batched, IntervalValue) and (batched.lo, batched.hi, batched.bits) == (
-            single.lo, single.hi, single.bits
-        )
-    if isinstance(single, Infinite):
-        return batched == single
-    return isinstance(batched, ExactValue) and batched == single
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    st.sampled_from(_FAMILIES + ["pmean:1/2", "table"]),
-    st.sampled_from([53, 64, 256]),
-    st.data(),
-)
-def test_values_at_matches_value_at(spec, bits, data):
-    """The batch kernel gives value_at's value at every point: equal exact
-    values and infinities, intervals with the same ends and bits."""
-    if spec == "table":
-        fn = PiecewiseTable([0, 1, 3], [2, 0, 1])
-    else:
-        fn = parse_welfare(spec)
-    xs = data.draw(_batches())
-    batched = fn.values_at(xs, bits)
-    assert len(batched) == len(xs)
-    for x, v in zip(xs, batched):
-        assert _same_value(v, fn.value_at(Fraction(x), bits)), (x, v)
-
-
-def test_harmonic_batch_takes_one_digamma_per_fractional_part(monkeypatch):
-    calls = []
-    digamma = mpmath.digamma
-    monkeypatch.setattr(mpmath, "digamma", lambda y: calls.append(y) or digamma(y))
-    fn = ModHarmonic(Fraction(1, 2))
-    # 40 non-integer x; y = x + 3/2 has fractional part 5/6 or 1/6 there
-    xs = [Fraction(k, 3) for k in range(1, 60)]
-    assert [_same_value(v, fn.value_at(x)) for x, v in zip(xs, fn.values_at(xs))] == [True] * len(xs)
-    # two per non-integer x in value_at; one per fractional part and one psi(c+1) in the batch
-    assert len(calls) == 2 * 40 + 2 + 1
-
-
-def test_harmonic_batch_restarts_long_chains(monkeypatch):
-    calls = []
-    digamma = mpmath.digamma
-    monkeypatch.setattr(mpmath, "digamma", lambda y: calls.append(y) or digamma(y))
-    fn = ModHarmonic(Fraction(-3, 4))
-    # y = x + 1/4 = q + 3/8 for q = 1, 4, ..., 199: one fractional part, 67 points
-    xs = [Fraction(1, 8) + k for k in range(1, 200, 3)]
-    batched = fn.values_at(xs, 256)
-    # chains start at q = 1, 67, 133 and 199, each more than 64 steps past
-    # the last start; and one psi(c+1)
-    assert len(calls) == 4 + 1
-    assert [_same_value(v, fn.value_at(x, 256)) for x, v in zip(xs, batched)] == [True] * len(xs)
+    assert [(v.lo, v.hi, v.bits) for v in (fn.value_at(x, bits) for x in xs)] == [(v.lo, v.hi, v.bits) for v in got]
+    assert len(calls) == 3 * len(xs)
 
 
 @pytest.mark.parametrize("c", ["-1", "-3/4", "0", "907/2048", "3"])
@@ -516,48 +465,17 @@ def test_long_harmonic_windows_are_deferred(c, length, deferred):
     assert value_sum([value, ExactValue.from_rational(1)]).as_fraction() == want + 1
 
 
-@pytest.mark.parametrize("c", ["-1", "-3/4", "0", "3/7", "1"])
-def test_harmonic_batch_reads_integers_from_one_prefix_sum(monkeypatch, c):
-    fn = ModHarmonic(c)
-    # unsorted, repeated, with 0 and 1, mixed with non-integers
-    xs = [Fraction(x) for x in ("7", "0", "5/2", "1", "13", "7", "1/3", "2", "0", "40", "19/4", "1")]
-    # integer_value sums each point's terms afresh; h_{-1}(0) and non-integers from value_at
-    finite_integer = {x for x in xs if x.denominator == 1 and x + fn.c + 1 > 0}
-    want = [
-        ExactValue.from_rational(fn.integer_value(int(x))) if x in finite_integer else fn.value_at(x)
-        for x in xs
-    ]
-    terms = []
-    range_sum = ModHarmonic.range_sum
-
-    def counted(self, lo, hi):
-        terms.append(max(0, hi - lo + 1))
-        return range_sum(self, lo, hi)
-
-    monkeypatch.setattr(ModHarmonic, "range_sum", counted)
-    batched = fn.values_at(xs)
-    assert [_same_value(v, w) for v, w in zip(batched, want)] == [True] * len(xs)
-    # one running sum: h_c(40) is the last point, and no term is added twice
-    assert sum(terms) <= max(xs)
-
-
-def test_harmonic_batch_restarts_after_y_below_one():
-    # y = x for c = -1: 1/191 has q = 0 and 192/191 has q = 1, one fractional
-    # part.  A chain from psi(1/191) ~ -191 would lose the last bit at 192/191;
-    # every point must equal psi(y) + gamma padded at bits + 16 on its own.
+def test_harmonic_value_is_psi_plus_gamma_padded():
+    # y = x for c = -1: below and above y = 1 on one fractional part, each
+    # point equals psi(y) + gamma padded at bits + 16 on its own
     fn, bits = ModHarmonic(-1), 53
-    xs = [Fraction(1, 191), Fraction(192, 191)]
-
-    def reference(x):
+    for x in [Fraction(1, 191), Fraction(192, 191)]:
         with mpmath.workprec(bits + 16):
             val = mpmath.digamma(mpmath.mpf(x.numerator) / x.denominator) + mpmath.euler
             err = mpmath.ldexp(abs(val) + 1, -(bits + 4))
-        return IntervalValue(val - err, val + err, bits)
-
-    batched = fn.values_at(xs, bits)
-    for x, v in zip(xs, batched):
-        assert _same_value(v, fn.value_at(x, bits)), x
-        assert _same_value(v, reference(x)), x
+        want = IntervalValue(val - err, val + err, bits)
+        got = fn.value_at(x, bits)
+        assert (got.lo, got.hi, got.bits) == (want.lo, want.hi, want.bits), x
 
 
 def _exact(m) -> Fraction:

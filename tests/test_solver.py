@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import floor, inf, lcm, ulp
+from math import inf, lcm, ulp
 
 import mpmath
 import numpy as np
@@ -37,7 +37,6 @@ from welfarist.values import (
     DEFAULT_PRECISION_BITS,
     NEG_INF,
     PRECISION_CEILING_ENV,
-    SCAN_BITS,
     ExactValue,
     IntervalValue,
     PrecisionPolicy,
@@ -430,7 +429,7 @@ class TestDeclaredScans:
         ),
     )
     def test_declared_scan_matches_the_values(self, spec, rows):
-        """Same order and floor side as ``_order_keys`` over ``values_at`` on every
+        """Same order and floor side as ``_order_keys`` over ``value_at`` on every
         pair of vectors, or the same ``float_bounds`` bit for bit.  Harmonic
         bounds off the integers come from the float model instead: each holds
         the value at 200 bits and is at most 2 e(x) and 2 ulp a side wide."""
@@ -860,48 +859,18 @@ class TestDistinctLayers:
 
 class TestLazyPrecision:
     """The scan reads harmonic f off the integers from its float model, with no
-    digamma; the policy's bits go only to the welfare sums that are read."""
+    digamma; the policy's bits go only to the welfare sums that are read, one
+    digamma per distinct non-integer utility read, and none for the shift at
+    c = 0 (-psi(1) is gamma)."""
 
     INST = random_instance(3, 7, "unrestricted", 5, seed=3)
     # harmonic values are computed 16 bits above the requested precision
-    SCAN, START = SCAN_BITS + 16, DEFAULT_PRECISION_BITS + 16
+    START = DEFAULT_PRECISION_BITS + 16
 
     @staticmethod
-    def fractional_part(x: Fraction) -> Fraction:
-        return x - floor(x)
-
-    def residues(self, utilities) -> set[Fraction]:
-        """Fractional parts of the digamma arguments x + 1 at the non-integer x = u/d."""
-        return {self.fractional_part(Fraction(u, self.INST.scale)) for u in utilities} - {0}
-
-    def digamma_calls(self, monkeypatch) -> list[tuple[int, Fraction]]:
-        """Record (working precision, fractional part of the argument) per digamma call."""
-        calls = []
-        digamma = mpmath.digamma
-
-        def counted(y):
-            calls.append((mpmath.mp.prec, self.fractional_part(Fraction(float(y)).limit_denominator(10**6))))
-            return digamma(y)
-
-        monkeypatch.setattr(mpmath, "digamma", counted)
-        return calls
-
-    def test_enumeration(self, monkeypatch):
-        score = solver._scoring(self.INST, MHW)
-        survivors, _, _ = bounded_survivors(walk(self.INST), score)
-        read = self.residues(x for _, u in survivors for x in u)
-        calls = self.digamma_calls(monkeypatch)
-        enumerate_maximizers(self.INST, MHW)
-        scan = [r for bits, r in calls if bits == self.SCAN]
-        start = [r for bits, r in calls if bits == self.START]
-        assert len(scan) + len(start) == len(calls)
-        assert scan == []
-        # a psi(c+1) would have fractional part 0; at c = 0, -psi(1) is gamma, with no call
-        assert set(start) <= read | {0}
-        assert len(start) <= len(read) + 1
-
-    def test_branch_and_bound(self, monkeypatch):
-        reads = []  # the utility vectors whose welfare the search reads
+    def reads(monkeypatch) -> list[list[int]]:
+        """Record each scaled utility vector whose welfare the search reads."""
+        reads = []
         welfare = solver._ValueCache.welfare
 
         def recorded(cache, utilities):
@@ -909,14 +878,47 @@ class TestLazyPrecision:
             return welfare(cache, utilities)
 
         monkeypatch.setattr(solver._ValueCache, "welfare", recorded)
-        calls = self.digamma_calls(monkeypatch)
-        solve_branch_bound(self.INST, MHW)
-        scan = [r for bits, r in calls if bits == self.SCAN]
-        start = [r for bits, r in calls if bits == self.START]
-        assert len(scan) + len(start) == len(calls)
-        assert scan == []
-        assert set(start) <= set().union(*map(self.residues, reads)) | {0}
-        assert len(start) <= sum(len(self.residues(u)) + 1 for u in reads)
+        return reads
+
+    def test_enumeration(self, monkeypatch):
+        self.check_digammas(monkeypatch, enumerate_maximizers)
+
+    def test_branch_and_bound(self, monkeypatch):
+        self.check_digammas(monkeypatch, solve_branch_bound)
+
+    def check_digammas(self, monkeypatch, search):
+        reads = self.reads(monkeypatch)
+        calls = []  # (working precision, digamma argument) per call
+        digamma = mpmath.digamma
+        monkeypatch.setattr(mpmath, "digamma", lambda y: calls.append((mpmath.mp.prec, y)) or digamma(y))
+        search(self.INST, MHW)
+        read = {Fraction(x, self.INST.scale) for u in reads for x in u}
+        assert [bits for bits, _ in calls] == [self.START] * len(calls)
+        # y = x + 1 at each non-integer x read, once
+        args = sorted(Fraction(float(y)).limit_denominator(10**6) - 1 for _, y in calls)
+        assert args == sorted(x for x in read if x.denominator > 1)
+
+    @pytest.mark.parametrize(
+        "spec, inst",
+        [
+            # branch-and-bound reads three welfare sums that share utilities on each
+            ("harmonic:0", random_instance(3, 5, "unrestricted", 3, seed=45)),
+            ("harmonic:-1", random_instance(3, 5, "unrestricted", 3, seed=139)),
+            # identical rows: six maximizers, and two agents at one utility
+            ("harmonic:0", Instance.from_rows([[Fraction(1, 2), Fraction(3, 2), Fraction(1, 3), Fraction(2, 3), Fraction(5, 2)]] * 3)),
+        ],
+        ids=["seed45", "seed139", "identical-rows"],
+    )
+    @pytest.mark.parametrize("search", [enumerate_maximizers, solve_branch_bound])
+    def test_each_utility_read_is_built_once(self, monkeypatch, spec, inst, search):
+        """Every utility a welfare sum reads is built once, however many sums
+        read it, and no other is built."""
+        reads, built = self.reads(monkeypatch), []
+        value_at = functions.ModHarmonic.value_at
+        monkeypatch.setattr(functions.ModHarmonic, "value_at", lambda fn, x, *bits: built.append(x) or value_at(fn, x, *bits))
+        search(inst, parse_welfare(spec))
+        read = [Fraction(x, inst.scale) for u in reads for x in u]
+        assert sorted(built) == sorted(set(read))
 
 
 class TestChosenAllEf1:
