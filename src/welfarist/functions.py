@@ -321,6 +321,7 @@ class ModHarmonic(WelfareFunction):
         self.c = _fraction(c)
         if self.c < -1:
             raise ValueError("shift must be >= -1")
+        self._shift = (None, None)  # (working precision, _digamma_shift there)
 
     # For c >= -1/2, mid_k is strictly increasing in real a > 0.  Proof.
     # For u > 0, coth u = 1/u + sum_{n>=1} 2u/(u^2 + n^2 pi^2) gives
@@ -460,13 +461,20 @@ class ModHarmonic(WelfareFunction):
 
     def _digamma_shift(self):
         """h_c(x) - psi(y) at the working precision: gamma when c = -1, else
-        -psi(c+1), which is gamma - H_c for an integer c up to ``_RECURRENCE_SPAN``."""
+        -psi(c+1), which is gamma - H_c for an integer c up to ``_RECURRENCE_SPAN``.
+        Kept for the last working precision, so a run of points takes it once."""
+        prec, shift = self._shift
+        if prec == mpmath.mp.prec:
+            return shift
         if self.c == -1:
-            return +mpmath.euler
-        if self.c.denominator == 1 and self.c <= _RECURRENCE_SPAN:
+            shift = +mpmath.euler
+        elif self.c.denominator == 1 and self.c <= _RECURRENCE_SPAN:
             harmonic = sum(Fraction(1, k) for k in range(1, int(self.c) + 1))
-            return mpmath.euler - mpmath.mpf(harmonic.numerator) / harmonic.denominator
-        return -mpmath.digamma(mpmath.mpf(self.c.numerator) / mpmath.mpf(self.c.denominator) + 1)
+            shift = mpmath.euler - mpmath.mpf(harmonic.numerator) / harmonic.denominator
+        else:
+            shift = -mpmath.digamma(mpmath.mpf(self.c.numerator) / mpmath.mpf(self.c.denominator) + 1)
+        self._shift = (mpmath.mp.prec, shift)
+        return shift
 
     def label(self):
         return f"harmonic:{self.c}"

@@ -412,6 +412,26 @@ def test_integer_shift_reads_psi_of_c_plus_one_without_a_digamma(monkeypatch, c)
     assert len(calls) == 3 * len(xs)
 
 
+@pytest.mark.parametrize("c", ["-3/4", "1/2"])
+def test_non_integer_shift_takes_its_digamma_once_per_precision(monkeypatch, c):
+    """-psi(c + 1) is taken once for a run of points at one precision, not at
+    every point, and each value equals a fresh object's, also after a switch
+    to another precision and back."""
+    xs = [Fraction(k, 7) for k in range(1, 43) if k % 7]
+    calls = []
+    digamma = mpmath.digamma
+    monkeypatch.setattr(mpmath, "digamma", lambda y: calls.append(y) or digamma(y))
+    fn = ModHarmonic(c)
+    got = [fn.value_at(x, 256) for x in xs]
+    assert len(xs) == 36 and len(calls) == 37
+    assert [(v.lo, v.hi, v.bits) for v in got] == [
+        (v.lo, v.hi, v.bits) for v in (ModHarmonic(c).value_at(x, 256) for x in xs)
+    ]
+    for bits in (128, 256):
+        v, w = fn.value_at(xs[0], bits), ModHarmonic(c).value_at(xs[0], bits)
+        assert (v.lo, v.hi, v.bits) == (w.lo, w.hi, w.bits)
+
+
 @pytest.mark.parametrize("c", ["-1", "-3/4", "0", "907/2048", "3"])
 @pytest.mark.parametrize("length", [1, 63, 64, 65, 129])
 def test_range_sum_matches_a_plain_sum(c, length):

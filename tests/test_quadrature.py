@@ -1,9 +1,14 @@
 """Integral extension of the harmonic family vs. closed-form sums."""
 
+import math
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from mpmath.calculus.quadrature import GaussLegendre
 
 from welfarist import quadrature
 from welfarist.functions import ModHarmonic
@@ -136,14 +141,14 @@ def test_fractional_powers_need_no_refinement(monkeypatch):
 @pytest.mark.parametrize("prec", [96, 200])
 def test_legendre_rule_is_exact_to_its_degree(order, prec):
     # an order-point rule integrates polynomials of degree up to 2*order - 1
-    # exactly; x**(2*order - 2) is the highest even power it must get right
-    with mpmath.workprec(prec):
-        table = quadrature._legendre_nodes(order, prec)
-        tol = mpmath.ldexp(1, -(prec - 8))
-        assert len(table) == order
-        assert abs(mpmath.fsum(w for _, w in table) - 2) <= tol
-        moment = mpmath.fsum(w * x ** (2 * order - 2) for x, w in table)
-        assert abs(moment - mpmath.mpf(2) / (2 * order - 1)) <= tol
+    # exactly; t**(2*order - 2) is the highest even power it must get right.
+    # The table holds integers over 2**prec on [0, 1]: within 2**8 units.
+    table = quadrature._legendre_nodes(order, prec)
+    one, k = 1 << prec, 2 * order - 2
+    assert len(table) == order and all(0 < t < one for t, _ in table)
+    assert abs(sum(w for _, w in table) - one) <= 1 << 8
+    moment = Fraction(sum(w * t**k for t, w in table), one**k)
+    assert abs(moment - Fraction(one, k + 1)) <= 1 << 8
 
 
 def test_node_tables_stay_bounded():
@@ -154,3 +159,98 @@ def test_node_tables_stay_bounded():
         iv = harmonic_integral(0, x, 1e-9)
         assert iv.lo <= ModHarmonic(0).value_at(x, 128).midpoint() <= iv.hi
         assert quadrature._legendre_nodes.cache_info().currsize <= 16
+
+
+# The refinement in mpmath numbers, as it ran before the fixed-point rule: the
+# oracle for the integer one.
+@lru_cache(maxsize=4)
+def _mp_nodes(order, prec):
+    with mpmath.workprec(prec):
+        return tuple((+x, +w) for x, w in GaussLegendre(mpmath.mp).calc_nodes((order // 3).bit_length(), prec))
+
+
+def _mp_panel_sum(f, a, b, order, prec):
+    half, mid = (b - a) / 2, (b + a) / 2
+    return half * mpmath.fsum(w * f(mid + half * x) for x, w in _mp_nodes(order, prec))
+
+
+def _oracle(c, x, abs_tol):
+    """(lo, hi, panel sums) of h_c(x), with mpmath arithmetic throughout."""
+    e1, e2 = (Fraction(0), x - 1) if c == -1 else (c, x + c)
+    if e1 == e2:
+        return mpmath.mpf(-abs_tol / 2), mpmath.mpf(abs_tol / 2), 0
+    d = math.lcm(e1.denominator, e2.denominator)
+    n1, n2 = (int(d * (e + 1)) - 1 for e in (e1, e2))
+    grade = (d // 8).bit_length()
+    prec = max(96, int(-mpmath.log(abs_tol, 2)) * 3 + 96) + grade
+    with mpmath.workprec(prec):
+        f = lambda s: d * (s**n1 - s**n2) / (1 - s**d)  # noqa: E731
+        tol = mpmath.mpf(abs_tol) / 8
+        ends = [1 - mpmath.ldexp(1, -k) for k in range(grade + 1)] + [mpmath.mpf(1)]
+        stack, total, err, sums = list(zip(ends, ends[1:])), mpmath.mpf(0), mpmath.mpf(0), 0
+        while stack:
+            a, b = stack.pop()
+            coarse, fine = _mp_panel_sum(f, a, b, 12, prec), _mp_panel_sum(f, a, b, 24, prec)
+            sums, disc = sums + 2, abs(fine - coarse)
+            if disc <= tol * (b - a) / 8 or (b - a) < mpmath.ldexp(1, -64):
+                total, err = total + fine, err + disc
+            else:
+                stack += [(a, (a + b) / 2), ((a + b) / 2, b)]
+        err = 6 * err + mpmath.mpf(abs_tol) / 4
+        return total - err, total + err, sums
+
+
+def _counted(c, x, abs_tol):
+    """harmonic_integral(c, x, abs_tol) and the number of panel sums it took."""
+    calls = []
+    panel_sum = quadrature._panel_sum
+    with mock.patch.object(quadrature, "_panel_sum", lambda *args: calls.append(args) or panel_sum(*args)):
+        return harmonic_integral(c, x, abs_tol), len(calls)
+
+
+_SHIFTS = st.just(Fraction(-1)) | st.integers(1, 12).flatmap(
+    lambda q: st.integers(1 - q, 2 * q).map(lambda p: Fraction(p, q)))
+_ARGUMENTS = st.integers(1, 12).flatmap(lambda q: st.integers(1, 12 * q).map(lambda p: Fraction(p, q)))
+
+
+def _benchmark_points(test):
+    # the 40 integrals of a conditions round: five shifts at x = 1..8
+    for c in (-1, Fraction(-1, 2), 0, Fraction(1, 2), 1):
+        for x in range(1, 9):
+            test = example(Fraction(c), Fraction(x))(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SHIFTS, _ARGUMENTS)
+@_benchmark_points
+def test_integer_rule_matches_the_mpmath_refinement(c, x):
+    """The same panel sums as the mpmath refinement, midpoint and width each
+    within 2**-120 of its, around the closed form or 128-bit digamma value."""
+    est, sums = _counted(c, x, 1e-9)
+    lo, hi, want_sums = _oracle(c, x, 1e-9)
+    assert sums == want_sums
+    with mpmath.workprec(400):
+        assert abs((est.lo + est.hi) - (lo + hi)) / 2 <= mpmath.ldexp(1, -120)
+        assert abs(est.width - (hi - lo)) <= mpmath.ldexp(1, -120)
+    fn = ModHarmonic(c)
+    assert contains(est, fn.integer_value(int(x))) if x.denominator == 1 else (
+        est.lo <= fn.value_at(x, 128).midpoint() <= est.hi)
+
+
+def test_refinement_reads_no_mpmath_once_the_nodes_are_cached(monkeypatch):
+    class NoMpmath:
+        def __getattr__(self, name):
+            raise AssertionError(f"mpmath.{name} read inside _adaptive")
+
+    adaptive = quadrature._adaptive
+
+    def spied(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "mpmath", NoMpmath())
+            return adaptive(*args)
+
+    points = [(0, 4), (Fraction(1, 2), Fraction(7, 2)), (Fraction(-3, 4), Fraction(5, 7)), (0, Fraction(1, 10**4))]
+    want = [harmonic_integral(c, x, 1e-9) for c, x in points]  # builds the node tables
+    monkeypatch.setattr(quadrature, "_adaptive", spied)
+    assert [harmonic_integral(c, x, 1e-9) for c, x in points] == want
