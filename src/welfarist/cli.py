@@ -30,6 +30,7 @@ from .model import (
     ParseError,
     parse_allocation,
     parse_instance,
+    parse_rational,
     classify,
     serialize_instance,
 )
@@ -115,7 +116,7 @@ def _cmd_classify(args) -> int:
 
 
 def _parse_grid(text: str):
-    return tuple(Fraction(part) for part in text.split(",") if part.strip())
+    return tuple(parse_rational(part.strip()) for part in text.split(",") if part.strip())
 
 
 def _cmd_condition(args) -> int:

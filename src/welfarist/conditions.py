@@ -19,16 +19,16 @@ Every prescreen but C1a's reads f through the family's one float model,
 ``approx_array``, and clears a tuple only when the float difference passes one
 margin, ``max(1e-9, 16 * table_error_bound(least, upto))`` plus 16 * 2^-52 times
 the largest finite |f| read, [least, upto] holding the positive arguments read.  A
-cleared tuple is not re-checked exactly.  Six conditions (C1, C3, C3a, C4,
-C6a, C6b) compare two float vectors over a grid and share one scan,
+cleared tuple is not re-checked exactly.  Five conditions (C1, C3, C3a, C4,
+C6a) compare two float vectors over a grid and share one scan,
 ``_grid_cells``: the least value each row reads finds the rows that hold a
-suspect, so no grid-sized array is ever built.  C2 finds its suspect rows the
-same way, from the least sum f(c) + f(d) each row (a, b) admits, but its
-admitted pairs are not a prefix of one vector, so it keeps that scan beside
+suspect, so no grid-sized array is ever built.  C2, C5 and C6b clear whole
+blocks of tuples the same way, each from running minima of its own left
+sides kept in tables far smaller than its box (see each scan), not through
 ``_grid_cells``.  C1a demands equality, and a float difference can prove two
 values unequal but never prove them equal, so C1a has no prescreen: each of
 its tuples goes to ``violates``, except where f declares a log shift, which
-decides C1a in closed form.  C5 keeps its own loop over chained increments.
+decides C1a in closed form.
 C3b takes the route that what f declares allows: with a log shift it reduces
 to one rational inequality in a, read from no float; with a known trend of the
 middle increment in a, each row is settled at its two ends and one float
@@ -108,6 +108,8 @@ class Bounds:
             raise ValueError("need k_max >= 2 and a_max >= 1")
         if min(self.b_limit, self.x_limit) < 0:
             raise ValueError("need b_max >= 0 and x_max >= 0")
+        if any(x.numerator < 0 for x in self.real_grid):  # by numerator: Fraction comparisons cost ~20 µs here
+            raise ValueError(f"negative grid point: {min(self.real_grid)}")
 
     @property
     def b_limit(self) -> int:
@@ -399,12 +401,15 @@ def _suspects_c1a(fn, bounds):
             yield {"k": k, "x": grid[0], "y": y}
 
 
+_CHUNK = 1 << 16  # the most cells a scan's window or block table holds
+
+
 # tuple order (a, b, c, d) over the grid, guard min(a,b) <= min(c,d) and ab < cd.
 # Row (a, b) admits the (c, d) of no smaller min rank and a larger product rank.
-# For each min rank, a running minimum of f(c) + f(d) over the pairs it admits,
-# largest product first, gives each row of that min rank its least admitted sum.
-# Once the min ranks up to rank[a] are done every row (a, .) is known, so the
-# rows are scanned in tuple order as they become known.
+# Its least admitted sum f(c) + f(d) is read off minima by (min rank, product
+# rank), taken over the ranks from the top in blocks of ``_CHUNK`` cells or one
+# rank that carry the minimum on, then over larger products.  Rounding is monotone
+# and np.minimum propagates NaN, so a row whose least sum clears holds no suspect.
 def _suspects_c2(fn, bounds):
     grid = sorted(bounds.real_grid)
     n = len(grid)
@@ -418,18 +423,23 @@ def _suspects_c2(fn, bounds):
     f_float = _approx(fn, grid)
     sums = f_float[:, None] + f_float[None, :]
     margin = _margin(fn, next((x for x in grid if x > 0), 1), math.ceil(grid[-1]), f_float)
-    by_product = np.argsort(-prod_rank, axis=None, kind="stable")  # flat indices
-    least = np.empty((n, n))
-    for r in range(rank[-1] + 1):  # dense ranks of the sorted grid
-        pairs = by_product[min_rank.flat[by_product] >= r]
-        running = np.minimum.accumulate(np.concatenate(([np.inf], sums.flat[pairs])))
-        rows = min_rank == r
-        least[rows] = running[np.searchsorted(-prod_rank.flat[pairs], -prod_rank[rows])]
-        for i in np.flatnonzero(rank == r):
-            for (j,) in _cells(_suspect(least[i], sums[i], margin)):
-                guard = (min_rank >= min_rank[i, j]) & (prod_rank > prod_rank[i, j])
-                for c, d in _cells(guard & _suspect(sums, sums[i, j], margin)):
-                    yield {"a": grid[i], "b": grid[j], "c": grid[c], "d": grid[d]}
+    by_rank = np.argsort(min_rank, axis=None, kind="stable")  # flat indices
+    starts = np.searchsorted(min_rank.flat[by_rank], np.arange(rank[-1] + 2))
+    columns = int(prod_rank.max()) + 2  # largest product first; column 0 stays +inf
+    step = max(1, _CHUNK // columns - 1)  # ranks per block, and a row for the carry
+    least, carry = np.empty((n, n)), np.full(columns, np.inf)
+    for top in range(rank[-1] + 1, 0, -step):
+        low = max(0, top - step)
+        pairs = by_rank[starts[low] : starts[top]]
+        rows, cols = top - min_rank.flat[pairs], columns - 1 - prod_rank.flat[pairs]
+        table = np.vstack((carry, np.full((top - low, columns), np.inf)))  # row 0: the ranks >= top
+        np.minimum.at(table, (rows, cols), sums.flat[pairs])
+        carry = np.minimum.accumulate(table, out=table)[-1]  # row t: the ranks >= top - t
+        least.flat[pairs] = np.minimum.accumulate(table, axis=1)[rows, cols - 1]  # the larger products
+    for i, j in _cells(_suspect(least, sums, margin)):
+        guard = (min_rank >= min_rank[i, j]) & (prod_rank > prod_rank[i, j])
+        for c, d in _cells(guard & _suspect(sums, sums[i, j], margin)):
+            yield {"a": grid[i], "b": grid[j], "c": grid[c], "d": grid[d]}
 
 
 # tuple order (k, a, b)
@@ -444,9 +454,6 @@ def _suspects_c3a(fn, bounds):
     pairs = [(l, k) for l in range(bounds.k_max) for k in range(l + 1, bounds.k_max + 1)]
     for l, k, a, b in _block_pairs(fn, pairs, range(1, bounds.a_max + 1), range(1, bounds.b_limit + 1)):
         yield {"l": l, "k": k, "a": a, "b": b}
-
-
-_C3B_CHUNK = 1 << 16
 
 
 # tuple order (k, a); the report's lhs and rhs are the sides of the failing
@@ -553,21 +560,21 @@ def _boundary(uncleared, lo: int, hi: int) -> int:
 
 def _doubling(start: int, stop: int):
     """[start, stop) as consecutive windows of length 1, 2, 4, ... up to
-    ``_C3B_CHUNK``: a reader that stops early has evaluated at most about
+    ``_CHUNK``: a reader that stops early has evaluated at most about
     twice as many a as it read."""
     size = 1
     while start < stop:
         yield start, min(start + size, stop)
-        start, size = start + size, min(2 * size, _C3B_CHUNK)
+        start, size = start + size, min(2 * size, _CHUNK)
 
 
 # The scan walks the rows in tuple order, each in windows of at most
-# ``_C3B_CHUNK`` a, which bound its memory.
+# ``_CHUNK`` a, which bound its memory.
 def _scan_c3b(fn, bounds):
     uncleared = _c3b_reader(fn, bounds)
     for k in range(bounds.k_max + 1):
-        for start in range(1, bounds.a_max + 1, _C3B_CHUNK):
-            left, right = uncleared(k, np.arange(start, min(start + _C3B_CHUNK, bounds.a_max + 1)))
+        for start in range(1, bounds.a_max + 1, _CHUNK):
+            left, right = uncleared(k, np.arange(start, min(start + _CHUNK, bounds.a_max + 1)))
             for (i,) in _cells(left | right):
                 yield {"k": k, "a": start + i}
 
@@ -580,18 +587,26 @@ def _suspects_c4(fn, bounds):
 
 
 # tuple order (k, a, b, l, r) with b <= a and the guard (k+1)b > lb + ra.
-# The loop reads the table through a memoryview, as Python floats: the same
-# IEEE doubles, without numpy's per-scalar cost or an up-front copy.
+# Every admitted base lb + ra lies in [0, (k+1)b - 1], so least[b][k], the
+# running minimum of f(y+b) - f(y) there (NaN if one is), is below each left
+# side of the cell (k, a, b): rounding is monotone, so a cell whose mid and
+# least[b][k] - mid clear holds no suspect.  least[b] is built at (0, b, b).
+# The loop reads the table as Python floats, without numpy's per-scalar cost.
 def _suspects_c5(fn, bounds):
-    upto = (bounds.k_max + 3) * max(bounds.a_max, bounds.b_limit) + 2
-    table, margin = _table(fn, upto)
-    t = memoryview(table)
-    for k in range(bounds.k_max + 1):
+    k_max, b_lim = bounds.k_max, bounds.b_limit
+    table, margin = _table(fn, (k_max + 3) * max(bounds.a_max, b_lim) + 2)
+    t, least = memoryview(table), [None]  # least[b] from b = 1 on
+    for k in range(k_max + 1):
         right = t[k + 3] - t[k + 2]
         for a in range(1, bounds.a_max + 1):
+            if len(least) <= min(a, b_lim):  # k = 0 and b = a is new
+                run = np.minimum.accumulate(_diff(table, np.s_[a : (k_max + 2) * a], np.s_[: (k_max + 1) * a]))
+                least.append(run[a - 1 :: a].tolist())
             mid = t[(k + 2) * a] - t[(k + 1) * a]
             mid_bad = not (mid - right > margin)
-            for b in range(1, min(a, bounds.b_limit) + 1):
+            for b in range(1, min(a, b_lim) + 1):
+                if not mid_bad and least[b][k] - mid > margin:
+                    continue
                 for l in range(0, k + 1):
                     r_cap = ((k + 1 - l) * b - 1) // a
                     for r in range(0, r_cap + 1):
@@ -613,19 +628,29 @@ def _suspects_c6a(fn, bounds):
 
 
 # tuple order (a, b, x, y) with the guard x*b >= (y+1)*a, which admits the
-# y < x*b // a
+# y < x*b // a.  For each a, rows b come in blocks of ``_CHUNK`` cells or one row;
+# a row's running minimum of f(y+b) - f(y) at the admitted prefix clears the
+# cell (b, x) as in ``_grid_cells``; the others are scanned y by y.
 def _suspects_c6b(fn, bounds):
     x_lim = bounds.x_limit
     table, margin = _table(fn, x_lim + bounds.a_max + bounds.b_limit + 1)
     x_idx = np.arange(1, x_lim + 1)
-    y_idx = np.arange(0, x_lim + 1)
+    shifted = np.lib.stride_tricks.sliding_window_view(table, x_lim + 1)  # shifted[b, y] = f(y + b)
+    step = max(1, _CHUNK // (x_lim + 2))
     for a in range(1, bounds.a_max + 1):
         rhs = _diff(table, x_idx + a, x_idx)
-        for b in range(1, bounds.b_limit + 1):
-            lhs = _diff(table, y_idx + b, y_idx)
-            admitted = np.minimum(x_idx * b // a, x_lim + 1)
-            for xi, y in _grid_cells(lhs, rhs, margin, admitted):
-                yield {"a": a, "b": b, "x": xi + 1, "y": y}
+        for low in range(1, bounds.b_limit + 1, step):
+            rows = np.arange(min(step, bounds.b_limit + 1 - low))[:, None]
+            admitted = np.minimum(x_idx * (low + rows) // a, x_lim + 1)
+            width = int(admitted.max(initial=0))  # no row reads a y past it
+            lhs = _diff(shifted, np.s_[low : low + len(rows), :width], np.s_[0, :width])
+            running = np.empty((len(rows), width + 1))
+            running[:, 0] = np.inf  # for no y
+            np.minimum.accumulate(lhs, axis=1, out=running[:, 1:])
+            least = np.take(running, admitted + (width + 1) * rows)
+            for bi, xi in _cells(_suspect(least, rhs, margin)):
+                for (y,) in _cells(_suspect(lhs[bi, : admitted[bi, xi]], rhs[xi], margin)):
+                    yield {"a": a, "b": low + bi, "x": xi + 1, "y": y}
 
 
 _SUSPECTS: dict[ConditionId, Callable] = {

@@ -68,16 +68,25 @@ def _legendre_nodes(order: int, prec: int):
         return tuple(tuple(int(mpmath.nint(mpmath.ldexp(v, prec - 1))) for v in (1 + x, w)) for x, w in table)
 
 
-def _power(s: int, n: int, prec: int) -> int:
-    """s**n over 2**prec by square-and-multiply, each product truncated."""
-    result = 1 << prec
-    while n:
-        if n & 1:
-            result = result * s >> prec
-        n >>= 1
-        if n:
+def _powers(exponents: tuple[int, ...], prec: int):
+    """s -> [s**n over 2**prec for n in exponents], by square-and-multiply
+    with each product truncated.  One chain of squares s, s**2, s**4, ...
+    serves every n, and each power takes its factors in increasing bit order,
+    as square-and-multiply for that n alone would (its first factor is exact)."""
+    # takers[b]: the indices of the exponents with bit b set
+    takers = [[i for i, n in enumerate(exponents) if n >> b & 1] for b in range(max(exponents).bit_length())]
+
+    def powers(s: int) -> list[int]:
+        out = [1 << prec] * len(exponents)
+        for i in takers[0]:
+            out[i] = s
+        for holders in takers[1:]:
             s = s * s >> prec
-    return result
+            for i in holders:
+                out[i] = out[i] * s >> prec
+        return out
+
+    return powers
 
 
 def _panel_sum(f, a: int, b: int, order: int, prec: int) -> int:
@@ -145,8 +154,11 @@ def harmonic_integral(c, x, abs_tol: float = 1e-9) -> IntegralEstimate:
     # low, and 1 - s**d never reaches 0.  The integrand is off by at most
     # d * (n1 + n2 + |f|) units / (1 - s**d) + 1: under 1e-50 for x <= 8 and
     # d <= 2 (prec >= 183, 1 - s > 1/500 on their one panel), against tol 1e-9.
+    powers = _powers((n1, n2, d), prec)
+
     def integrand(s: int) -> int:
-        return d * ((_power(s, n1, prec) - _power(s, n2, prec)) << prec) // ((1 << prec) - _power(s, d, prec))
+        s1, s2, sd = powers(s)
+        return d * ((s1 - s2) << prec) // ((1 << prec) - sd)
 
     value, err_est = _adaptive(integrand, Fraction(abs_tol) / 8, prec, grade)
     with mpmath.workprec(prec):

@@ -331,3 +331,13 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "grid, literal",
+    [("1/0", "'1/0'"), ("1e3,0.5", "'1e3'"), ("-1,1", "-1")],
+)
+def test_condition_grid_points_are_strict_rationals(capsys, grid, literal):
+    # a zero denominator, a float literal and a negative point are usage errors
+    code, out, err = run(capsys, "condition", "C2", "--welfare", "log", f"--grid={grid}")
+    assert code == 2 and out == "" and literal in err

@@ -167,7 +167,7 @@ class TestCheckCondition:
         bounds = Bounds(k_max=3, a_max=60)
         monkeypatch.setitem(conditions._SUSPECTS, ConditionId.C3B, conditions._scan_c3b)
         whole = check_condition(fn, ConditionId.C3B, bounds).to_json_dict()
-        monkeypatch.setattr(conditions, "_C3B_CHUNK", 2)
+        monkeypatch.setattr(conditions, "_CHUNK", 2)
         assert check_condition(fn, ConditionId.C3B, bounds).to_json_dict() == whole
 
     def test_report_json_shape(self):
@@ -333,12 +333,14 @@ _C2_POOL = tuple(Fraction(x) for x in ("3/10", "2/5", "1", "3/2", "2", "3"))
 @given(
     st.lists(st.sampled_from(_C2_POOL), min_size=1, max_size=6),
     st.sampled_from([0.0, 1e-10, 0.1]),
+    st.sampled_from([conditions._CHUNK, 1, 12, 40]),
     st.data(),
 )
-def test_c2_scan_matches_a_quadruple_loop(grid, error, data):
+def test_c2_scan_matches_a_quadruple_loop(grid, error, chunk, data):
     """The row-minimum C2 scan yields exactly the tuples a plain loop over
     grid^4 with the exact guard and not (f(c) + f(d) - (f(a) + f(b)) > margin)
-    finds, in the same order."""
+    finds, in the same order, also when a small cell bound splits its table
+    of least sums into several blocks of ranks."""
     f = data.draw(st.lists(_SCAN_VALUES, min_size=len(grid), max_size=len(grid)))
     fn = _FloatStub(f, error)
     xs = sorted(grid)
@@ -351,8 +353,103 @@ def test_c2_scan_matches_a_quadruple_loop(grid, error, data):
             and xs[i] * xs[j] < xs[c] * xs[d]
             and not (fn.floats[c] + fn.floats[d] - (fn.floats[i] + fn.floats[j]) > margin)
         ]
-        got = list(conditions._suspects_c2(fn, Bounds(real_grid=tuple(grid))))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(conditions, "_CHUNK", chunk)
+            got = list(conditions._suspects_c2(fn, Bounds(real_grid=tuple(grid))))
     assert got == want
+
+
+def _stub_table(data, upto, error):
+    """A float stub of f(0..upto) and its margin: either every value drawn
+    from _SCAN_VALUES, or a staircase of small integer steps with up to three
+    of them overwritten so, which clears far more cells."""
+    if data.draw(st.booleans()):
+        floats = data.draw(st.lists(_SCAN_VALUES, min_size=upto + 1, max_size=upto + 1))
+    else:
+        floats = np.cumsum(data.draw(st.lists(st.integers(0, 3), min_size=upto + 1, max_size=upto + 1)), dtype=float)
+        for i, v in data.draw(st.lists(st.tuples(st.integers(0, upto), _SCAN_VALUES), max_size=3)):
+            floats[i] = v
+    fn = _FloatStub(floats, error)
+    return fn, conditions._margin(fn, 1, upto, fn.floats[[0, 1, -1]])
+
+
+def _c5_loop(t, bounds, margin):
+    """The C5 suspects by a plain loop over the box with the guard (k+1)b > lb + ra."""
+    with np.errstate(invalid="ignore"):
+        return [
+            {"k": k, "a": a, "b": b, "l": l, "r": r}
+            for k in range(bounds.k_max + 1)
+            for a in range(1, bounds.a_max + 1)
+            for b in range(1, min(a, bounds.b_limit) + 1)
+            for l in range(k + 1)
+            for r in range(k + 2)
+            if (k + 1) * b > l * b + r * a
+            and not (
+                (t[(k + 2) * a] - t[(k + 1) * a]) - (t[k + 3] - t[k + 2]) > margin
+                and t[l * b + r * a + b] - t[l * b + r * a] - (t[(k + 2) * a] - t[(k + 1) * a]) > margin
+            )
+        ]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 3),
+    st.integers(1, 4),
+    st.sampled_from([None, 0, 1, 2, 5]),
+    st.sampled_from([0.0, 1e-10, 0.1]),
+    st.data(),
+)
+def test_c5_scan_matches_a_quintuple_loop(k_max, a_max, b_max, error, data):
+    """The C5 scan, which clears whole cells (k, a, b) from the least increment
+    their bases admit, yields exactly the tuples of a plain loop over the box,
+    in the same order."""
+    bounds = Bounds(k_max=k_max, a_max=a_max, b_max=b_max)
+    fn, margin = _stub_table(data, (k_max + 3) * max(a_max, bounds.b_limit) + 2, error)
+    with np.errstate(invalid="ignore"):
+        assert list(conditions._suspects_c5(fn, bounds)) == _c5_loop(fn.floats, bounds, margin)
+
+
+def test_c5_cell_minimum_reaches_the_last_base():
+    """In the cell (k, a, b) = (1, 3, 2) the base l*b + r*a = 3 = (k+1)b - 1
+    (l = 0, r = 1) is the only one whose increment f(5) - f(3) fails against
+    mid = f(9) - f(6), so a cell minimum that stopped one base short would clear it."""
+    steps = [0, 3, 0, 3, 0, 0, 1, 0, 1, 1] + [3] * 8  # f(0..17), with f(y+1) - f(y) = steps[y+1]
+    fn = _FloatStub(np.cumsum(steps, dtype=float), 0.0)
+    bounds = Bounds(k_max=2, a_max=3, b_max=2)
+    want = _c5_loop(fn.floats, bounds, conditions._margin(fn, 1, 17, fn.floats[[0, 1, -1]]))
+    assert {"k": 1, "a": 3, "b": 2, "l": 0, "r": 1} in want
+    assert list(conditions._suspects_c5(fn, bounds)) == want
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 4),
+    st.sampled_from([None, 0, 1, 3, 6]),
+    st.integers(0, 9),
+    st.sampled_from([0.0, 1e-10, 0.1]),
+    st.sampled_from([conditions._CHUNK, 1, 12]),
+    st.data(),
+)
+def test_c6b_scan_matches_a_quadruple_loop(a_max, b_max, x_max, error, chunk, data):
+    """The C6b scan, which clears whole cells (b, x) from running minima over
+    blocks of rows, yields exactly the tuples a plain loop over the box with
+    the guard x*b >= (y+1)*a finds, in the same order, also when a small cell
+    bound puts each row in its own block."""
+    bounds = Bounds(k_max=2, a_max=a_max, b_max=b_max, x_max=x_max)
+    fn, margin = _stub_table(data, x_max + a_max + bounds.b_limit + 1, error)
+    t = fn.floats
+    with np.errstate(invalid="ignore"):
+        want = [
+            {"a": a, "b": b, "x": x, "y": y}
+            for a in range(1, a_max + 1)
+            for b in range(1, bounds.b_limit + 1)
+            for x in range(1, x_max + 1)
+            for y in range(x_max + 1)
+            if x * b >= (y + 1) * a and not (t[y + b] - t[y] - (t[x + a] - t[x]) > margin)
+        ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conditions, "_CHUNK", chunk)
+        assert list(conditions._suspects_c6b(fn, bounds)) == want
 
 
 @pytest.mark.parametrize("cond", [ConditionId.C3, ConditionId.C3A])
@@ -366,6 +463,28 @@ def test_block_pair_scan_memory_stays_linear(cond):
         tracemalloc.stop()
     assert report.verdict == NO_VIOLATION
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "spec, cond, bounds, cap",
+    [
+        # one table of least sums by (min rank, product rank) would take 128 MiB here
+        ("log", ConditionId.C2, Bounds(real_grid=tuple(Fraction(j, 8) for j in range(1, 401))), 16),
+        # the running minima of every row b at once would take 5 MiB
+        ("harmonic:0", ConditionId.C6B, Bounds(k_max=10, a_max=256), 4),
+        ("harmonic:0", ConditionId.C5, Bounds(k_max=10, a_max=256), 1),
+    ],
+)
+def test_block_clearance_memory_stays_bounded(spec, cond, bounds, cap):
+    fn = parse_welfare(spec)
+    tracemalloc.start()
+    try:
+        report = check_condition(fn, cond, bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == NO_VIOLATION
+    assert peak < cap * 2**20
 
 
 @pytest.mark.parametrize("cond", [ConditionId.C3, ConditionId.C3A])

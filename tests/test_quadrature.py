@@ -254,3 +254,50 @@ def test_refinement_reads_no_mpmath_once_the_nodes_are_cached(monkeypatch):
     want = [harmonic_integral(c, x, 1e-9) for c, x in points]  # builds the node tables
     monkeypatch.setattr(quadrature, "_adaptive", spied)
     assert [harmonic_integral(c, x, 1e-9) for c, x in points] == want
+
+
+def _lone_power(s, n, prec):
+    """s**n over 2**prec by square-and-multiply for one n, each product truncated."""
+    result = 1 << prec
+    while n:
+        if n & 1:
+            result = result * s >> prec
+        n >>= 1
+        if n:
+            s = s * s >> prec
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SHIFTS, _ARGUMENTS)
+@_benchmark_points
+@example(Fraction(0), Fraction(1, 10**15))
+def test_shared_chain_of_squares_matches_three_chains(c, x):
+    """At every node the refinement reads, the integrand, whose three powers
+    share one chain of squares, equals the integrand built from three lone
+    square-and-multiply chains, bit for bit."""
+    seen, adaptive = [], quadrature._adaptive
+
+    def spied(f, tol, prec, grade):
+        seen.append((f, prec))
+        return adaptive(f, tol, prec, grade)
+
+    with mock.patch.object(quadrature, "_adaptive", spied):
+        harmonic_integral(c, x, 1e-9)
+    if not seen:  # e1 == e2: no integral to refine
+        return
+    (f, prec), nodes = seen[0], []
+    e1, e2 = (Fraction(0), x - 1) if c == -1 else (c, x + c)
+    d = math.lcm(e1.denominator, e2.denominator)
+    n1, n2 = (int(d * (e + 1)) - 1 for e in (e1, e2))
+
+    def three_chains(s):
+        lone = [_lone_power(s, n, prec) for n in (n1, n2, d)]
+        return d * ((lone[0] - lone[1]) << prec) // ((1 << prec) - lone[2])
+
+    def recorded(s):
+        nodes.append(s)
+        return f(s)
+
+    adaptive(recorded, Fraction(1, 10**9) / 8, prec, (d // 8).bit_length())
+    assert nodes and [f(s) for s in nodes] == [three_chains(s) for s in nodes]
